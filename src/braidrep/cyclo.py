@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, ModulusMismatch, NotCoprime
+from .errors import DivisionByZero, InexactDivision, ModulusMismatch, NotCoprime
 
 Rational = Fraction
 
@@ -89,7 +89,8 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     for e in range(1, d):
         if d % e == 0:
             quo, rem = _poly_divmod_int(poly, cyclotomic_poly(e))
-            assert rem == ()
+            if rem:
+                raise InexactDivision(f"Phi_{e} does not divide the quotient for d={d}")
             poly = quo
     return poly
 

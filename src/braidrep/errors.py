@@ -29,6 +29,10 @@ class DivisionByZero(BraidRepError, ZeroDivisionError):
     """Inversion of zero in the cyclotomic field."""
 
 
+class InexactDivision(BraidRepError):
+    """A polynomial division that must be exact left a remainder."""
+
+
 # -- matrix level --------------------------------------------------------
 
 class ShapeMismatch(BraidRepError):
@@ -50,7 +54,7 @@ class AmbiguousSign(BraidRepError):
 # -- representation contexts ---------------------------------------------
 
 class InvalidParameter(BraidRepError):
-    """A top-level parameter (d or n) is outside its supported range."""
+    """A top-level parameter (d, n or maxlen) is outside its supported range."""
 
 
 class ExponentDivisible(BraidRepError):
@@ -88,7 +92,8 @@ class BadM(BraidRepError):
 
 
 class ConstraintViolation(BraidRepError):
-    """Block pattern holds but a forced unipotent constraint fails."""
+    """An invariant forced by the construction fails: the arrow shape of the
+    flag Gram matrix, or a unipotent constraint once the block pattern holds."""
 
 
 class NotUnipotentElement(BraidRepError):

@@ -32,6 +32,7 @@ from .errors import (
     NotParabolicElement,
     NotUnipotentElement,
     ShapeMismatch,
+    Singular,
 )
 from .linalg import (
     CycloMatrix,
@@ -44,6 +45,7 @@ from .linalg import (
 from .rep import (
     BraidWord,
     RepContext,
+    _last_basis_rewrite,
     commutator,
     evaluate_word,
     quotient_gram,
@@ -105,16 +107,14 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
         for i in range(size)
     )
 
-    # class of g_{n-1} rewritten through the radical relation
-    c = -(ctx.qpow(-ctx.prefix_sums[n - 1]) - one).inv()
-    g_last = tuple(c * (ctx.qpow(-ctx.prefix_sums[i + 1]) - one) for i in range(size))
-
+    g_last = _last_basis_rewrite(ctx)
     flag: list[Vector] = [w]
     flag += [unit(i) for i in range(m - 2)]
     for j in range(m + 2, n):
         flag.append(unit(j - 1) if j <= n - 2 else g_last)
     flag.append(unit(m - 1))
-    assert len(flag) == size
+    if len(flag) != size:
+        raise ConstraintViolation(f"flag has {len(flag)} vectors, expected {size}")
 
     P = CycloMatrix(d, size, size, tuple(flag[col][row] for row in range(size) for col in range(size)))
     P_inv = P.inverse()
@@ -124,15 +124,19 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
     s = size - 2
     mu = ctx.mu
     # arrow-shape invariants forced by the construction
-    assert not gram_flag.entry(0, 0), "w is not isotropic"
+    if gram_flag.entry(0, 0):
+        raise ConstraintViolation("w is not isotropic")
     for t in range(1, s + 1):
-        assert not gram_flag.entry(0, t) and not gram_flag.entry(t, 0), "w not orthogonal to middle"
-        assert not gram_flag.entry(s + 1, t) and not gram_flag.entry(t, s + 1)
-    assert gram_flag.entry(0, s + 1) == -mu, "pairing of g_m against w is not -mu"
-    assert gram_flag.entry(s + 1, 0) == mu
+        if gram_flag.entry(0, t) or gram_flag.entry(t, 0):
+            raise ConstraintViolation("w is not orthogonal to the middle block")
+        if gram_flag.entry(s + 1, t) or gram_flag.entry(t, s + 1):
+            raise ConstraintViolation("g_m is not orthogonal to the middle block")
+    if gram_flag.entry(0, s + 1) != -mu or gram_flag.entry(s + 1, 0) != mu:
+        raise ConstraintViolation("pairing of g_m against w is not -mu")
     G_W = gram_flag.submatrix(range(1, s + 1), range(1, s + 1))
     G_W_inv = G_W.inverse()
-    assert G_W.conj_transpose() == -G_W
+    if G_W.conj_transpose() != -G_W:
+        raise ConstraintViolation("middle block of the flag Gram matrix is not anti-Hermitian")
     return FlagContext(ctx, m, w, tuple(flag), P, P_inv, gram_quot, gram_flag, G_W, G_W_inv, mu)
 
 
@@ -426,7 +430,8 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
         lam = zeta(d, s) + zeta(d, (d - s) % d) if s else CycloNum.one(d) * 2
         scaled = tuple(lam * e for e in basis[i])
         coords = solve_rational(columns, realify(scaled))
-        assert coords is not None, "basis does not span its own lattice"
+        if coords is None:
+            raise Singular("orbit basis does not span a multiple of its own vector")
         denom = math.lcm(*(c.denominator for c in coords))
         value = (lam * denom) * a_q
         out.append(tuple(value.galois(t) for t in exponents))

@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over K_d, plus numeric inertia of Hermitian forms.
+"""Exact dense linear algebra over K_d and Q, plus numeric inertia of Hermitian forms.
 
 Matrices are immutable, row-major, with every entry sharing one modulus d.
-Everything except :func:`inertia` is exact; inertia embeds the matrix
-numerically and is always cross-checked elsewhere against closed formulas.
+Every exact elimination, over K_d or after :func:`realify` over Q, runs
+through the one Gauss-Jordan routine :func:`_rref`.  All but :func:`inertia`
+is exact; inertia embeds the matrix numerically and is always cross-checked
+elsewhere against closed formulas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,8 +54,7 @@ class CycloMatrix:
 
     @staticmethod
     def identity(d: int, n: int) -> CycloMatrix:
-        one, zero = CycloNum.one(d), CycloNum.zero(d)
-        return CycloMatrix(d, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return CycloMatrix.diagonal(d, [CycloNum.one(d)] * n)
 
     @staticmethod
     def zeros(d: int, rows: int, cols: int) -> CycloMatrix:
@@ -170,60 +172,27 @@ class CycloMatrix:
     def trace(self) -> CycloNum:
         if not self.is_square():
             raise ShapeMismatch("trace of a non-square matrix")
-        acc = CycloNum.zero(self.d)
-        for i in range(self.rows):
-            acc = acc + self.entry(i, i)
-        return acc
+        return sum((self.entry(i, i) for i in range(self.rows)), CycloNum.zero(self.d))
 
     def det(self) -> CycloNum:
-        """Determinant by exact Gaussian elimination."""
+        """Determinant: (-1)^swaps times the product of the pivots."""
         if not self.is_square():
             raise ShapeMismatch("determinant of a non-square matrix")
-        n = self.rows
-        m = self.to_lists()
-        sign = 1
-        det = CycloNum.one(self.d)
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if m[i][j]), None)
-            if pivot is None:
-                return CycloNum.zero(self.d)
-            if pivot != j:
-                m[j], m[pivot] = m[pivot], m[j]
-                sign = -sign
-            p = m[j][j]
-            det = det * p
-            pinv = p.inv()
-            for i in range(j + 1, n):
-                f = m[i][j]
-                if f:
-                    f = f * pinv
-                    for l in range(j, n):
-                        m[i][l] = m[i][l] - f * m[j][l]
-        return det if sign == 1 else -det
+        pivots, values, swaps = _rref(self.to_lists(), self.cols)
+        if len(pivots) < self.rows:
+            return CycloNum.zero(self.d)
+        det = math.prod(values, start=CycloNum.one(self.d))
+        return -det if swaps % 2 else det
 
     def inverse(self) -> CycloMatrix:
         """Exact inverse; raises Singular when rank < size."""
         if not self.is_square():
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
-        m = self.to_lists()
-        inv = CycloMatrix.identity(self.d, n).to_lists()
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if m[i][j]), None)
-            if pivot is None:
-                raise Singular(f"rank < {n}")
-            if pivot != j:
-                m[j], m[pivot] = m[pivot], m[j]
-                inv[j], inv[pivot] = inv[pivot], inv[j]
-            pinv = m[j][j].inv()
-            m[j] = [x * pinv for x in m[j]]
-            inv[j] = [x * pinv for x in inv[j]]
-            for i in range(n):
-                if i != j and m[i][j]:
-                    f = m[i][j]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[j])]
-        return CycloMatrix.from_rows(self.d, inv)
+        m = [a + b for a, b in zip(self.to_lists(), CycloMatrix.identity(self.d, n).to_lists())]
+        if len(_rref(m, n)[0]) < n:
+            raise Singular(f"rank < {n}")
+        return CycloMatrix.from_rows(self.d, [row[n:] for row in m])
 
     def solve(self, rhs: Vector) -> Vector:
         """Solve self @ x = rhs for a possibly rectangular, full-column-rank system.
@@ -232,80 +201,26 @@ class CycloMatrix:
         """
         if len(rhs) != self.rows:
             raise ShapeMismatch("rhs length != rows")
+        c = self.cols
         m = [list(self.row(i)) + [rhs[i]] for i in range(self.rows)]
-        n, c = self.rows, self.cols
-        row = 0
-        pivots = []
-        for j in range(c):
-            pivot = next((i for i in range(row, n) if m[i][j]), None)
-            if pivot is None:
-                raise Singular("column without pivot")
-            m[row], m[pivot] = m[pivot], m[row]
-            pinv = m[row][j].inv()
-            m[row] = [x * pinv for x in m[row]]
-            for i in range(n):
-                if i != row and m[i][j]:
-                    f = m[i][j]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-            pivots.append(j)
-            row += 1
-            if row == n:
-                break
-        if len(pivots) < c:
+        if len(_rref(m, c)[0]) < c:
             raise Singular("underdetermined system")
-        for i in range(row, n):
-            if m[i][c]:
-                raise Singular("inconsistent system")
+        if any(row[c] for row in m[c:]):
+            raise Singular("inconsistent system")
         return tuple(m[i][c] for i in range(c))
 
     def rank(self) -> int:
-        m = self.to_lists()
-        n, c = self.rows, self.cols
-        row = 0
-        for j in range(c):
-            if row == n:
-                break
-            pivot = next((i for i in range(row, n) if m[i][j]), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            pinv = m[row][j].inv()
-            m[row] = [x * pinv for x in m[row]]
-            for i in range(n):
-                if i != row and m[i][j]:
-                    f = m[i][j]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-            row += 1
-        return row
+        return len(_rref(self.to_lists(), self.cols)[0])
 
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Basis of the right kernel {v : M v = 0}, K_d-independent vectors."""
         m = self.to_lists()
-        n, c = self.rows, self.cols
-        row = 0
-        pivot_cols: list[int] = []
-        for j in range(c):
-            if row == n:
-                break
-            pivot = next((i for i in range(row, n) if m[i][j]), None)
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            pinv = m[row][j].inv()
-            m[row] = [x * pinv for x in m[row]]
-            for i in range(n):
-                if i != row and m[i][j]:
-                    f = m[i][j]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-            pivot_cols.append(j)
-            row += 1
-        free_cols = [j for j in range(c) if j not in pivot_cols]
+        pivots = _rref(m, self.cols)[0]
         one, zero = CycloNum.one(self.d), CycloNum.zero(self.d)
         basis = []
-        for f in free_cols:
-            v = [zero] * c
-            v[f] = one
-            for r, pj in enumerate(pivot_cols):
+        for f in (j for j in range(self.cols) if j not in pivots):
+            v = [one if j == f else zero for j in range(self.cols)]
+            for r, pj in enumerate(pivots):
                 v[pj] = -m[r][f]
             basis.append(tuple(v))
         return tuple(basis)
@@ -356,17 +271,44 @@ def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:
     """
     if len(x) != gram.cols or len(y) != gram.rows:
         raise ShapeMismatch("vector lengths do not match the Gram matrix")
-    acc = CycloNum.zero(gram.d)
-    for r in range(gram.rows):
-        yc = y[r].conj()
-        if not yc:
+    return sum((yr.conj() * gx for yr, gx in zip(y, gram.apply(x))), CycloNum.zero(gram.d))
+
+
+def _rref(rows: list[list], ncols: int) -> tuple[list[int], list, int]:
+    """Gauss-Jordan in place on the first ncols columns of CycloNum or Fraction rows.
+
+    Uses only bool, *, - and 1 / x; later columns ride along as right-hand
+    sides.  Afterwards row r < len(pivots) is 1 at column pivots[r], which
+    is 0 in every other row, and the later rows vanish on the first ncols
+    columns.  Returns (pivot columns, pivot values before normalization,
+    row swaps); a full-rank square matrix has det (-1)^swaps * prod(values).
+    """
+    pivots, values, swaps = [], [], 0
+    n, r = len(rows), 0
+    for j in range(ncols):
+        p = next((i for i in range(r, n) if rows[i][j]), None)
+        if p is None:
             continue
-        row_acc = CycloNum.zero(gram.d)
-        for c in range(gram.cols):
-            if x[c] and gram.entry(r, c):
-                row_acc = row_acc + gram.entry(r, c) * x[c]
-        acc = acc + yc * row_acc
-    return acc
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            swaps += 1
+        # the pivot row vanishes left of column j, so only columns >= j change
+        value = rows[r][j]
+        scale = 1 / value
+        prow = rows[r][j:] = [x * scale for x in rows[r][j:]]
+        for i in range(n):
+            f = rows[i][j]
+            if i != r and f:
+                rows[i][j:] = [x - f * y for x, y in zip(rows[i][j:], prow)]
+        pivots.append(j)
+        values.append(value)
+        r += 1
+    return pivots, values, swaps
+
+
+def realify(v: Vector) -> list[Fraction]:
+    """Concatenate the rational coefficient vectors of a K_d vector."""
+    return [c for e in v for c in e.coeffs]
 
 
 def rank_over_rationals(vectors: Iterable[Vector]) -> int:
@@ -376,58 +318,20 @@ def rank_over_rationals(vectors: Iterable[Vector]) -> int:
     concatenating the coefficient vectors of its entries.
     """
     vecs = list(vectors)
-    if not vecs:
-        return 0
-    d = vecs[0][0].d if vecs[0] else 1
-    length = len(vecs[0])
-    rows = []
-    for v in vecs:
-        if len(v) != length:
-            raise ShapeMismatch("vectors of mixed length")
-        flat: list[Fraction] = []
-        for e in v:
-            if e.d != d:
-                raise ModulusMismatch("vectors of mixed modulus")
-            flat.extend(e.coeffs)
-        rows.append(flat)
-    return _fraction_rank(rows)
-
-
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    used: list[list[Fraction]] = []
-    for j in range(cols):
-        pivot_row = None
-        for r in rows:
-            if r[j]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows.remove(pivot_row)
-        pivot_row = [x / pivot_row[j] for x in pivot_row]
-        next_rows = []
-        for r in rows:
-            if r[j]:
-                f = r[j]
-                r = [x - f * y for x, y in zip(r, pivot_row)]
-            if any(r):
-                next_rows.append(r)
-        rows = next_rows
-        used.append(pivot_row)
-        rank += 1
-        if not rows:
-            break
-    return rank
+    if any(len(v) != len(vecs[0]) for v in vecs):
+        raise ShapeMismatch("vectors of mixed length")
+    if len({e.d for v in vecs for e in v}) > 1:
+        raise ModulusMismatch("vectors of mixed modulus")
+    rows = [realify(v) for v in vecs]
+    return len(_rref(rows, len(rows[0]) if rows else 0)[0])
 
 
 class RationalSpan:
     """Incrementally growing Q-span of realified K_d vectors.
 
-    Keeps reduced echelon rows; ``add`` reports whether the vector enlarged
-    the span.  Used for orbit rank scans and basis extraction.
+    Keeps reduced echelon rows; ``add`` reduces one vector against them,
+    without eliminating again, and reports whether it enlarged the span.
+    Used for orbit rank scans and basis extraction.
     """
 
     def __init__(self) -> None:
@@ -438,9 +342,7 @@ class RationalSpan:
         return len(self._rows)
 
     def add(self, v: Vector) -> bool:
-        flat: list[Fraction] = []
-        for e in v:
-            flat.extend(e.coeffs)
+        flat = realify(v)
         for j, row in self._rows.items():
             if flat[j]:
                 f = flat[j]
@@ -452,37 +354,13 @@ class RationalSpan:
         return True
 
 
-def realify(v: Vector) -> list[Fraction]:
-    """Concatenate the rational coefficient vectors of a K_d vector."""
-    flat: list[Fraction] = []
-    for e in v:
-        flat.extend(e.coeffs)
-    return flat
-
-
 def solve_rational(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
     """Solve sum_i x_i * columns[i] = target over Q; None when inconsistent."""
-    n = len(target)
     k = len(columns)
-    aug = [[columns[c][r] for c in range(k)] + [target[r]] for r in range(n)]
-    row = 0
-    pivots = []
-    for j in range(k):
-        pivot = next((i for i in range(row, n) if aug[i][j]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][j]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][j]:
-                f = aug[i][j]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(j)
-        row += 1
-    for i in range(row, n):
-        if aug[i][k]:
-            return None
+    aug = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
+    pivots = _rref(aug, k)[0]
+    if any(row[k] for row in aug[len(pivots):]):
+        return None
     sol = [Fraction(0)] * k
     for r, j in enumerate(pivots):
         sol[j] = aug[r][k]

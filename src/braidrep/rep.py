@@ -30,6 +30,7 @@ from .errors import (
     NotDegenerate,
     NotPrimitive,
     RadicalNotFixed,
+    Singular,
 )
 from .linalg import CycloMatrix, Vector, sesquilinear
 
@@ -378,7 +379,7 @@ def lantern_block(ctx: RepContext, r: int) -> LanternBlock:
         rhs = tuple(ctx.gram.entry(l, r - 3) for l in range(r - 3))
         try:
             coeffs = sub.solve(rhs)
-        except Exception as exc:
+        except Singular as exc:
             raise DegenerateBlock(f"projection undefined at r={r}") from exc
         for c_idx, c_val in enumerate(coeffs):
             g_proj[c_idx] = g_proj[c_idx] - c_val
@@ -398,9 +399,10 @@ def lantern_block(ctx: RepContext, r: int) -> LanternBlock:
 # -- Galois transport and scalar relation ------------------------------------------
 
 def galois_transport(ctx: RepContext, m: CycloMatrix, t: int) -> CycloMatrix:
-    """Apply zeta -> zeta^t entrywise, carrying operators at k to k*t mod d."""
-    if math.gcd(t, ctx.d) != 1:
-        raise NotCoprime(f"gcd({t}, {ctx.d}) != 1")
+    """Apply zeta -> zeta^t entrywise, carrying operators at k to k*t mod d.
+
+    Raises NotCoprime, through CycloNum.galois, when gcd(t, d) != 1.
+    """
     return m.galois(t)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import criteria, horo
 from .cyclo import CycloNum, euler_phi, from_coeffs
-from .errors import AmbiguousSign
+from .errors import AmbiguousSign, BadM, InvalidParameter
 from .linalg import CycloMatrix, inertia
 from .rep import (
     BraidWord,
@@ -291,11 +291,19 @@ HORO_CASES = (
 
 
 def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: int = 20) -> tuple[dict, SuiteReport]:
-    """Full horospherical battery for one flag context; JSON-able report."""
-    rep = SuiteReport("horo")
+    """Full horospherical battery for one flag context; JSON-able report.
+
+    Raises BadM when neither witness exists (m < 3 and n - m < 3) and
+    InvalidParameter for a negative maxlen, before any check runs.
+    """
     ctx = fc.ctx
-    rng = random.Random(seed)
     d, n, m = ctx.d, ctx.n, fc.m
+    if m < 3 and n - m < 3:
+        raise BadM(f"no witness: need m >= 3 or n - m >= 3, got m = {m}, n = {n}")
+    if maxlen < 0:
+        raise InvalidParameter(f"maxlen must be >= 0, got {maxlen}")
+    rep = SuiteReport("horo")
+    rng = random.Random(seed)
     tag = f"d={d} kappa={ctx.weights} k={ctx.k} m={m}"
     phi = euler_phi(d)
     from .cyclo import to_strings

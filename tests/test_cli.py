@@ -115,6 +115,21 @@ def test_horo_bad_m(capsys):
     assert "BadM" in err
 
 
+def test_horo_no_witness(capsys):
+    # n = 4, m = 2: m < 3 and n - m < 3, so neither witness exists
+    code, _, err = run_cli(capsys, "horo", "--d", "3", "--kappa", "1,2,1,2", "--m", "2")
+    assert code == 2
+    assert "BadM" in err
+
+
+def test_horo_maxlen_negative(capsys):
+    code, _, err = run_cli(
+        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", "-1"
+    )
+    assert code == 2
+    assert "InvalidParameter" in err
+
+
 def test_horo_maxlen_zero(capsys):
     code, out, _ = run_cli(
         capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3",

@@ -15,7 +15,8 @@ from braidrep.cyclo import (
     to_strings,
     zeta,
 )
-from braidrep.errors import DivisionByZero, ModulusMismatch, NotCoprime
+from braidrep import cyclo
+from braidrep.errors import DivisionByZero, InexactDivision, ModulusMismatch, NotCoprime
 
 
 # -- independent polynomial oracles (kept deliberately naive) ----------------
@@ -60,6 +61,12 @@ def test_cyclotomic_small_values():
     quo, rem = poly_divmod([-1] + [0] * 11 + [1], prod)
     assert rem == []
     assert tuple(int(c) for c in quo) == cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_inexact_division_is_named(monkeypatch):
+    monkeypatch.setattr(cyclo, "_poly_divmod_int", lambda num, den: (num, (1,)))
+    with pytest.raises(InexactDivision):
+        cyclotomic_poly.__wrapped__(6)   # bypass the cache
 
 
 @pytest.mark.parametrize("d", range(1, 31))

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from braidrep.cyclo import CycloNum, euler_phi, from_coeffs
+from braidrep import horo
 from braidrep.errors import (
     BadM,
+    ConstraintViolation,
     NotDegenerate,
     NotParabolicElement,
     NotUnipotentElement,
+    Singular,
 )
 from braidrep.horo import (
     LOWER,
@@ -30,7 +33,14 @@ from braidrep.horo import (
     witness_upper,
 )
 from braidrep.linalg import CycloMatrix
-from braidrep.rep import BraidWord, make_context, pair_twist, quotient_matrix, transported_context
+from braidrep.rep import (
+    BraidWord,
+    make_context,
+    pair_twist,
+    quotient_gram,
+    quotient_matrix,
+    transported_context,
+)
 
 CASES = [
     (5, (1, 1, 3, 2, 2, 1), 3),
@@ -260,3 +270,20 @@ def test_center_lattice_vectors(flag):
         assert len(v) == ell
         for entry in v:
             assert entry.is_real()
+
+
+def test_make_flag_arrow_shape_is_checked(monkeypatch):
+    # a Gram matrix that breaks the isotropy of w must be reported by name
+    monkeypatch.setattr(
+        horo, "quotient_gram",
+        lambda ctx: quotient_gram(ctx) + CycloMatrix.identity(ctx.d, ctx.n - 2),
+    )
+    with pytest.raises(ConstraintViolation):
+        make_flag(make_context(5, (1, 1, 3, 2, 2, 1), 1), 3)
+
+
+def test_center_lattice_unsolvable_is_named(monkeypatch):
+    fc = make_flag(make_context(5, (1, 1, 3, 2, 2, 1), 1), 3)
+    monkeypatch.setattr(horo, "solve_rational", lambda columns, target: None)
+    with pytest.raises(Singular):
+        center_lattice_vectors(fc)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from braidrep.cyclo import CycloNum, from_coeffs, from_rational, zeta
 from braidrep.errors import (
@@ -13,11 +14,14 @@ from braidrep.errors import (
 )
 from braidrep.linalg import (
     CycloMatrix,
+    RationalSpan,
     inertia,
     matrix_from_json,
     matrix_to_json,
     rank_over_rationals,
+    realify,
     sesquilinear,
+    solve_rational,
 )
 
 D = 5
@@ -115,6 +119,106 @@ def test_rank_over_rationals():
         vecs[2],
     ]
     assert rank_over_rationals(vecs) == rank_over_rationals(mixed)
+    assert rank_over_rationals([]) == 0
+    with pytest.raises(ShapeMismatch):
+        rank_over_rationals([(one4,), (one4, one4)])
+    with pytest.raises(ModulusMismatch):
+        rank_over_rationals([(one4,), (from_rational(5, 1),)])
+
+
+def test_solve():
+    rng = random.Random(10)
+    for _ in range(5):
+        a = rmat(rng, 4, 2)                  # rectangular, full column rank
+        if a.rank() < 2:
+            continue
+        x = tuple(rnum(rng) for _ in range(2))
+        assert a.solve(a.apply(x)) == x
+        # a right-hand side outside the column space is inconsistent
+        bad = a.apply(x)[:-1] + (a.apply(x)[-1] + from_rational(D, 1),)
+        if a.submatrix(range(3), range(2)).rank() == 2:
+            with pytest.raises(Singular):
+                a.solve(bad)
+    wide = rmat(rng, 2, 3)                   # more unknowns than equations
+    with pytest.raises(Singular):
+        wide.solve((from_rational(D, 1), CycloNum.zero(D)))
+    with pytest.raises(ShapeMismatch):
+        wide.solve((from_rational(D, 1),))
+
+
+def test_det_sign_and_multiplicativity():
+    rng = random.Random(11)
+    for _ in range(5):
+        a, b = rmat(rng, 3), rmat(rng, 3)
+        swapped = CycloMatrix.from_rows(D, [list(a.row(1)), list(a.row(0)), list(a.row(2))])
+        assert swapped.det() == -a.det()
+        assert (a @ b).det() == a.det() * b.det()
+    assert CycloMatrix.diagonal(D, [zeta(D), from_rational(D, 3)]).det() == zeta(D) * 3
+    assert not CycloMatrix.zeros(D, 2, 2).det()
+
+
+def test_rational_span():
+    rng = random.Random(12)
+    u, v = tuple(rnum(rng) for _ in range(2)), tuple(rnum(rng) for _ in range(2))
+    span = RationalSpan()
+    assert span.add(u) and span.add(v)
+    combo = tuple(Fraction(1, 3) * a - 2 * b for a, b in zip(u, v))
+    assert not span.add(combo)               # Q-dependent on the span
+    assert span.add(tuple(zeta(D) * a for a in u))   # K_d-multiple, Q-independent
+    assert span.rank == 3
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def random_rational_system(rng, rows, cols, rank):
+    """rows x cols rational matrix of the given rank, entries of small height."""
+    left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)] for _ in range(rows)]
+    right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rank)]
+    return [[sum((l[t] * right[t][c] for t in range(rank)), Fraction(0)) for c in range(cols)] for l in left]
+
+
+def test_rank_over_rationals_matches_sympy():
+    rng = random.Random(13)
+    for trial in range(30):
+        count = rng.randint(1, 10)
+        target = rng.randint(0, min(count, 2 * PHI))
+        flat = random_rational_system(rng, count, 2 * PHI, target)
+        vecs = [(from_coeffs(D, row[:PHI]), from_coeffs(D, row[PHI:])) for row in flat]
+        assert [realify(v) for v in vecs] == flat
+        assert rank_over_rationals(vecs) == to_sympy(flat).rank()
+
+
+def test_solve_rational_matches_sympy():
+    rng = random.Random(14)
+    outcomes = set()
+    for trial in range(40):
+        n, k = rng.randint(1, 7), rng.randint(1, 5)
+        a = random_rational_system(rng, n, k, rng.randint(0, min(n, k)))
+        columns = [[a[r][c] for r in range(n)] for c in range(k)]
+        if rng.random() < 0.5:               # a target inside the column space
+            x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+            target = [sum((a[r][c] * x[c] for c in range(k)), Fraction(0)) for r in range(n)]
+        else:
+            target = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        sol = solve_rational(columns, target)
+        try:
+            expected, params = to_sympy(a).gauss_jordan_solve(to_sympy([[t] for t in target]))
+        except ValueError:                   # sympy: inconsistent system
+            assert sol is None
+            outcomes.add("inconsistent")
+            continue
+        assert sol is not None
+        assert all(
+            sum((a[r][c] * sol[c] for c in range(k)), Fraction(0)) == target[r] for r in range(n)
+        )
+        if not params:                       # unique solution
+            assert to_sympy([[x] for x in sol]) == expected
+            outcomes.add("unique")
+        else:
+            outcomes.add("underdetermined")
+    assert outcomes == {"inconsistent", "unique", "underdetermined"}
 
 
 def test_unipotency_and_order():

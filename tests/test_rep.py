@@ -13,6 +13,8 @@ from braidrep.errors import (
     NotDegenerate,
     NotPrimitive,
     RadicalNotFixed,
+    ShapeMismatch,
+    Singular,
 )
 from braidrep.linalg import CycloMatrix
 from braidrep.rep import (
@@ -296,6 +298,22 @@ def test_lantern_block_degenerate():
     ctx = make_context(5, (1, 1, 1, 2), 1)   # prefix sums 1, 2, 3, 5
     with pytest.raises(DegenerateBlock):
         lantern_block(ctx, 4)                # d | k_1 + ... + k_4
+
+
+def test_lantern_block_maps_only_singular(monkeypatch):
+    ctx = make_context(7, (1, 1, 1, 1, 1), 1)   # r = 4 runs the projection solve
+
+    def fail_with(error):
+        def solve(self, rhs):
+            raise error("forced")
+        return solve
+
+    monkeypatch.setattr(CycloMatrix, "solve", fail_with(Singular))
+    with pytest.raises(DegenerateBlock):
+        lantern_block(ctx, 4)
+    monkeypatch.setattr(CycloMatrix, "solve", fail_with(ShapeMismatch))
+    with pytest.raises(ShapeMismatch):
+        lantern_block(ctx, 4)
 
 
 def test_lantern_block_sampled():
