@@ -30,6 +30,7 @@ from .rep import (
     radical_vector,
     scalar_relation_holds,
     transported_context,
+    word_det,
 )
 from .criteria import (
     Verdict,
@@ -99,5 +100,6 @@ __all__ = [
     "transported_context",
     "witness_lower",
     "witness_upper",
+    "word_det",
     "zeta",
 ]

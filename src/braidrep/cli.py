@@ -22,6 +22,7 @@ from .rep import (
     quotient_gram,
     quotient_matrix,
     radical_vector,
+    word_det,
 )
 
 
@@ -70,10 +71,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
+    """Evaluate --word, optionally push it to the quotient, and print it with
+    the determinant of the full matrix, the closed form q^E of word_det."""
     ctx = make_context(args.d, _parse_kappa(args.kappa), args.k)
     word = parse_word(args.word)
     matrix = evaluate_word(ctx, word)
-    det = matrix.det()
+    det = word_det(ctx, word)
     if args.quotient:
         matrix = quotient_matrix(ctx, matrix)
     doc = {

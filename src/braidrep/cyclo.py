@@ -139,6 +139,11 @@ def _raw_normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def _raw_reduce(d: int, conv: list[int]) -> list[int]:
     phi, _, table = _field_data(d)
+    if len(conv) > d:  # fold by zeta^d = 1 first: fewer table rows
+        folded = conv[:d]
+        for j in range(d, len(conv)):
+            folded[j - d] += conv[j]
+        conv = folded
     out = conv[:phi] + [0] * (phi - len(conv))
     for j in range(phi, len(conv)):
         c = conv[j]
@@ -171,6 +176,66 @@ def _raw_add(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> 
     return _raw_normalize([x * ma + y * mb for x, y in zip(na, nb)], lcm)
 
 
+def _raw_galois(d: int, a: tuple[tuple[int, ...], int], t: int) -> tuple[tuple[int, ...], int]:
+    """Image under zeta -> zeta^t, for a unit t already reduced mod d."""
+    num, den = a
+    spread = [0] * d
+    for e, c in enumerate(num):
+        if c:
+            spread[(e * t) % d] += c
+    return _raw_normalize(_raw_reduce(d, spread), den)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_chain(d: int) -> tuple[tuple[int, int], ...]:
+    """Steps (g, m) that build (Z/d)^* from {1}: each unit g not yet in the
+    subgroup S built so far, with m the order of g modulo S, so that the
+    next subgroup is the union of the cosets g^i S, 0 <= i < m."""
+    subgroup = {1 % d}
+    steps = []
+    for g in range(2, d):
+        if math.gcd(g, d) != 1 or g in subgroup:
+            continue
+        m, h = 1, g
+        while h not in subgroup:
+            h, m = h * g % d, m + 1
+        steps.append((g, m))
+        subgroup = {s * pow(g, i, d) % d for s in subgroup for i in range(m)}
+    return tuple(steps)
+
+
+def _conjugate_run(d: int, p: tuple[tuple[int, ...], int], g: int, j: int) -> tuple[tuple[int, ...], int]:
+    """prod_{i=0}^{j-1} sigma_{g^i}(p) for j >= 1, by doubling the run length:
+    a run of length 2a is R_a * sigma_{g^a}(R_a), one of length 2a + 1 is
+    p * sigma_g(R_{2a})."""
+    run, length = p, 1
+    for bit in bin(j)[3:]:
+        run = _raw_mul(d, run, _raw_galois(d, run, pow(g, length, d)))
+        length *= 2
+        if bit == "1":
+            run = _raw_mul(d, p, _raw_galois(d, run, g))
+            length += 1
+    return run
+
+
+@functools.lru_cache(maxsize=4096)
+def _raw_inv(d: int, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Inverse of the nonzero element num / den, as den * adj / N.
+
+    Along the chain of :func:`_unit_chain`, P_S = prod_{s in S} sigma_s(num)
+    and adj = prod_{s in S, s != 1} sigma_s(num).  A step (g, m) multiplies
+    both by F = prod_{i=1}^{m-1} sigma_{g^i}(P_S), so that at the end P is
+    the norm N, an integer, and adj the product of all other conjugates.
+    """
+    p_s = (num, 1)
+    adj: tuple[tuple[int, ...], int] = ((1,) + (0,) * (len(num) - 1), 1)
+    for g, m in _unit_chain(d):
+        factor = _raw_galois(d, _conjugate_run(d, p_s, g, m - 1), g)
+        p_s = _raw_mul(d, p_s, factor)
+        adj = _raw_mul(d, adj, factor)
+    return _raw_normalize([den * c for c in adj[0]], p_s[0][0])
+
+
 @dataclass(frozen=True, eq=False)
 class CycloNum:
     """An element of Q(zeta_d) in canonical reduced form.
@@ -193,6 +258,9 @@ class CycloNum:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational element equals, and so hashes like, its int or Fraction
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.d, self.num, self.den))
 
     # -- constructors ----------------------------------------------------
@@ -265,46 +333,22 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inv(self) -> CycloNum:
-        """Multiplicative inverse via the extended Euclid algorithm in Q[x].
+        """Multiplicative inverse by the norm formula, in integers only.
 
-        Phi_d is irreducible over Q, so gcd(z, Phi_d) is a nonzero constant
-        for every nonzero reduced z and the Bezout cofactor is the inverse.
+        For z = a / den with a in Z[zeta] and N(a) = prod_t sigma_t(a) over
+        the units t mod d (Cohen, *A Course in Computational Algebraic Number
+        Theory*, GTM 138, section 4.3),
+
+            z^-1 = den * prod_{t != 1} sigma_t(a) / N(a),   N(a) in Z.
+
+        The conjugate product is built along a chain of subgroups of
+        (Z/d)^* (see :func:`_raw_inv`) in O(log phi) multiplications, and
+        the result is memoized per (d, num, den).
         """
         if not self:
             raise DivisionByZero("inverse of zero")
-        phi, poly, _ = _field_data(self.d)
-        # invariant: r == s * z  (mod Phi_d) for both tracked pairs
-        r_a = [Fraction(c) for c in poly]
-        r_b = [Fraction(c, self.den) for c in self.num]
-        s_a = [Fraction(0)] * phi
-        s_b = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        while True:
-            while r_b and r_b[-1] == 0:
-                r_b.pop()
-            if len(r_b) == 1:
-                scale = 1 / r_b[0]
-                return _from_fraction_vector(self.d, [c * scale for c in s_b])
-            quo = [Fraction(0)] * (len(r_a) - len(r_b) + 1)
-            rem = r_a[:]
-            for i in range(len(r_a) - 1, len(r_b) - 2, -1):
-                c = rem[i]
-                if c == 0:
-                    continue
-                f = c / r_b[-1]
-                quo[i - len(r_b) + 1] = f
-                for j, e in enumerate(r_b):
-                    rem[i - len(r_b) + 1 + j] -= f * e
-            rem = rem[: len(r_b) - 1]
-            prod = [Fraction(0)] * (len(quo) + phi - 1)
-            for i, f in enumerate(quo):
-                if f:
-                    for j, e in enumerate(s_b):
-                        if e:
-                            prod[i + j] += f * e
-            prod = _reduce_fraction_vector(self.d, prod)
-            new_s = [x - y for x, y in zip(s_a, prod)]
-            r_a, r_b = r_b, rem
-            s_a, s_b = s_b, new_s
+        num, den = _raw_inv(self.d, self.num, self.den)
+        return CycloNum(self.d, num, den)
 
     def __truediv__(self, other: object) -> CycloNum:
         w = self._coerce(other)
@@ -336,13 +380,7 @@ class CycloNum:
         """Image under the automorphism zeta -> zeta^t; t must be coprime to d."""
         if math.gcd(t, self.d) != 1:
             raise NotCoprime(f"gcd({t}, {self.d}) != 1")
-        t %= self.d
-        phi, _, _ = _field_data(self.d)
-        spread = [0] * self.d
-        for a, c in enumerate(self.num):
-            if c:
-                spread[(a * t) % self.d] += c
-        num, den = _raw_normalize(_raw_reduce(self.d, spread), self.den)
+        num, den = _raw_galois(self.d, (self.num, self.den), t % self.d)
         return CycloNum(self.d, num, den)
 
     def conj(self) -> CycloNum:
@@ -391,27 +429,6 @@ class CycloNum:
         return f"CycloNum({self.d}, '{self}')"
 
 
-def _reduce_fraction_vector(d: int, vec: list[Fraction]) -> list[Fraction]:
-    phi, _, table = _field_data(d)
-    out = vec[:phi] + [Fraction(0)] * (phi - len(vec))
-    for j in range(phi, len(vec)):
-        c = vec[j]
-        if c:
-            row = table[j]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
-
-
-def _from_fraction_vector(d: int, vec: list[Fraction]) -> CycloNum:
-    phi = euler_phi(d)
-    vec = vec + [Fraction(0)] * (phi - len(vec))
-    den = math.lcm(*(c.denominator for c in vec)) if vec else 1
-    num, den = _raw_normalize([c.numerator * (den // c.denominator) for c in vec], den)
-    return CycloNum(d, num, den)
-
-
 def from_rational(d: int, r: Fraction | int) -> CycloNum:
     r = Fraction(r)
     phi = euler_phi(d)
@@ -424,7 +441,10 @@ def from_coeffs(d: int, coeffs: list[Fraction] | tuple[Fraction, ...]) -> CycloN
     phi = euler_phi(d)
     if len(coeffs) != phi:
         raise ModulusMismatch(f"expected {phi} coefficients for d={d}, got {len(coeffs)}")
-    return _from_fraction_vector(d, [Fraction(c) for c in coeffs])
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num, den = _raw_normalize([c.numerator * (den // c.denominator) for c in coeffs], den)
+    return CycloNum(d, num, den)
 
 
 def zeta(d: int, s: int = 1) -> CycloNum:

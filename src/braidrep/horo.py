@@ -27,6 +27,7 @@ from .cyclo import CycloNum, euler_phi, zeta
 from .errors import (
     BadM,
     ConstraintViolation,
+    InvalidParameter,
     NoNonzeroPairing,
     NotDegenerate,
     NotParabolicElement,
@@ -326,7 +327,10 @@ def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6, *, rank_bound: in
     most maxlen in the part generators and their inverses.  Stops early once
     rank_bound many Q-independent vectors have been produced (the rank is
     monotone in maxlen, so early exit cannot change a rank computation).
+    Raises InvalidParameter for a negative maxlen.
     """
+    if maxlen < 0:
+        raise InvalidParameter(f"maxlen must be >= 0, got {maxlen}")
     start = part_witness(fc, part)
     actions = []
     for word in _part_generators(fc, part):

@@ -204,16 +204,39 @@ def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> 
 
 # -- operator construction -----------------------------------------------------
 
-def pair_twist(ctx: RepContext, i: int, j: int) -> CycloMatrix:
-    """Matrix of the twist about a disc enclosing punctures i and j.
+def _check_exp(exp: int) -> None:
+    if exp not in (1, -1):
+        raise InvalidParameter(f"letter exponent must be 1 or -1, got {exp}")
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    if not 1 <= i < j <= n:
+        raise IndexOutOfRange(f"need 1 <= i < j <= {n}, got ({i}, {j})")
+
+
+def _check_prefix(n: int, r: int) -> None:
+    if not 2 <= r <= n - 1:
+        raise IndexOutOfRange(f"need 2 <= r <= {n - 1}, got {r}")
+
+
+def _check_block(n: int, s: int, r: int) -> None:
+    if not 1 <= s < r <= n:
+        raise IndexOutOfRange(f"FT({s}, {r}) outside 1..{n}")
+
+
+def pair_twist(ctx: RepContext, i: int, j: int, exp: int = 1) -> CycloMatrix:
+    """Matrix of the twist about a disc enclosing punctures i and j, or of its
+    inverse when exp = -1.
 
     Acts as the complex reflection x -> x - c * J(x, u) u with
     u = g_i + sum_{l=i+1}^{j-1} qbar^{k_{i+1}+...+k_l} g_l and
-    c = (1 - q^{k_i})(1 - q^{k_j}) / mu; its determinant is q^{k_i + k_j}.
+    c = (1 - q^{k_i})(1 - q^{k_j}) / mu; its determinant is
+    1 - c * J(u, u) = q^{k_i + k_j}.  The inverse is the same rank-one
+    update with c replaced by -c * q^{-(k_i + k_j)}.
     """
     n = ctx.n
-    if not 1 <= i < j <= n:
-        raise IndexOutOfRange(f"need 1 <= i < j <= {n}, got ({i}, {j})")
+    _check_pair(n, i, j)
+    _check_exp(exp)
     d = ctx.d
     one, zero = CycloNum.one(d), CycloNum.zero(d)
     u = [zero] * (n - 1)
@@ -221,6 +244,8 @@ def pair_twist(ctx: RepContext, i: int, j: int) -> CycloMatrix:
     for l in range(i + 1, j):
         u[l - 1] = ctx.qpow(-(ctx.prefix_sums[l] - ctx.prefix_sums[i]))
     c = (one - ctx.qpow(ctx.weights[i - 1])) * (one - ctx.qpow(ctx.weights[j - 1])) / ctx.mu
+    if exp == -1:
+        c = -c * ctx.qpow(-(ctx.weights[i - 1] + ctx.weights[j - 1]))
     # rank-one update I - c * u * (u^* G), columns act on coordinates
     ustar_g = [
         sum((u[r].conj() * ctx.gram.entry(r, col) for r in range(n - 1) if u[r]), zero)
@@ -238,28 +263,36 @@ def pair_twist(ctx: RepContext, i: int, j: int) -> CycloMatrix:
     return CycloMatrix.from_rows(d, rows)
 
 
-def prefix_twist(ctx: RepContext, r: int) -> CycloMatrix:
-    """Matrix of the twist about a disc enclosing punctures 1..r (2 <= r <= n-1).
+def prefix_twist(ctx: RepContext, r: int, exp: int = 1) -> CycloMatrix:
+    """Matrix of the twist about a disc enclosing punctures 1..r (2 <= r <= n-1),
+    or of its inverse when exp = -1.
 
     Scales g_1, ..., g_{r-1} by q^{k_1+...+k_r}, fixes g_{r+1}, ..., g_{n-1},
-    and shears g_r by the weighted sum of the earlier basis vectors.
+    and shears g_r by the weighted sum of the earlier basis vectors: column r
+    holds q^{P_r} (q^{-P_l} - 1) in row l < r, with P_l = k_1+...+k_l.  The
+    inverse scales by q^{-P_r} and holds 1 - q^{-P_l} in column r.
     """
     n = ctx.n
-    if not 2 <= r <= n - 1:
-        raise IndexOutOfRange(f"need 2 <= r <= {n - 1}, got {r}")
+    _check_prefix(n, r)
+    _check_exp(exp)
     d = ctx.d
     one, zero = CycloNum.one(d), CycloNum.zero(d)
-    scale = ctx.qpow(ctx.prefix_sums[r])
+    scale = ctx.qpow(exp * ctx.prefix_sums[r])
     rows = [[zero] * (n - 1) for _ in range(n - 1)]
     for a in range(n - 1):
         rows[a][a] = scale if a < r - 1 else one
     for l in range(1, r):
-        rows[l - 1][r - 1] = scale * (ctx.qpow(-ctx.prefix_sums[l]) - one)
+        shear = ctx.qpow(-ctx.prefix_sums[l]) - one
+        rows[l - 1][r - 1] = scale * shear if exp == 1 else -shear
     return CycloMatrix.from_rows(d, rows)
 
 
 def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
-    """Evaluate a braid word to its exact operator matrix, left to right."""
+    """Evaluate a braid word to its exact operator matrix, left to right.
+
+    Inverse letters use the closed forms of pair_twist and prefix_twist, and
+    FT(s,r)^-1 is the inverse word of FT(s,r), so nothing is eliminated.
+    """
     result = CycloMatrix.identity(ctx.d, ctx.n - 1)
     cache: dict[Letter, CycloMatrix] = ctx._letter_cache  # type: ignore[attr-defined]
     for letter in word.letters:
@@ -267,17 +300,43 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
         if mat is None:
             gen, exp = letter
             if gen[0] == "A":
-                base = pair_twist(ctx, gen[1], gen[2])
+                mat = pair_twist(ctx, gen[1], gen[2], exp)
             elif gen[0] == "T":
-                base = prefix_twist(ctx, gen[1])
+                mat = prefix_twist(ctx, gen[1], exp)
             else:
-                if not 1 <= gen[1] < gen[2] <= ctx.n:
-                    raise IndexOutOfRange(f"FT{gen[1:]} outside 1..{ctx.n}")
-                base = evaluate_word(ctx, block_twist_word(gen[1], gen[2]))
-            mat = base if exp == 1 else base.inverse()
+                _check_block(ctx.n, gen[1], gen[2])
+                _check_exp(exp)
+                block = block_twist_word(gen[1], gen[2])
+                mat = evaluate_word(ctx, block if exp == 1 else block.inverse())
             cache[letter] = mat
         result = result @ mat
     return result
+
+
+def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
+    """det rho(word) = q^E in closed form, without evaluating the word.
+
+    With P_l = k_1+...+k_l, each letter adds its exponent to E, negated for
+    an inverse letter: A(i,j) adds k_i+k_j, T(r) adds (r-1) P_r and FT(s,r),
+    the product of every A(i,j) with s <= i < j <= r, adds
+    (r-s)(P_r - P_{s-1}).  Bad letters raise what evaluate_word raises.
+    """
+    p = ctx.prefix_sums
+    total = 0
+    for gen, exp in word.letters:
+        if gen[0] == "A":
+            _check_pair(ctx.n, gen[1], gen[2])
+            e = ctx.weights[gen[1] - 1] + ctx.weights[gen[2] - 1]
+        elif gen[0] == "T":
+            _check_prefix(ctx.n, gen[1])
+            e = (gen[1] - 1) * p[gen[1]]
+        else:
+            s, r = gen[1], gen[2]
+            _check_block(ctx.n, s, r)
+            e = (r - s) * (p[r] - p[s - 1])
+        _check_exp(exp)
+        total += exp * e
+    return ctx.qpow(total)
 
 
 # -- radical and quotient -------------------------------------------------------

@@ -73,6 +73,16 @@ def test_rep_det_and_full_twist(capsys):
     assert m == ident
 
 
+def test_rep_det_is_det_of_matrix(capsys):
+    code, out, _ = run_cli(
+        capsys, "rep", "--d", "7", "--kappa", "1,2,3,4,1", "--k", "3",
+        "--word", "A(1,3)^-1 T(2) FT(2,4)^-1 A(2,5) T(4)^-1", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["det"] == [str(c) for c in matrix_from_json(doc["matrix"]).det().coeffs]
+
+
 def test_rep_quotient_requires_eps0(capsys):
     code, _, err = run_cli(
         capsys, "rep", "--d", "5", "--kappa", "1,1,1", "--k", "1",

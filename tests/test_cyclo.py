@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from braidrep.cyclo import (
     CycloNum,
@@ -102,6 +103,71 @@ def test_field_axioms_random():
             assert a * b == b * a
             if a:
                 assert a * a.inv() == CycloNum.one(d)
+
+
+def _sympy_poly(z):
+    x = sympy.symbols("x")
+    return sympy.Poly(list(reversed(z.num)), x, domain="ZZ"), sympy.Poly(sympy.cyclotomic_poly(z.d, x), x)
+
+
+def _dense(rng, d):
+    """8-digit integer numerators over one 8-digit denominator."""
+    den = rng.randint(1, 10**8)
+    return from_coeffs(d, [Fraction(rng.randint(-10**8, 10**8), den) for _ in range(euler_phi(d))])
+
+
+@pytest.mark.parametrize("d", range(3, 31))
+def test_inv_matches_sympy_invert(d):
+    rng = random.Random(1000 + d)
+    for _ in range(2):
+        z = _dense(rng, d)
+        poly, phi_d = _sympy_poly(z)
+        w = sympy.Poly(sympy.invert(poly, phi_d), poly.gen) * z.den
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(w.all_coeffs())]
+        assert list(z.inv().coeffs) == coeffs + [Fraction(0)] * (euler_phi(d) - len(coeffs))
+
+
+@pytest.mark.parametrize("d", (61, 105))
+def test_inv_large_degree_by_sympy_product(d):
+    """sympy's invert takes 10-40 s here, so the oracle checks instead that
+    sympy's product of the numerators is den(z) * den(z^-1) modulo its Phi_d;
+    105 has a non-cyclic unit group, so the subgroup chain takes several steps."""
+    rng = random.Random(1000 + d)
+    z = _dense(rng, d)
+    w = z.inv()
+    poly, phi_d = _sympy_poly(z)
+    prod = (poly * _sympy_poly(w)[0]).rem(phi_d)
+    assert prod.all_coeffs() == [z.den * w.den]
+
+
+def test_inv_sparse_and_memoized():
+    for d in (5, 12, 25, 101):
+        one = CycloNum.one(d)
+        for a in (1, 2, 3):
+            z = (one - zeta(d, a)) * (one - zeta(d, a + 1))
+            assert z * z.inv() == one
+    z = from_rational(7, Fraction(-3, 4)) + zeta(7, 2)
+    before = cyclo._raw_inv.cache_info().hits
+    assert z.inv() == z.inv() == 1 / z
+    assert cyclo._raw_inv.cache_info().hits >= before + 2
+    assert from_rational(7, Fraction(-3, 4)).inv() == from_rational(7, Fraction(-4, 3))
+
+
+def test_unit_chain_covers_the_unit_group():
+    for d in range(1, 121):
+        assert math.prod(m for _, m in cyclo._unit_chain(d)) == euler_phi(d)
+
+
+def test_hash_agrees_with_eq():
+    assert CycloNum.one(5) in {1}
+    assert len({CycloNum.one(5), 1, Fraction(1)}) == 1
+    half = from_rational(7, Fraction(1, 2))
+    assert hash(half) == hash(Fraction(1, 2))
+    assert half in {Fraction(1, 2)}
+    assert CycloNum.zero(9) in {0}
+    z = zeta(7, 3) + 2
+    assert hash(z) == hash(zeta(7, 3) * 1 + from_rational(7, 2))
+    assert z not in {2}
 
 
 def test_conjugation():

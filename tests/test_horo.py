@@ -9,6 +9,7 @@ from braidrep import horo
 from braidrep.errors import (
     BadM,
     ConstraintViolation,
+    InvalidParameter,
     NotDegenerate,
     NotParabolicElement,
     NotUnipotentElement,
@@ -26,6 +27,7 @@ from braidrep.horo import (
     in_unipotent,
     make_flag,
     orbit_rank,
+    orbit_vectors,
     part_witness,
     translation_part,
     upper_half_exponents,
@@ -242,6 +244,13 @@ def test_orbit_rank(flag):
     assert lo + hi == phi * (n - 4)
     # monotone in maxlen
     assert orbit_rank(fc, LOWER, 2) <= lo
+
+
+def test_orbit_negative_maxlen(flag):
+    with pytest.raises(InvalidParameter):
+        orbit_vectors(flag, LOWER, -1)
+    with pytest.raises(InvalidParameter):
+        orbit_rank(flag, UPPER, -1)
 
 
 def test_part_witness_supported(flag):

@@ -9,6 +9,7 @@ from braidrep.errors import (
     DisconnectedCover,
     ExponentDivisible,
     IndexOutOfRange,
+    InvalidParameter,
     NotCoprime,
     NotDegenerate,
     NotPrimitive,
@@ -33,6 +34,7 @@ from braidrep.rep import (
     radical_vector,
     scalar_relation_holds,
     transported_context,
+    word_det,
 )
 
 from conftest import sample_context
@@ -218,6 +220,60 @@ def test_form_preservation_words():
             word = word * BraidWord.A(i, j, rng.choice((1, -1)))
         m = evaluate_word(ctx, word)
         assert m.conj_transpose() @ ctx.gram @ m == ctx.gram
+
+
+def test_inverse_letters_closed_form():
+    """The exp=-1 closed forms equal the eliminated inverse of each letter."""
+    rng = random.Random(53)
+    for force in (False, True) * 4:
+        ctx = sample_context(rng, force_eps0=force)
+        n = ctx.n
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            assert pair_twist(ctx, i, j, -1) == pair_twist(ctx, i, j).inverse()
+            assert evaluate_word(ctx, BraidWord.FT(i, j, -1)) == evaluate_word(ctx, BraidWord.FT(i, j)).inverse()
+        for r in range(2, n):
+            assert prefix_twist(ctx, r, -1) == prefix_twist(ctx, r).inverse()
+    with pytest.raises(InvalidParameter):
+        pair_twist(ctx, 1, 2, 2)
+    with pytest.raises(InvalidParameter):
+        prefix_twist(ctx, 2, 0)
+
+
+def _random_word(rng, n, length):
+    word = BraidWord()
+    for _ in range(length):
+        kind, exp = rng.choice("ATF"), rng.choice((1, -1))
+        if kind == "T":
+            word = word * BraidWord.T(rng.randint(2, n - 1), exp)
+        else:
+            i = rng.randint(1, n - 1)
+            j = rng.randint(i + 1, n)
+            word = word * (BraidWord.FT(i, j, exp) if kind == "F" else BraidWord.A(i, j, exp))
+    return word
+
+
+def test_word_det_closed_form():
+    rng = random.Random(59)
+    seen_eps0 = set()
+    for trial in range(12):
+        ctx = sample_context(rng, d_range=(3, 12), n_range=(3, 6), force_eps0=trial % 2 == 1)
+        seen_eps0.add(ctx.eps0)
+        word = _random_word(rng, ctx.n, 6)
+        assert word_det(ctx, word) == evaluate_word(ctx, word).det()
+    assert seen_eps0 == {0, 1}
+    ctx = make_context(5, (1, 1, 2, 1), 1)
+    assert word_det(ctx, BraidWord()) == CycloNum.one(5)
+
+
+def test_word_det_rejects_bad_letters():
+    ctx = make_context(5, (1, 1, 2, 1), 1)
+    good = BraidWord.A(1, 2)
+    for bad in ("A(2,2)", "A(1,5)", "T(1)", "T(4)", "FT(0,2)", "FT(3,5)", "FT(2,2)"):
+        word = good * parse_word(bad)
+        with pytest.raises(IndexOutOfRange):
+            evaluate_word(ctx, word)
+        with pytest.raises(IndexOutOfRange):
+            word_det(ctx, word)
 
 
 # -- radical and quotient ---------------------------------------------------------
