@@ -125,6 +125,27 @@ def density_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     return Verdict("unknown", None, diagnostics)
 
 
+def _proper_subsets(n: int):
+    """Non-empty proper subsets of {1..n} as sorted tuples, in lexicographic
+    order (prefixes first), generated lazily.
+
+    That order is the depth-first preorder of the subset tree, so the list
+    ``combo`` is the DFS path: descend by appending last + 1, and when last
+    is n, backtrack to the next sibling.  The full set is skipped.
+    """
+    combo = [1]
+    while True:
+        if len(combo) < n:
+            yield tuple(combo)
+        if combo[-1] < n:
+            combo.append(combo[-1] + 1)
+        else:
+            combo.pop()
+            if not combo:
+                return
+            combo[-1] += 1
+
+
 def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     """Arithmetic lattice criterion via a witness subset of the punctures.
 
@@ -151,14 +172,7 @@ def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     if not (size_ok and small_d_ok):
         return Verdict("unknown", None, diagnostics)
 
-    subsets = sorted(
-        (
-            combo
-            for size in range(1, n)
-            for combo in itertools.combinations(range(1, n + 1), size)
-        )
-    )
-    for combo in subsets:
+    for combo in _proper_subsets(n):
         inside = [kappa[i - 1] for i in combo]
         if sum(inside) % d != 0:
             continue

@@ -21,7 +21,7 @@ with x' = mu * G_W^{-1} conj(x) and a - conj(a) = mu * (x^T G_W^{-1} conj(x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cyclo import CycloNum, euler_phi, zeta
 from .errors import (
@@ -56,6 +56,11 @@ from .rep import (
 LOWER = "lower"
 UPPER = "upper"
 
+# The longest orbit words scanned: the budget of center_lattice_vectors and
+# the upper limit of a user's maxlen, since the orbit BFS can grow
+# exponentially in the word length.
+MAX_ORBIT_LEN = 8
+
 
 @dataclass(frozen=True, eq=False)
 class FlagContext:
@@ -70,6 +75,7 @@ class FlagContext:
     G_W: CycloMatrix               # middle (n-4) block of gram_flag
     G_W_inv: CycloMatrix
     mu: CycloNum
+    orbits: dict = field(default_factory=dict, repr=False)  # part -> _Orbit, built on demand
 
     @property
     def middle_size(self) -> int:
@@ -320,47 +326,79 @@ def part_witness(fc: FlagContext, part: str) -> Vector:
     return translation_part(fc, evaluate_on_quotient(fc, word))
 
 
+class _Orbit:
+    """Breadth-first conjugation orbit of one part witness, exact dedup,
+    grown one word length at a time.
+
+    After ``l`` levels, ``ends[l]`` vectors have been reached by words of
+    length at most l in the part generators and their inverses, and
+    ``ranks[l]`` is their Q-rank.
+    """
+
+    def __init__(self, fc: FlagContext, part: str) -> None:
+        self.fc = fc
+        start = part_witness(fc, part)
+        self.actions = []
+        for word in _part_generators(fc, part):
+            f = flag_matrix(fc, evaluate_on_quotient(fc, word))
+            lam, _, _, _, _, middle = _blocks(fc, f)
+            self.actions.append((lam, middle.inverse()))
+            self.actions.append((lam.inv(), middle))
+        self.vectors = [start]
+        self.seen = {start}
+        self.frontier = [start]
+        self.span = RationalSpan()
+        self.span.add(start)
+        self.ends = [1]
+        self.ranks = [self.span.rank]
+
+    def _grow(self) -> None:
+        new_frontier = []
+        for v in self.frontier:
+            for lam, c_inv in self.actions:
+                image = _row_action(self.fc, lam, c_inv, v)
+                if image not in self.seen:
+                    self.seen.add(image)
+                    new_frontier.append(image)
+                    self.vectors.append(image)
+                    self.span.add(image)
+        self.frontier = new_frontier
+        self.ends.append(len(self.vectors))
+        self.ranks.append(self.span.rank)
+
+    def prefix(self, maxlen: int, rank_bound: int | None) -> list[Vector]:
+        """The vectors of the first maxlen levels, stopping after the first
+        level whose rank reaches rank_bound; grows the orbit as needed."""
+        level = 0
+        while level < maxlen and (rank_bound is None or self.ranks[level] < rank_bound):
+            if level + 1 == len(self.ends):
+                if not self.frontier:
+                    break
+                self._grow()
+            level += 1
+        return self.vectors[: self.ends[level]]
+
+
+def _orbit(fc: FlagContext, part: str) -> _Orbit:
+    if part not in fc.orbits:
+        fc.orbits[part] = _Orbit(fc, part)
+    return fc.orbits[part]
+
+
 def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6, *, rank_bound: int | None = None):
     """Breadth-first conjugation orbit of the part witness, exact dedup.
 
-    Yields the full middle-coordinate vectors reached by words of length at
-    most maxlen in the part generators and their inverses.  Stops early once
-    rank_bound many Q-independent vectors have been produced (the rank is
-    monotone in maxlen, so early exit cannot change a rank computation).
-    Raises InvalidParameter for a negative maxlen.
+    Returns the full middle-coordinate vectors reached by words of length
+    at most maxlen in the part generators and their inverses.  Stops early
+    once rank_bound many Q-independent vectors have been produced (the rank
+    is monotone in maxlen, so early exit cannot change a rank computation).
+    Each part's orbit is computed once per flag context and shared by
+    later calls.  Raises InvalidParameter unless 0 <= maxlen <=
+    MAX_ORBIT_LEN.
     """
-    if maxlen < 0:
-        raise InvalidParameter(f"maxlen must be >= 0, got {maxlen}")
-    start = part_witness(fc, part)
-    actions = []
-    for word in _part_generators(fc, part):
-        mat = evaluate_on_quotient(fc, word)
-        f = flag_matrix(fc, mat)
-        lam, _, _, _, _, middle = _blocks(fc, f)
-        c_inv = middle.inverse()
-        actions.append((lam, c_inv))
-        actions.append((lam.inv(), middle))
-    seen = {start}
-    frontier = [start]
-    collected = [start]
-    span = RationalSpan()
-    span.add(start)
-    for _ in range(maxlen):
-        if rank_bound is not None and span.rank >= rank_bound:
-            break
-        new_frontier = []
-        for v in frontier:
-            for lam, c_inv in actions:
-                image = _row_action(fc, lam, c_inv, v)
-                if image not in seen:
-                    seen.add(image)
-                    new_frontier.append(image)
-                    collected.append(image)
-                    span.add(image)
-        if not new_frontier:
-            break
-        frontier = new_frontier
-    return collected
+    if not 0 <= maxlen <= MAX_ORBIT_LEN:
+        raise InvalidParameter(f"maxlen must lie in 0..{MAX_ORBIT_LEN}, got {maxlen}")
+    return _orbit(fc, part).prefix(maxlen, rank_bound)
 
 
 def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
@@ -404,7 +442,7 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     span = RationalSpan()
     part_bounds = {LOWER: phi * (fc.m - 2), UPPER: phi * (ctx.n - fc.m - 2)}
     for part in (LOWER, UPPER):
-        for v in orbit_vectors(fc, part, maxlen=8, rank_bound=part_bounds[part]):
+        for v in _orbit(fc, part).prefix(MAX_ORBIT_LEN, part_bounds[part]):
             if span.add(v):
                 basis.append(v)
             if span.rank == target:

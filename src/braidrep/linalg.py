@@ -1,10 +1,12 @@
 """Exact dense linear algebra over K_d and Q, plus numeric inertia of Hermitian forms.
 
 Matrices are immutable, row-major, with every entry sharing one modulus d.
-Every exact elimination, over K_d or after :func:`realify` over Q, runs
-through the one Gauss-Jordan routine :func:`_rref`.  All but :func:`inertia`
-is exact; inertia embeds the matrix numerically and is always cross-checked
-elsewhere against closed formulas.
+Every exact elimination over K_d runs through the one Gauss-Jordan routine
+:func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
+cleared of denominators and reduced fraction-free over the integers by the
+one routine :func:`_reduce` (cf. Bareiss, Math. Comp. 22, 1968).  All but
+:func:`inertia` is exact; inertia embeds the matrix numerically and is
+always cross-checked elsewhere against closed formulas.
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:
 
 
 def _rref(rows: list[list], ncols: int) -> tuple[list[int], list, int]:
-    """Gauss-Jordan in place on the first ncols columns of CycloNum or Fraction rows.
+    """Gauss-Jordan in place on the first ncols columns of CycloNum rows.
 
     Uses only bool, *, - and 1 / x; later columns ride along as right-hand
     sides.  Afterwards row r < len(pivots) is 1 at column pivots[r], which
@@ -311,6 +313,45 @@ def realify(v: Vector) -> list[Fraction]:
     return [c for e in v for c in e.coeffs]
 
 
+def _integer_row(v: Vector) -> list[int]:
+    """:func:`realify` of v times the lcm of its denominators: a row of ints
+    with the same Q-span."""
+    den = math.lcm(*(e.den for e in v))
+    return [c * (den // e.den) for e in v for c in e.num]
+
+
+def _reduce(row: list[int], pivots: Iterable[tuple[int, list[int]]]) -> list[int]:
+    """Fraction-free reduce of an integer row against (column, pivot row) pairs.
+
+    Each pivot row must vanish at the columns of the pairs before it.  Clears
+    the row at each pivot column by row <- a * row - f * pivot_row (a the
+    pivot, f the row's entry, both divided by their gcd), then divides the
+    row by its content.  Only ints are multiplied; the result is a non-zero
+    multiple of the row that rational elimination would give.
+    """
+    for j, prow in pivots:
+        f = row[j]
+        if f:
+            a = prow[j]
+            g = math.gcd(a, f)
+            a, f = a // g, f // g
+            row = [a * x - f * y for x, y in zip(row, prow)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _absorb(rows: dict[int, list[int]], row: list[int]) -> int | None:
+    """Reduce an integer row against semi-echelon rows (pivot column -> row,
+    in insertion order) and keep it when it is new.  Returns its pivot
+    column, the first non-zero one, or None when the row lies in their
+    span."""
+    row = _reduce(row, rows.items())
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is not None:
+        rows[lead] = row
+    return lead
+
+
 def rank_over_rationals(vectors: Iterable[Vector]) -> int:
     """Rank over Q of K_d vectors after realification.
 
@@ -322,48 +363,51 @@ def rank_over_rationals(vectors: Iterable[Vector]) -> int:
         raise ShapeMismatch("vectors of mixed length")
     if len({e.d for v in vecs for e in v}) > 1:
         raise ModulusMismatch("vectors of mixed modulus")
-    rows = [realify(v) for v in vecs]
-    return len(_rref(rows, len(rows[0]) if rows else 0)[0])
+    rows: dict[int, list[int]] = {}
+    for v in vecs:
+        _absorb(rows, _integer_row(v))
+    return len(rows)
 
 
 class RationalSpan:
     """Incrementally growing Q-span of realified K_d vectors.
 
-    Keeps reduced echelon rows; ``add`` reduces one vector against them,
-    without eliminating again, and reports whether it enlarged the span.
-    Used for orbit rank scans and basis extraction.
+    Keeps primitive integer rows in semi-echelon form: each row vanishes at
+    the pivot columns of the rows added before it.  ``add`` reduces one
+    vector against them, without eliminating again, and reports whether it
+    enlarged the span.  Used for orbit rank scans and basis extraction.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[int, list[Fraction]] = {}
+        self._rows: dict[int, list[int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def add(self, v: Vector) -> bool:
-        flat = realify(v)
-        for j, row in self._rows.items():
-            if flat[j]:
-                f = flat[j]
-                flat = [x - f * y for x, y in zip(flat, row)]
-        lead = next((j for j, x in enumerate(flat) if x), None)
-        if lead is None:
-            return False
-        self._rows[lead] = [x / flat[lead] for x in flat]
-        return True
+        return _absorb(self._rows, _integer_row(v)) is not None
 
 
 def solve_rational(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_i x_i * columns[i] = target over Q; None when inconsistent."""
+    """Solve sum_i x_i * columns[i] = target over Q; None when inconsistent.
+
+    Free variables are 0.  Each equation is cleared of denominators and
+    reduced over the integers; Fractions appear only in the solution.
+    """
     k = len(columns)
-    aug = [[col[r] for col in columns] + [t] for r, t in enumerate(target)]
-    pivots = _rref(aug, k)[0]
-    if any(row[k] for row in aug[len(pivots):]):
-        return None
+    rows: dict[int, list[int]] = {}
+    for r, t in enumerate(target):
+        eq = [col[r] for col in columns] + [t]
+        den = math.lcm(*(x.denominator for x in eq))
+        if _absorb(rows, [x.numerator * (den // x.denominator) for x in eq]) == k:
+            return None
+    # back-substitute: clear every pivot column from the rows before its own
+    pivots = list(rows.items())
     sol = [Fraction(0)] * k
-    for r, j in enumerate(pivots):
-        sol[j] = aug[r][k]
+    for i, (j, row) in enumerate(pivots):
+        row = _reduce(row, pivots[i + 1:])
+        sol[j] = Fraction(row[k], row[j])
     return sol
 
 

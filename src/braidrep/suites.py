@@ -294,14 +294,15 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     """Full horospherical battery for one flag context; JSON-able report.
 
     Raises BadM when neither witness exists (m < 3 and n - m < 3) and
-    InvalidParameter for a negative maxlen, before any check runs.
+    InvalidParameter unless 0 <= maxlen <= horo.MAX_ORBIT_LEN, before any
+    check runs.
     """
     ctx = fc.ctx
     d, n, m = ctx.d, ctx.n, fc.m
     if m < 3 and n - m < 3:
         raise BadM(f"no witness: need m >= 3 or n - m >= 3, got m = {m}, n = {n}")
-    if maxlen < 0:
-        raise InvalidParameter(f"maxlen must be >= 0, got {maxlen}")
+    if not 0 <= maxlen <= horo.MAX_ORBIT_LEN:
+        raise InvalidParameter(f"maxlen must lie in 0..{horo.MAX_ORBIT_LEN}, got {maxlen}")
     rep = SuiteReport("horo")
     rng = random.Random(seed)
     tag = f"d={d} kappa={ctx.weights} k={ctx.k} m={m}"

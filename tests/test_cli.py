@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,34 @@ def test_horo_maxlen_zero(capsys):
     doc = json.loads(out)
     assert doc["ranks"]["lower"] == 1
     assert doc["ranks"]["upper"] == 1
+
+
+def test_horo_maxlen_at_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", "8", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["ranks"] == {"lower": 4, "upper": 4, "center": 2}
+
+
+def test_horo_maxlen_above_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", "9"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidParameter") and "Traceback" not in err
+
+
+def test_horo_json_is_pinned(capsys):
+    # SHA-256 of the document the exact Fraction-based Q-side linear algebra printed
+    code, out, _ = run_cli(
+        capsys, "horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,6", "--m", "3", "--json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "524ff0d58dae8e35c41f6102f0c303a2615feddfe201230c233b7348a4752ceb"
+    )
 
 
 def test_verify_deterministic(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.criteria import (
+    _proper_subsets,
     arithmeticity_verdict,
     density_verdict,
     eigenspace_dimension,
@@ -117,6 +119,17 @@ def test_arithmeticity_regressions():
     v = arithmeticity_verdict(5, (1, 1, 3, 2, 2, 1))
     assert v.verdict == "arithmetic"
     assert v.witness == [1, 2, 3]
+
+
+def test_proper_subsets_in_sorted_order():
+    # the scan order arithmeticity_verdict documents, materialized and sorted
+    for n in range(13):
+        expected = sorted(
+            combo
+            for size in range(1, n)
+            for combo in itertools.combinations(range(1, n + 1), size)
+        )
+        assert list(_proper_subsets(n)) == expected
 
 
 def test_arithmeticity_mod_d_invariance():

@@ -17,6 +17,7 @@ from braidrep.errors import (
 )
 from braidrep.horo import (
     LOWER,
+    MAX_ORBIT_LEN,
     UPPER,
     center_lattice_vectors,
     commutator_pairing,
@@ -34,7 +35,7 @@ from braidrep.horo import (
     witness_lower,
     witness_upper,
 )
-from braidrep.linalg import CycloMatrix
+from braidrep.linalg import CycloMatrix, rank_over_rationals
 from braidrep.rep import (
     BraidWord,
     make_context,
@@ -251,6 +252,58 @@ def test_orbit_negative_maxlen(flag):
         orbit_vectors(flag, LOWER, -1)
     with pytest.raises(InvalidParameter):
         orbit_rank(flag, UPPER, -1)
+
+
+def test_orbit_maxlen_limit(flag):
+    assert orbit_vectors(flag, LOWER, MAX_ORBIT_LEN, rank_bound=1)
+    with pytest.raises(InvalidParameter):
+        orbit_vectors(flag, LOWER, MAX_ORBIT_LEN + 1)
+    with pytest.raises(InvalidParameter):
+        orbit_rank(flag, UPPER, MAX_ORBIT_LEN + 1)
+
+
+def reference_orbit(fc, part, maxlen, rank_bound=None):
+    """The orbit BFS as one loop with nothing shared: the oracle for orbit_vectors."""
+    s = fc.middle_size
+    actions = []
+    for word in horo._part_generators(fc, part):
+        f = horo.flag_matrix(fc, evaluate_on_quotient(fc, word))
+        lam, middle = f.entry(0, 0), f.submatrix(range(1, s + 1), range(1, s + 1))
+        actions += [(lam, middle.inverse()), (lam.inv(), middle)]
+    start = part_witness(fc, part)
+    seen, frontier, collected = {start}, [start], [start]
+    for _ in range(maxlen):
+        if rank_bound is not None and rank_over_rationals(collected) >= rank_bound:
+            break
+        new_frontier = []
+        for v in frontier:
+            for lam, c_inv in actions:
+                image = horo._row_action(fc, lam, c_inv, v)
+                if image not in seen:
+                    seen.add(image)
+                    new_frontier.append(image)
+                    collected.append(image)
+        frontier = new_frontier
+    return collected
+
+
+@pytest.mark.parametrize("d,kappa,m", CASES, ids=lambda c: str(c))
+def test_orbit_computed_once_per_part(monkeypatch, d, kappa, m):
+    fc = make_flag(make_context(d, kappa, 1), m)
+    phi = euler_phi(d)
+    bounds = {LOWER: phi * (m - 2), UPPER: phi * (len(kappa) - m - 2)}
+    witnessed = []
+    monkeypatch.setattr(
+        horo, "part_witness", lambda fc, part: witnessed.append(part) or part_witness(fc, part)
+    )
+    # shorter and longer budgets in mixed order all read one BFS per part
+    for part in (LOWER, UPPER):
+        for maxlen, bound in ((2, None), (1, None), (3, None), (MAX_ORBIT_LEN, bounds[part])):
+            expected = reference_orbit(fc, part, maxlen, bound)
+            assert orbit_vectors(fc, part, maxlen, rank_bound=bound) == expected
+        assert orbit_rank(fc, part) == bounds[part]
+    center_lattice_vectors(fc)
+    assert witnessed == [LOWER, UPPER]
 
 
 def test_part_witness_supported(flag):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from braidrep.cyclo import CycloNum, from_coeffs, from_rational, zeta
 from braidrep.errors import (
@@ -219,6 +221,91 @@ def test_solve_rational_matches_sympy():
         else:
             outcomes.add("underdetermined")
     assert outcomes == {"inconsistent", "unique", "underdetermined"}
+
+
+# -- property tests of the integer Q-side kernel, sympy as the oracle ----------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+BIG = 10**12
+rationals = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, BIG))
+
+
+@st.composite
+def low_rank_matrices(draw, max_rows=6, max_cols=6, cols=None):
+    """A rows x cols rational matrix L @ R of rank at most a drawn r, with
+    denominators up to 10^12: the zero matrix at r = 0, dependent rows
+    whenever rows > r."""
+    rows = draw(st.integers(1, max_rows))
+    cols = cols if cols is not None else draw(st.integers(1, max_cols))
+    r = draw(st.integers(0, min(rows, cols)))
+    left = [[draw(small_rationals) for _ in range(r)] for _ in range(rows)]
+    right = [[draw(rationals) for _ in range(cols)] for _ in range(r)]
+    return [[sum((left[i][t] * right[t][c] for t in range(r)), Fraction(0)) for c in range(cols)]
+            for i in range(rows)]
+
+
+def as_vectors(flat):
+    """Rational rows of length 2 * PHI as K_d vectors of length 2."""
+    vecs = [(from_coeffs(D, row[:PHI]), from_coeffs(D, row[PHI:])) for row in flat]
+    assert [realify(v) for v in vecs] == flat
+    return vecs
+
+
+@PROPERTY
+@given(low_rank_matrices(max_rows=8, cols=2 * PHI))
+def test_rational_span_add_reports_rank_increments(flat):
+    span = RationalSpan()
+    added = [span.add(v) for v in as_vectors(flat)]
+    ranks = [to_sympy(flat[:i]).rank() if i else 0 for i in range(len(flat) + 1)]
+    assert added == [ranks[i + 1] > ranks[i] for i in range(len(flat))]
+    assert span.rank == ranks[-1]
+
+
+@PROPERTY
+@given(low_rank_matrices(max_rows=8, cols=2 * PHI))
+def test_rank_over_rationals_property(flat):
+    assert rank_over_rationals(as_vectors(flat)) == to_sympy(flat).rank()
+
+
+@st.composite
+def rational_systems(draw):
+    """(kind, columns, target) with kind unique, underdetermined or inconsistent."""
+    kind = draw(st.sampled_from(("unique", "underdetermined", "inconsistent")))
+    a = draw(low_rank_matrices())
+    n, k = len(a), len(a[0])
+    rank = to_sympy(a).rank()
+    if kind == "unique":
+        assume(rank == k)
+    elif kind == "underdetermined":
+        assume(rank < k)
+    else:
+        assume(rank < n)
+    if kind == "inconsistent":
+        target = [draw(rationals) for _ in range(n)]
+        assume(to_sympy([row + [t] for row, t in zip(a, target)]).rank() > rank)
+    else:
+        x = [draw(rationals) for _ in range(k)]
+        target = [sum((a[r][c] * x[c] for c in range(k)), Fraction(0)) for r in range(n)]
+    return kind, [[a[r][c] for r in range(n)] for c in range(k)], target
+
+
+@PROPERTY
+@given(rational_systems())
+def test_solve_rational_property(system):
+    kind, columns, target = system
+    sol = solve_rational(columns, target)
+    if kind == "inconsistent":
+        assert sol is None
+        return
+    a = to_sympy([list(row) for row in zip(*columns)])
+    expected, params = a.gauss_jordan_solve(to_sympy([[t] for t in target]))
+    # free variables are 0: the pivot columns of the rref carry the solution
+    expected = expected.subs({p: 0 for p in params})
+    assert all(isinstance(x, Fraction) for x in sol)
+    assert to_sympy([[x] for x in sol]) == expected
+    assert bool(params) == (kind == "underdetermined")
 
 
 def test_unipotency_and_order():
