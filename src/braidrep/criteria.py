@@ -125,25 +125,54 @@ def density_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     return Verdict("unknown", None, diagnostics)
 
 
-def _proper_subsets(n: int):
-    """Non-empty proper subsets of {1..n} as sorted tuples, in lexicographic
-    order (prefixes first), generated lazily.
+# Budget of the residue masks of _divisible_subsets, in bits (2 MiB).
+_MASK_BITS = 1 << 24
 
-    That order is the depth-first preorder of the subset tree, so the list
-    ``combo`` is the DFS path: descend by appending last + 1, and when last
-    is n, backtrack to the next sibling.  The full set is skipped.
+
+def _divisible_subsets(d: int, kappa: Sequence[int]):
+    """Non-empty proper subsets I of {1..n} with d | sum_{i in I} kappa_i, as
+    sorted tuples in lexicographic order (prefixes first), generated lazily.
+
+    That order is the depth-first preorder of the subset tree: ``combo`` is
+    the DFS path, a child appends an index above its last one.  reach[j] is
+    a d-bit mask of the residues mod d of the subset sums of kappa[j:] (the
+    empty subset included), so the subtree below ``combo + [j]`` holds a sum
+    divisible by d exactly when bit (-sum) mod d of reach[j] is set.  The
+    walk steps only into such children and otherwise moves to the next
+    sibling; every node it visits lies on the path to a yielded subset or to
+    the full set, which is skipped.  With d = 1 nothing is pruned and the
+    walk lists every proper subset.
+
+    The masks take n * d bits.  Beyond _MASK_BITS they are kept modulo 1
+    instead of d, which prunes nothing but stays sound (every sum divisible
+    by d is divisible by 1): the walk then costs what the unpruned scan to
+    the last yielded subset costs, and a huge d allocates nothing.
     """
-    combo = [1]
+    n = len(kappa)
+    m = d if n * d <= _MASK_BITS else 1
+    full = (1 << m) - 1
+    reach = [1] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        shift, mask = kappa[j] % m, reach[j + 1]
+        reach[j] = mask | ((mask << shift | mask >> (m - shift)) & full)
+    combo: list[int] = []
+    total = 0                              # sum of kappa over combo
+    j = 1                                  # next candidate child, 1-based
     while True:
-        if len(combo) < n:
-            yield tuple(combo)
-        if combo[-1] < n:
-            combo.append(combo[-1] + 1)
+        while j <= n and not (reach[j] >> (-(total + kappa[j - 1]) % m)) & 1:
+            j += 1
+        if j <= n:
+            combo.append(j)
+            total += kappa[j - 1]
+            if total % d == 0 and len(combo) < n:
+                yield tuple(combo)
+            j += 1
+        elif combo:
+            j = combo.pop()
+            total -= kappa[j - 1]
+            j += 1
         else:
-            combo.pop()
-            if not combo:
-                return
-            combo[-1] += 1
+            return
 
 
 def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
@@ -156,6 +185,15 @@ def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
       (iii) gcd(d, {k_i : i not in I}) = 1 when |I| <= n - 2 - eps0,
     subject to n + 1 - eps0 >= 5 and (d not in {3,4,6} or
     2 < sum k_i / d < n - 2).
+
+    ``diagnostics["subsets"]`` logs every subset scanned up to the witness,
+    and only subsets with (i) are scanned: ``_divisible_subsets`` prunes the
+    subset tree below any prefix that cannot reach a sum divisible by d.
+    The cost is O(n d) for its residue masks plus O(n^2) per logged subset
+    (and for the full set), so it is bounded by the length L of the log,
+    not by the 2^n - 2 proper subsets: O(n d + n^2 (L + 1)) whenever
+    n * d <= 2^24.  It never exceeds the cost of scanning every subset up
+    to the witness.
     """
     kappa = normalize_weights(d, tuple(kappa_raw))
     n = len(kappa)
@@ -172,10 +210,8 @@ def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     if not (size_ok and small_d_ok):
         return Verdict("unknown", None, diagnostics)
 
-    for combo in _proper_subsets(n):
+    for combo in _divisible_subsets(d, kappa):
         inside = [kappa[i - 1] for i in combo]
-        if sum(inside) % d != 0:
-            continue
         outside = [kappa[i - 1] for i in range(1, n + 1) if i not in combo]
         cond_ii = len(combo) < 3 or math.gcd(d, *inside) == 1
         cond_iii = len(combo) > n - 2 - eps0 or math.gcd(d, *outside) == 1

@@ -167,7 +167,20 @@ def _blocks(fc: FlagContext, f: CycloMatrix):
 
 def in_parabolic(fc: FlagContext, m_quot: CycloMatrix) -> bool:
     """Does the operator preserve the flag line < line + middle block?"""
-    f = flag_matrix(fc, m_quot)
+    return _parabolic(fc, flag_matrix(fc, m_quot))
+
+
+def in_unipotent(fc: FlagContext, m_quot: CycloMatrix) -> bool:
+    """Block pattern (1, *, *; 0, I, *; 0, 0, 1) plus the forced constraints.
+
+    Raises ConstraintViolation when the pattern holds but either forced
+    identity fails; form preservation makes that an implementation fault.
+    """
+    return _unipotent(fc, flag_matrix(fc, m_quot))
+
+
+def _parabolic(fc: FlagContext, f: CycloMatrix) -> bool:
+    """in_parabolic on the flag matrix f of the operator."""
     s = fc.middle_size
     for t in range(1, s + 2):
         if f.entry(t, 0):
@@ -178,15 +191,10 @@ def in_parabolic(fc: FlagContext, m_quot: CycloMatrix) -> bool:
     return True
 
 
-def in_unipotent(fc: FlagContext, m_quot: CycloMatrix) -> bool:
-    """Block pattern (1, *, *; 0, I, *; 0, 0, 1) plus the forced constraints.
-
-    Raises ConstraintViolation when the pattern holds but either forced
-    identity fails; form preservation makes that an implementation fault.
-    """
-    if not in_parabolic(fc, m_quot):
+def _unipotent(fc: FlagContext, f: CycloMatrix) -> bool:
+    """in_unipotent on the flag matrix f of the operator."""
+    if not _parabolic(fc, f):
         return False
-    f = flag_matrix(fc, m_quot)
     s = fc.middle_size
     one = CycloNum.one(fc.ctx.d)
     lam, lam_prime, x, x_prime, corner, middle = _blocks(fc, f)
@@ -215,9 +223,9 @@ def _pairing_scalar(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
 
 def translation_part(fc: FlagContext, m_quot: CycloMatrix) -> Vector:
     """The first-row middle block of a unipotent element; additive on products."""
-    if not in_unipotent(fc, m_quot):
-        raise NotUnipotentElement("operator is not in the unipotent group")
     f = flag_matrix(fc, m_quot)
+    if not _unipotent(fc, f):
+        raise NotUnipotentElement("operator is not in the unipotent group")
     s = fc.middle_size
     return tuple(f.entry(0, t) for t in range(1, s + 1))
 
@@ -230,9 +238,9 @@ def corner_entry(fc: FlagContext, m_quot: CycloMatrix) -> CycloNum:
 
 def conjugation_action(fc: FlagContext, a_quot: CycloMatrix, x: Vector) -> Vector:
     """Action of a parabolic element on translation parts: x -> lambda * x * C^-1."""
-    if not in_parabolic(fc, a_quot):
-        raise NotParabolicElement("conjugation action needs a flag-preserving element")
     f = flag_matrix(fc, a_quot)
+    if not _parabolic(fc, f):
+        raise NotParabolicElement("conjugation action needs a flag-preserving element")
     lam, _, _, _, _, middle = _blocks(fc, f)
     return _row_action(fc, lam, middle.inverse(), x)
 

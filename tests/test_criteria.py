@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep.criteria import (
-    _proper_subsets,
+    _divisible_subsets,
     arithmeticity_verdict,
     density_verdict,
     eigenspace_dimension,
@@ -16,7 +18,7 @@ from braidrep.criteria import (
 )
 from braidrep.errors import OutOfRange, PreconditionFailed
 from braidrep.linalg import inertia
-from braidrep.rep import make_context, quotient_gram
+from braidrep.rep import make_context, normalize_weights, quotient_gram
 
 from conftest import sample_context
 
@@ -121,15 +123,110 @@ def test_arithmeticity_regressions():
     assert v.witness == [1, 2, 3]
 
 
+def sorted_proper_subsets(n):
+    return sorted(
+        combo
+        for size in range(1, n)
+        for combo in itertools.combinations(range(1, n + 1), size)
+    )
+
+
 def test_proper_subsets_in_sorted_order():
     # the scan order arithmeticity_verdict documents, materialized and sorted
     for n in range(13):
-        expected = sorted(
-            combo
-            for size in range(1, n)
-            for combo in itertools.combinations(range(1, n + 1), size)
-        )
-        assert list(_proper_subsets(n)) == expected
+        expected = sorted_proper_subsets(n)
+        # every sum is divisible by 1, so the walk prunes nothing
+        assert list(_divisible_subsets(1, (0,) * n)) == expected
+
+
+@st.composite
+def raw_weights(draw):
+    """(d, kappa) with d 1..40, n 0..12 and raw weights 0..3d, multiples of d included."""
+    d = draw(st.integers(1, 40))
+    n = draw(st.integers(0, 12))
+    return d, [draw(st.integers(0, 3 * d)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw_weights())
+def test_divisible_subsets_oracle(case):
+    d, kappa = case
+    expected = [
+        combo for combo in sorted_proper_subsets(len(kappa))
+        if sum(kappa[i - 1] for i in combo) % d == 0
+    ]
+    assert list(_divisible_subsets(d, kappa)) == expected
+
+
+def test_divisible_subsets_huge_degree():
+    # n * d is far beyond the mask budget: the walk prunes nothing, yields the
+    # same subsets and allocates no d-bit masks
+    d = 10**18
+    kappa = [d - 1, 1, 3, d - 3, 5, 7]
+    expected = [(1, 2), (1, 2, 3, 4), (3, 4)]
+    assert list(_divisible_subsets(d, kappa)) == expected
+    v = arithmeticity_verdict(d, kappa)
+    assert v.to_json() == brute_force_arithmeticity(d, kappa)
+
+
+def brute_force_arithmeticity(d, kappa_raw):
+    """arithmeticity_verdict as a scan of every sorted proper subset: the oracle."""
+    kappa = normalize_weights(d, tuple(kappa_raw))
+    n = len(kappa)
+    eps0 = 1 if sum(kappa) % d == 0 else 0
+    total = F(sum(kappa), d)
+    size_ok = n + 1 - eps0 >= 5
+    small_d_ok = d not in (3, 4, 6) or 2 < total < n - 2
+    diagnostics = {"size_condition": size_ok, "small_d_condition": small_d_ok, "subsets": []}
+    witness = None
+    if size_ok and small_d_ok:
+        for combo in sorted_proper_subsets(n):
+            inside = [kappa[i - 1] for i in combo]
+            if sum(inside) % d != 0:
+                continue
+            outside = [kappa[i - 1] for i in range(1, n + 1) if i not in combo]
+            cond_ii = len(combo) < 3 or math.gcd(d, *inside) == 1
+            cond_iii = len(combo) > n - 2 - eps0 or math.gcd(d, *outside) == 1
+            diagnostics["subsets"].append(
+                {"I": list(combo), "divisible": True, "ii": cond_ii, "iii": cond_iii}
+            )
+            if cond_ii and cond_iii:
+                witness = list(combo)
+                break
+    return {
+        "verdict": "arithmetic" if witness else "unknown",
+        "witness": witness or [],
+        "diagnostics": diagnostics,
+    }
+
+
+def test_arithmeticity_matches_brute_force():
+    rng = random.Random(60)
+    logged = 0
+    for d in (12, 18, 20, 24, 30):
+        checked = 0
+        while checked < 100:
+            n = rng.randint(3, 12)
+            kappa = [rng.randint(1, d - 1) for _ in range(n)]
+            if math.gcd(d, *kappa) != 1:
+                continue
+            expected = brute_force_arithmeticity(d, kappa)
+            assert arithmeticity_verdict(d, kappa).to_json() == expected, (d, kappa)
+            logged += len(expected["diagnostics"]["subsets"]) > 1
+            checked += 1
+    assert logged                  # some logs hold subsets that failed (ii) or (iii)
+
+
+def test_arithmeticity_scan_is_output_sensitive():
+    # no proper subset of forty 1s sums to 61: the scan prunes at the root
+    # instead of visiting 2^40 subsets
+    v = arithmeticity_verdict(61, (1,) * 40)
+    assert v.verdict == "unknown"
+    assert v.diagnostics["subsets"] == []
+    # eps0 = 1 and only the full set is divisible: reachable, never logged
+    v = arithmeticity_verdict(41, (1,) * 41)
+    assert v.verdict == "unknown"
+    assert v.diagnostics["subsets"] == []
 
 
 def test_arithmeticity_mod_d_invariance():

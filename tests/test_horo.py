@@ -176,6 +176,25 @@ def test_conjugation_action(flag):
         conjugation_action(fc, crossing, nu)
 
 
+def test_flag_matrix_built_once_per_call(flag, monkeypatch):
+    fc = flag
+    unipotent = evaluate_on_quotient(fc, witness_lower(fc))
+    parabolic = quotient_matrix(fc.ctx, pair_twist(fc.ctx, 1, 2))
+    nu = translation_part(fc, unipotent)
+    calls = []
+    real = horo.flag_matrix
+
+    def counting(fc, m_quot):
+        calls.append(m_quot)
+        return real(fc, m_quot)
+
+    monkeypatch.setattr(horo, "flag_matrix", counting)
+    assert translation_part(fc, unipotent) == nu
+    assert len(calls) == 1
+    conjugation_action(fc, parabolic, nu)
+    assert len(calls) == 2
+
+
 def test_lower_group_acts_trivially_on_upper_block(flag):
     fc = flag
     ctx, m, n = fc.ctx, fc.m, fc.ctx.n
