@@ -16,6 +16,7 @@ from .linalg import CycloMatrix, inertia, rank_over_rationals, sesquilinear
 from .rep import (
     BraidWord,
     RepContext,
+    block_twist,
     block_twist_word,
     commutator,
     evaluate_word,
@@ -65,6 +66,7 @@ __all__ = [
     "RepContext",
     "Verdict",
     "arithmeticity_verdict",
+    "block_twist",
     "block_twist_word",
     "center_lattice_vectors",
     "commutator",

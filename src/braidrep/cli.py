@@ -8,6 +8,7 @@ Subcommands: gram, rep, density, arithmeticity, horo, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -135,6 +136,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = suites.run_suites(names, seed=args.seed, size=args.size)
     total_pass = sum(r.passed for r in reports)
     total_fail = sum(r.failed for r in reports)
+    if args.json:
+        print(json.dumps({
+            "suites": [r.to_json() for r in reports],
+            "passed": total_pass,
+            "failed": total_fail,
+            "seed": args.seed,
+            "size": args.size,
+        }, sort_keys=True))
+        return 0 if total_fail == 0 else 1
     for r in reports:
         status = "PASS" if r.ok else "FAIL"
         print(f"{r.suite:10s} {status}  {r.passed} passed, {r.failed} failed")
@@ -144,7 +154,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if total_fail == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="braidrep",
         description="Exact braid-group representations from cyclic covers: "
@@ -189,13 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(suites.SUITE_NAMES) + ["all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=1, help="sample-size multiplier")
+    p.add_argument("--json", action="store_true",
+                   help="emit every suite report and the totals as one JSON document")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BraidRepError as exc:

@@ -39,16 +39,6 @@ def euler_phi(d: int) -> int:
     return result
 
 
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, e in enumerate(b):
-                if e:
-                    out[i + j] += c * e
-    return tuple(out)
-
-
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Division of integer polynomials; requires every step to divide exactly."""
     num_l = list(num)

@@ -125,8 +125,18 @@ class CycloMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         d = self.d
-        a = [(e.num, e.den) if e else None for e in self.entries]
-        b = [(e.num, e.den) if e else None for e in other.entries]
+        # entries are canonical, so an entry equal to 1 is exactly `one`;
+        # mapping it to that one object lets the loop skip its products
+        one = CycloNum.one(d)
+        one_raw = (one.num, one.den)
+
+        def raw(e: CycloNum) -> tuple[tuple[int, ...], int] | None:
+            if not e:
+                return None
+            return one_raw if e.den == 1 and e.num == one.num else (e.num, e.den)
+
+        a = [raw(e) for e in self.entries]
+        b = [raw(e) for e in other.entries]
         n, m, p = self.rows, self.cols, other.cols
         out: list[CycloNum] = []
         zero = CycloNum.zero(d)
@@ -141,7 +151,12 @@ class CycloMatrix:
                     y = b[l * p + j]
                     if y is None:
                         continue
-                    term = _raw_mul(d, x, y)
+                    if x is one_raw:
+                        term = y
+                    elif y is one_raw:
+                        term = x
+                    else:
+                        term = _raw_mul(d, x, y)
                     acc = term if acc is None else _raw_add(acc, term)
                 if acc is None or not any(acc[0]):
                     out.append(zero)

@@ -232,66 +232,95 @@ def pair_twist(ctx: RepContext, i: int, j: int, exp: int = 1) -> CycloMatrix:
     u = g_i + sum_{l=i+1}^{j-1} qbar^{k_{i+1}+...+k_l} g_l and
     c = (1 - q^{k_i})(1 - q^{k_j}) / mu; its determinant is
     1 - c * J(u, u) = q^{k_i + k_j}.  The inverse is the same rank-one
-    update with c replaced by -c * q^{-(k_i + k_j)}.
+    update with c replaced by -c * q^{-(k_i + k_j)}.  Since G is
+    tridiagonal, u^* G is summed over the band of the rows i..j-1 that
+    carry u, and only the non-zero entries of the update are touched.
     """
     n = ctx.n
     _check_pair(n, i, j)
     _check_exp(exp)
-    d = ctx.d
+    d, size = ctx.d, n - 1
     one, zero = CycloNum.one(d), CycloNum.zero(d)
-    u = [zero] * (n - 1)
-    u[i - 1] = one
+    u = {i - 1: one}  # the non-zero coordinates, rows i-1..j-2
     for l in range(i + 1, j):
         u[l - 1] = ctx.qpow(-(ctx.prefix_sums[l] - ctx.prefix_sums[i]))
     c = (one - ctx.qpow(ctx.weights[i - 1])) * (one - ctx.qpow(ctx.weights[j - 1])) / ctx.mu
     if exp == -1:
         c = -c * ctx.qpow(-(ctx.weights[i - 1] + ctx.weights[j - 1]))
     # rank-one update I - c * u * (u^* G), columns act on coordinates
-    ustar_g = [
-        sum((u[r].conj() * ctx.gram.entry(r, col) for r in range(n - 1) if u[r]), zero)
-        for col in range(n - 1)
-    ]
-    rows = []
-    for a in range(n - 1):
-        row = []
-        for b in range(n - 1):
-            val = one if a == b else zero
-            if u[a] and ustar_g[b]:
-                val = val - c * u[a] * ustar_g[b]
-            row.append(val)
-        rows.append(row)
-    return CycloMatrix.from_rows(d, rows)
+    gram = ctx.gram.entries
+    ustar_g: dict[int, CycloNum] = {}
+    for r, ur in u.items():
+        ur = ur.conj()
+        for col in range(max(r - 1, 0), min(r + 2, size)):
+            g = gram[r * size + col]
+            if g:
+                ustar_g[col] = ustar_g.get(col, zero) + ur * g
+    ustar_g = {col: v for col, v in ustar_g.items() if v}
+    entries = [zero] * (size * size)
+    entries[:: size + 1] = [one] * size
+    for a, ua in u.items():
+        cu = c * ua
+        for b, v in ustar_g.items():
+            entries[a * size + b] = entries[a * size + b] - cu * v
+    return CycloMatrix(d, size, size, tuple(entries))
+
+
+def block_twist(ctx: RepContext, s: int, r: int, exp: int = 1) -> CycloMatrix:
+    """Matrix of the full twist FT(s,r) about a disc enclosing punctures
+    s..r (1 <= s < r <= n), or of its inverse when exp = -1, in closed form.
+
+    With P_l = k_1+...+k_l and Q = q^{P_r - P_{s-1}}, FT(s,r) is the
+    identity except on the rows l = s..r-1, which hold
+
+        Q on the diagonal,
+        Q (q^{-(P_l - P_{s-1})} - 1) in column r, when r <= n-1,
+        1 - q^{P_r - P_l} in column s-1, when s >= 2.
+
+    The inverse holds Q^{-1} on the diagonal, 1 - q^{-(P_l - P_{s-1})} in
+    column r and -Q^{-1} (1 - q^{P_r - P_l}) in column s-1.  It equals the
+    evaluated word block_twist_word(s, r), or its inverse word, and costs no
+    matrix product.
+    """
+    n = ctx.n
+    _check_block(n, s, r)
+    _check_exp(exp)
+    d, size, p = ctx.d, n - 1, ctx.prefix_sums
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    scale = ctx.qpow(exp * (p[r] - p[s - 1]))
+    entries = [zero] * (size * size)
+    entries[:: size + 1] = [one] * size
+    for l in range(s, r):
+        row = (l - 1) * size
+        entries[row + l - 1] = scale
+        if r <= size:
+            shear = ctx.qpow(-(p[l] - p[s - 1])) - one
+            entries[row + r - 1] = scale * shear if exp == 1 else -shear
+        if s >= 2:
+            shear = one - ctx.qpow(p[r] - p[l])
+            entries[row + s - 2] = shear if exp == 1 else -(scale * shear)
+    return CycloMatrix(d, size, size, tuple(entries))
 
 
 def prefix_twist(ctx: RepContext, r: int, exp: int = 1) -> CycloMatrix:
     """Matrix of the twist about a disc enclosing punctures 1..r (2 <= r <= n-1),
-    or of its inverse when exp = -1.
+    or of its inverse when exp = -1: the case s = 1 of :func:`block_twist`.
 
     Scales g_1, ..., g_{r-1} by q^{k_1+...+k_r}, fixes g_{r+1}, ..., g_{n-1},
     and shears g_r by the weighted sum of the earlier basis vectors: column r
     holds q^{P_r} (q^{-P_l} - 1) in row l < r, with P_l = k_1+...+k_l.  The
     inverse scales by q^{-P_r} and holds 1 - q^{-P_l} in column r.
     """
-    n = ctx.n
-    _check_prefix(n, r)
-    _check_exp(exp)
-    d = ctx.d
-    one, zero = CycloNum.one(d), CycloNum.zero(d)
-    scale = ctx.qpow(exp * ctx.prefix_sums[r])
-    rows = [[zero] * (n - 1) for _ in range(n - 1)]
-    for a in range(n - 1):
-        rows[a][a] = scale if a < r - 1 else one
-    for l in range(1, r):
-        shear = ctx.qpow(-ctx.prefix_sums[l]) - one
-        rows[l - 1][r - 1] = scale * shear if exp == 1 else -shear
-    return CycloMatrix.from_rows(d, rows)
+    _check_prefix(ctx.n, r)
+    return block_twist(ctx, 1, r, exp)
 
 
 def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     """Evaluate a braid word to its exact operator matrix, left to right.
 
-    Inverse letters use the closed forms of pair_twist and prefix_twist, and
-    FT(s,r)^-1 is the inverse word of FT(s,r), so nothing is eliminated.
+    Every letter, inverse letters included, is a closed form: pair_twist,
+    prefix_twist or block_twist, so nothing is eliminated and a letter costs
+    no matrix product of its own.
     """
     result = CycloMatrix.identity(ctx.d, ctx.n - 1)
     cache: dict[Letter, CycloMatrix] = ctx._letter_cache  # type: ignore[attr-defined]
@@ -304,10 +333,7 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
             elif gen[0] == "T":
                 mat = prefix_twist(ctx, gen[1], exp)
             else:
-                _check_block(ctx.n, gen[1], gen[2])
-                _check_exp(exp)
-                block = block_twist_word(gen[1], gen[2])
-                mat = evaluate_word(ctx, block if exp == 1 else block.inverse())
+                mat = block_twist(ctx, gen[1], gen[2], exp)
             cache[letter] = mat
         result = result @ mat
     return result

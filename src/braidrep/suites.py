@@ -20,6 +20,7 @@ from .linalg import CycloMatrix, inertia
 from .rep import (
     BraidWord,
     RepContext,
+    block_twist_word,
     commutator,
     evaluate_word,
     lantern_block,
@@ -180,7 +181,7 @@ def suite_relations(seed: int, size: int = 1) -> SuiteReport:
             )
         for r in range(2, n):
             rep.check(
-                evaluate_word(ctx, BraidWord.FT(1, r)) == prefix_twist(ctx, r),
+                evaluate_word(ctx, block_twist_word(1, r)) == prefix_twist(ctx, r),
                 "full twist on 1..r equals the prefix twist",
                 f"{tag} r={r}",
             )

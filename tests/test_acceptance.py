@@ -19,7 +19,7 @@ from braidrep.cyclo import CycloNum, euler_phi, order_of_power
 from braidrep.horo import make_flag
 from braidrep.linalg import CycloMatrix, inertia
 from braidrep.rep import (
-    BraidWord,
+    block_twist_word,
     evaluate_word,
     galois_transport,
     lantern_block,
@@ -108,7 +108,7 @@ def test_criterion_04_full_twist_identity(grid_contexts):
     with Budget("04 full-twist identity", 60.0):
         for ctx in grid_contexts:
             for r in range(2, ctx.n):
-                assert evaluate_word(ctx, BraidWord.FT(1, r)) == prefix_twist(ctx, r), (
+                assert evaluate_word(ctx, block_twist_word(1, r)) == prefix_twist(ctx, r), (
                     ctx.d, ctx.weights, ctx.k, r,
                 )
 

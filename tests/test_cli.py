@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from braidrep.cli import main
+from braidrep import suites
+from braidrep.cli import build_parser, main
 from braidrep.linalg import matrix_from_json
 
 
@@ -202,3 +203,80 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+def _tally(out):
+    """The human verify report: per-suite (name, status, passed, failed) and
+    the totals line."""
+    lines = [line for line in out.splitlines() if not line.startswith("  FAIL")]
+    rows = []
+    for line in lines[:-1]:
+        name, status, passed, _, failed, _ = line.replace(",", "").split()
+        rows.append((name, status, int(passed), int(failed)))
+    return rows, lines[-1]
+
+
+def test_verify_json_totals_equal_the_tally(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "3")
+    jcode, jout, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "3", "--json")
+    assert jcode == code == 0
+    doc = json.loads(jout)
+    rows, total = _tally(out)
+    assert total == (f"total: {doc['passed']} passed, {doc['failed']} failed"
+                     f" (seed={doc['seed']}, size={doc['size']})")
+    assert rows == [(s["suite"], "PASS" if not s["failed"] else "FAIL", s["passed"], s["failed"])
+                    for s in doc["suites"]]
+    assert [s["suite"] for s in doc["suites"]] == list(suites.SUITE_NAMES)
+    for s in doc["suites"]:
+        assert sum(v["passed"] for v in s["invariants"].values()) == s["passed"]
+
+
+def test_verify_json_failure_exit_code(capsys, monkeypatch):
+    def failing(names, seed, size):
+        rep = suites.SuiteReport("forms")
+        rep.check(True, "holds")
+        rep.check(False, "breaks", "detail")
+        return [rep]
+
+    monkeypatch.setattr(suites, "run_suites", failing)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "forms")
+    jcode, jout, _ = run_cli(capsys, "verify", "--suite", "forms", "--json")
+    assert code == jcode == 1
+    doc = json.loads(jout)
+    assert (doc["passed"], doc["failed"]) == (1, 1)
+    assert doc["suites"][0]["failures"] == out.splitlines()[1].split("FAIL ", 1)[1:]
+    assert _tally(out)[1] == "total: 1 passed, 1 failed (seed=0, size=1)"
+
+
+def _run_any(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """Consecutive main calls share one parser and print what a freshly
+    built parser prints, across subcommands and argparse errors."""
+    argvs = [
+        ("density", "--d", "7", "--kappa", "1,2,4", "--json"),
+        ("gram", "--d", "5", "--kappa", "1,1,1,1,1"),
+        ("verify", "--suite", "bogus"),
+        ("rep", "--d", "5", "--kappa", "1,1,2,1", "--word", "FT(1,3) A(2,4)^-1"),
+        ("horo", "--d", "5", "--kappa", "1,1,3"),
+        ("gram", "--d", "4", "--kappa", "1,1,1", "--k", "2"),
+        ("arithmeticity", "--d", "6", "--kappa", "1,1,1,1,1,1", "--json"),
+        ("density", "--d", "7", "--kappa", "1,2,4", "--json"),
+    ]
+    build_parser.cache_clear()
+    consecutive = [_run_any(capsys, argv) for argv in argvs]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_run_any(capsys, argv))
+    assert consecutive == fresh
+    assert [code for code, _, _ in consecutive] == [0, 0, 2, 0, 2, 2, 0, 0]
+    assert consecutive[0] == consecutive[-1]

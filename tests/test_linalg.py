@@ -6,7 +6,7 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from braidrep.cyclo import CycloNum, from_coeffs, from_rational, zeta
+from braidrep.cyclo import CycloNum, _raw_add, _raw_mul, euler_phi, from_coeffs, from_rational, zeta
 from braidrep.errors import (
     AmbiguousSign,
     ModulusMismatch,
@@ -47,6 +47,49 @@ def test_identity_and_associativity():
     assert a @ ident == a
     assert (a @ b) @ c == a @ (b @ c)
     assert CycloMatrix.diagonal(D, [zeta(D)] * 3) == ident.scale(zeta(D))
+
+
+def _schoolbook_matmul(a, b):
+    """Reference product: _raw_mul on every pair of non-zero entries."""
+    d, out = a.d, []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = None
+            for l in range(a.cols):
+                x, y = a.entry(i, l), b.entry(l, j)
+                if x and y:
+                    term = _raw_mul(d, (x.num, x.den), (y.num, y.den))
+                    acc = term if acc is None else _raw_add(acc, term)
+            out.append(CycloNum.zero(d) if acc is None or not any(acc[0]) else CycloNum(d, *acc))
+    return CycloMatrix(d, a.rows, b.cols, tuple(out))
+
+
+def test_matmul_matches_schoolbook_reference():
+    """Products that skip factors equal to 1 equal the always-multiply
+    reference, on operands mixing 0, 1, -1, zeta^e and dense entries."""
+    rng = random.Random(71)
+    for d in (3, 5, 7, 12, 19):
+        phi = euler_phi(d)
+
+        def entry():
+            kind = rng.choice("01-zd")
+            if kind == "0":
+                return CycloNum.zero(d)
+            if kind == "1":
+                return CycloNum.one(d)
+            if kind == "-":
+                return -CycloNum.one(d)
+            if kind == "z":
+                return zeta(d, rng.randrange(d))
+            return from_coeffs(d, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(phi)])
+
+        for _ in range(6):
+            n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            a = CycloMatrix.from_rows(d, [[entry() for _ in range(m)] for _ in range(n)])
+            b = CycloMatrix.from_rows(d, [[entry() for _ in range(p)] for _ in range(m)])
+            assert a @ b == _schoolbook_matmul(a, b)
+            ident = CycloMatrix.identity(d, m)
+            assert a @ ident == a and ident @ b == b
 
 
 def test_shape_and_modulus_errors():

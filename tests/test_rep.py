@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from braidrep.cyclo import CycloNum, order_of_power, zeta
 from braidrep.errors import (
@@ -20,6 +23,7 @@ from braidrep.errors import (
 from braidrep.linalg import CycloMatrix
 from braidrep.rep import (
     BraidWord,
+    block_twist,
     block_twist_word,
     commutator,
     evaluate_word,
@@ -206,7 +210,7 @@ def test_block_twist_word_shape():
 def test_full_twist_identity():
     ctx = make_context(5, (1, 1, 2, 1), 1)
     for r in range(2, ctx.n):
-        assert evaluate_word(ctx, BraidWord.FT(1, r)) == prefix_twist(ctx, r)
+        assert evaluate_word(ctx, block_twist_word(1, r)) == prefix_twist(ctx, r)
 
 
 def test_form_preservation_words():
@@ -220,6 +224,71 @@ def test_form_preservation_words():
             word = word * BraidWord.A(i, j, rng.choice((1, -1)))
         m = evaluate_word(ctx, word)
         assert m.conj_transpose() @ ctx.gram @ m == ctx.gram
+
+
+@st.composite
+def contexts(draw, d_range=(3, 30), n_range=(3, 9)):
+    """A valid context with d and n in range, prime or composite d, and eps0
+    drawn: at eps0 = 1 the last weight completes the sum to a multiple of d."""
+    d = draw(st.integers(*d_range))
+    n = draw(st.integers(*n_range))
+    kappa = [draw(st.integers(1, d - 1)) for _ in range(n)]
+    if draw(st.booleans()):
+        kappa[-1] = (-sum(kappa[:-1])) % d or 1
+    if math.gcd(d, *kappa) != 1:
+        kappa[0] = 1
+    units = [k for k in range(1, d) if math.gcd(k, d) == 1]
+    return make_context(d, tuple(kappa), draw(st.sampled_from(units)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(contexts())
+@example(make_context(29, (1, 2, 3, 4, 5, 6, 7, 8, 9), 3))
+@example(make_context(30, (1, 7, 11, 13, 17, 19, 23, 1, 28), 7))
+@example(make_context(3, (1, 1, 1), 2))
+def test_block_twist_equals_pair_twist_word(ctx):
+    """The closed form FT(s,r)^+-1 equals the evaluated pair-twist word of
+    block_twist_word(s, r), or its inverse word, for every s < r, s = 1 and
+    r = n included.  The explicit examples pin the corners: prime d = 29
+    with eps0 = 0, composite d = 30 with eps0 = 1, both at n = 9, and the
+    smallest context."""
+    n = ctx.n
+    for s, r in itertools.combinations(range(1, n + 1), 2):
+        word = block_twist_word(s, r)
+        assert block_twist(ctx, s, r) == evaluate_word(ctx, word), (s, r)
+        assert block_twist(ctx, s, r, -1) == evaluate_word(ctx, word.inverse()), (s, r)
+        assert evaluate_word(ctx, BraidWord.FT(s, r, -1)) == block_twist(ctx, s, r, -1)
+
+
+def _dense_pair_twist(ctx, i, j, exp=1):
+    """Reference I - c * u * (u^* G) summed over every entry of G."""
+    n, d = ctx.n, ctx.d
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    u = [zero] * (n - 1)
+    u[i - 1] = one
+    for l in range(i + 1, j):
+        u[l - 1] = ctx.qpow(-(ctx.prefix_sums[l] - ctx.prefix_sums[i]))
+    c = (one - ctx.qpow(ctx.weights[i - 1])) * (one - ctx.qpow(ctx.weights[j - 1])) / ctx.mu
+    if exp == -1:
+        c = -c * ctx.qpow(-(ctx.weights[i - 1] + ctx.weights[j - 1]))
+    ustar_g = [
+        sum((u[r].conj() * ctx.gram.entry(r, col) for r in range(n - 1)), zero)
+        for col in range(n - 1)
+    ]
+    return CycloMatrix.from_rows(d, [
+        [(one if a == b else zero) - c * u[a] * ustar_g[b] for b in range(n - 1)]
+        for a in range(n - 1)
+    ])
+
+
+def test_pair_twist_matches_dense_reference():
+    rng = random.Random(61)
+    for force in (False, True) * 5:
+        ctx = sample_context(rng, d_range=(3, 16), n_range=(3, 8), force_eps0=force)
+        for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
+            for exp in (1, -1):
+                assert pair_twist(ctx, i, j, exp) == _dense_pair_twist(ctx, i, j, exp), (i, j, exp)
 
 
 def test_inverse_letters_closed_form():
@@ -237,6 +306,8 @@ def test_inverse_letters_closed_form():
         pair_twist(ctx, 1, 2, 2)
     with pytest.raises(InvalidParameter):
         prefix_twist(ctx, 2, 0)
+    with pytest.raises(InvalidParameter):
+        block_twist(ctx, 1, 3, 2)
 
 
 def _random_word(rng, n, length):

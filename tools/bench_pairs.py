@@ -1,0 +1,154 @@
+"""Alternating parent/change runs of the benchmark, summarized as one JSON file.
+
+    python3 tools/bench_pairs.py --parent REF --out BENCH_x.json \
+        --plan words:901-910 --plan verify:911-920 --trace words:931
+
+Both sides run ``perfbench/run.py --workload W --seed S --seconds T`` in a
+fresh directory of their own: the parent from ``git archive REF``, the
+change from the working tree (``src/``, ``perfbench/``, ``BENCHMARK.json``).
+``T`` is the ``run_seconds`` of that side's ``BENCHMARK.json``.
+Each ``--plan W:A-B`` runs one pair per seed A..B, the sides alternating
+which runs first; each ``--trace W:S`` runs one traced pair (``--trace 1``)
+and records the per-layer metrics of both sides.  Runs go one at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PARTS = ("src", "perfbench", "BENCHMARK.json")
+E2E = ("setup_s", "wall_s", "cmd_p50_ms", "peak_rss_mb")
+
+
+def checkout(parent: str, workdir: Path) -> dict[str, Path]:
+    """Fresh directories of the parent commit and of the working tree."""
+    sides = {"parent": workdir / "parent", "change": workdir / "change"}
+    for path in sides.values():
+        shutil.rmtree(path, ignore_errors=True)
+        path.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent, *PARTS],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench-out")
+    for part in PARTS:
+        src = ROOT / part
+        if src.is_dir():
+            shutil.copytree(src, sides["change"] / part, ignore=ignore)
+        else:
+            shutil.copy2(src, sides["change"] / part)
+    return sides
+
+
+def src_digest(path: Path) -> str:
+    """SHA-256 over the relative names and bytes of every file under src/."""
+    h = hashlib.sha256()
+    for f in sorted((path / "src").rglob("*.py")):
+        h.update(str(f.relative_to(path)).encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+def run(side: Path, workload: str, seed: int, trace: bool) -> dict:
+    seconds = json.loads((side / "BENCHMARK.json").read_text())["run_seconds"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(int(trace))]
+    out = subprocess.run(cmd, cwd=side, check=True, capture_output=True, text=True).stdout
+    full, last = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    rec = {"correct": last["correct"], "attempted": last["attempted"], "failed": last["failed"]}
+    if trace:
+        rec["layers"] = {k: round(v["value"], 6) for k, v in full["layers"].items()}
+    else:
+        rec.update({k: round(full["metrics"][k]["value"], 4) for k in E2E})
+    return rec
+
+
+def pair(sides: dict[str, Path], workload: str, seed: int, first: str, trace: bool) -> dict:
+    order = [first, "change" if first == "parent" else "parent"]
+    rec = {"seed": seed, "first": first}
+    for name in order:
+        rec[name] = run(sides[name], workload, seed, trace)
+        print(workload, seed, name, json.dumps(rec[name])[:200], file=sys.stderr, flush=True)
+    return rec
+
+
+def summary(pairs: list[dict]) -> dict:
+    """Per metric: medians and quartiles of both sides, per-pair ratios and
+    the number of pairs in which the change reads lower."""
+    out = {}
+    for metric in E2E:
+        par = [p["parent"][metric] for p in pairs]
+        chg = [p["change"][metric] for p in pairs]
+        ratios = [c / p for p, c in zip(par, chg)]
+        q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
+        out[metric] = {
+            "parent_median": round(statistics.median(par), 4),
+            "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
+            "change_median": round(statistics.median(chg), 4),
+            "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
+            "pair_ratios": [round(r, 3) for r in ratios],
+            "change_lower": sum(r < 1 for r in ratios),
+        }
+    return out
+
+
+def spec(text: str) -> tuple[str, list[int]]:
+    workload, _, seeds = text.partition(":")
+    lo, _, hi = seeds.partition("-")
+    return workload, list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git commit of the parent side")
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    parser.add_argument("--plan", action="append", type=spec, default=[],
+                        help="WORKLOAD:FIRST-LAST, one untraced pair per seed")
+    parser.add_argument("--trace", action="append", type=spec, default=[],
+                        help="WORKLOAD:SEED, one traced pair per seed")
+    parser.add_argument("--workdir", type=Path, help="where the two checkouts go (default: a temp dir)")
+    args = parser.parse_args(argv)
+
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
+                            check=True, capture_output=True, text=True).stdout.strip()
+    sides = checkout(parent, workdir)
+    doc = {
+        "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        "parent_commit": parent,
+        "src_sha256": {name: src_digest(path) for name, path in sides.items()},
+        "host": f"{platform.machine()}, Python {platform.python_version()}",
+        "workloads": {},
+        "traced": {},
+    }
+    flip = 0
+    for workload, seeds in args.plan:
+        pairs = []
+        for seed in seeds:
+            pairs.append(pair(sides, workload, seed, ("parent", "change")[flip % 2], False))
+            flip += 1
+        doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+    for workload, seeds in args.trace:
+        for seed in seeds:
+            rec = pair(sides, workload, seed, "parent", True)
+            doc["traced"][f"{workload}:{seed}"] = {
+                "correct": [rec["parent"]["correct"], rec["change"]["correct"]],
+                "layers": {k: {"parent": v, "change": rec["change"]["layers"][k]}
+                           for k, v in rec["parent"]["layers"].items()},
+            }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    if args.workdir is None:
+        shutil.rmtree(workdir, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
