@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .cyclo import units
 from .errors import OutOfRange, PreconditionFailed
 from .rep import RepContext, normalize_weights
 
@@ -36,17 +37,12 @@ def signature(ctx: RepContext) -> tuple[int, int]:
     return (r_q, s_q)
 
 
-def order_of_unit_fraction(t: Fraction) -> int:
-    """Order of e^{2*pi*i*t} for rational t: the reduced denominator."""
-    return Fraction(t).denominator
-
-
 def is_good(mu: Sequence[Fraction]) -> bool:
     """Goodness of a weight sequence with entries in the open interval (0, 1).
 
     True when 1 < sum(mu) < n-1, or when the sum is outside that window but
     some triple {i, j, l} has a pair of order > 5 and a cross pair of
-    order > 2 (orders of the associated roots of unity).
+    order > 2 (the order of e^{2*pi*i*t} is the reduced denominator of t).
     """
     mu = [Fraction(x) for x in mu]
     if any(not 0 < x < 1 for x in mu):
@@ -56,13 +52,12 @@ def is_good(mu: Sequence[Fraction]) -> bool:
     if 1 < total < n - 1:
         return True
     for i, j in itertools.combinations(range(n), 2):
-        if order_of_unit_fraction(mu[i] + mu[j]) <= 5:
+        if (mu[i] + mu[j]).denominator <= 5:
             continue
         for l in range(n):
             if l in (i, j):
                 continue
-            if (order_of_unit_fraction(mu[i] + mu[l]) > 2
-                    or order_of_unit_fraction(mu[j] + mu[l]) > 2):
+            if (mu[i] + mu[l]).denominator > 2 or (mu[j] + mu[l]).denominator > 2:
                 return True
     return False
 
@@ -97,9 +92,7 @@ def density_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
 
     per_k: dict[str, dict] = {}
     all_good = True
-    for k in range(1, d):
-        if math.gcd(k, d) != 1:
-            continue
+    for k in units(d):
         mu = [Fraction(k * ki, d) % 1 for ki in kappa]
         good = is_good(mu)
         all_good = all_good and good

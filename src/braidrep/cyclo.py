@@ -39,6 +39,11 @@ def euler_phi(d: int) -> int:
     return result
 
 
+def units(d: int):
+    """The units t of Z/d with 0 < t < d, ascending, generated lazily."""
+    return (t for t in range(1, d) if math.gcd(t, d) == 1)
+
+
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Division of integer polynomials; requires every step to divide exactly."""
     num_l = list(num)
@@ -183,8 +188,8 @@ def _unit_chain(d: int) -> tuple[tuple[int, int], ...]:
     next subgroup is the union of the cosets g^i S, 0 <= i < m."""
     subgroup = {1 % d}
     steps = []
-    for g in range(2, d):
-        if math.gcd(g, d) != 1 or g in subgroup:
+    for g in units(d):
+        if g in subgroup:
             continue
         m, h = 1, g
         while h not in subgroup:

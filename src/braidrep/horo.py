@@ -20,10 +20,11 @@ with x' = mu * G_W^{-1} conj(x) and a - conj(a) = mu * (x^T G_W^{-1} conj(x)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .cyclo import CycloNum, euler_phi, zeta
+from .cyclo import CycloNum, euler_phi, units, zeta
 from .errors import (
     BadM,
     ConstraintViolation,
@@ -292,7 +293,7 @@ def witness_lower(fc: FlagContext) -> BraidWord:
     g_{m-2} (by a multiple of w) and g_m.
     """
     m = fc.m
-    if m < 3:
+    if LOWER not in witness_parts(fc):
         raise BadM(f"lower witness needs m >= 3, got {m}")
     return reversed_word(commutator(BraidWord.A(m - 1, m), BraidWord.T(m - 1)))
 
@@ -303,35 +304,63 @@ def witness_upper(fc: FlagContext) -> BraidWord:
     Unipotent with translation part in the upper block.
     """
     m, n = fc.m, fc.ctx.n
-    if n - m < 3:
+    if UPPER not in witness_parts(fc):
         raise BadM(f"upper witness needs n - m >= 3, got n - m = {n - m}")
     return reversed_word(commutator(BraidWord.A(m + 1, m + 2), BraidWord.FT(m + 2, n)))
+
+
+def witness(fc: FlagContext, part: str) -> BraidWord:
+    """The witness braid of the part: witness_lower or witness_upper."""
+    return witness_lower(fc) if part == LOWER else witness_upper(fc)
 
 
 def evaluate_on_quotient(fc: FlagContext, word: BraidWord) -> CycloMatrix:
     return quotient_matrix(fc.ctx, evaluate_word(fc.ctx, word))
 
 
-# -- orbit machinery ------------------------------------------------------------
+# -- flag parts -------------------------------------------------------------------
 
-def _part_generators(fc: FlagContext, part: str) -> list[BraidWord]:
-    m, n = fc.m, fc.ctx.n
-    if part == LOWER:
-        pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    elif part == UPPER:
-        pairs = [(i, j) for i in range(m + 1, n + 1) for j in range(i + 1, n + 1)]
-    else:
-        raise ValueError(f"part must be {LOWER!r} or {UPPER!r}")
-    return [BraidWord.A(i, j) for i, j in pairs]
-
-
-def _part_slice(fc: FlagContext, part: str) -> slice:
+def part_slice(fc: FlagContext, part: str) -> slice:
+    """Middle coordinates of the part's block: fc.lower_slice or fc.upper_slice."""
     return fc.lower_slice if part == LOWER else fc.upper_slice
 
 
+def witness_parts(fc: FlagContext) -> tuple[str, ...]:
+    """Parts with a witness, i.e. a non-empty block, lower first: m >= 3, n - m >= 3."""
+    return tuple(part for part in (LOWER, UPPER) if full_rank(fc, part))
+
+
+def full_rank(fc: FlagContext, part: str) -> int:
+    """phi(d) times the part's block width: the Q-rank of an orbit spanning the block."""
+    sl = part_slice(fc, part)
+    return euler_phi(fc.ctx.d) * (sl.stop - sl.start)
+
+
+def part_pairs(fc: FlagContext, part: str) -> list[tuple[int, int]]:
+    """Pairs (i, j) of the part's generators A(i, j): punctures 1..m (lower), m+1..n (upper)."""
+    if part == LOWER:
+        punctures = range(1, fc.m + 1)
+    elif part == UPPER:
+        punctures = range(fc.m + 1, fc.ctx.n + 1)
+    else:
+        raise ValueError(f"part must be {LOWER!r} or {UPPER!r}")
+    return list(itertools.combinations(punctures, 2))
+
+
+def check_maxlen(maxlen: int) -> None:
+    """Raise InvalidParameter unless 0 <= maxlen <= MAX_ORBIT_LEN."""
+    if not 0 <= maxlen <= MAX_ORBIT_LEN:
+        raise InvalidParameter(f"maxlen must lie in 0..{MAX_ORBIT_LEN}, got {maxlen}")
+
+
+# -- orbit machinery ------------------------------------------------------------
+
+def _part_generators(fc: FlagContext, part: str) -> list[BraidWord]:
+    return [BraidWord.A(i, j) for i, j in part_pairs(fc, part)]
+
+
 def part_witness(fc: FlagContext, part: str) -> Vector:
-    word = witness_lower(fc) if part == LOWER else witness_upper(fc)
-    return translation_part(fc, evaluate_on_quotient(fc, word))
+    return translation_part(fc, evaluate_on_quotient(fc, witness(fc, part)))
 
 
 class _Orbit:
@@ -404,20 +433,17 @@ def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6, *, rank_bound: in
     later calls.  Raises InvalidParameter unless 0 <= maxlen <=
     MAX_ORBIT_LEN.
     """
-    if not 0 <= maxlen <= MAX_ORBIT_LEN:
-        raise InvalidParameter(f"maxlen must lie in 0..{MAX_ORBIT_LEN}, got {maxlen}")
+    check_maxlen(maxlen)
     return _orbit(fc, part).prefix(maxlen, rank_bound)
 
 
 def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
     """Q-rank of the orbit restricted to its own coordinate block."""
-    phi = euler_phi(fc.ctx.d)
-    sl = _part_slice(fc, part)
-    width = sl.stop - sl.start
-    bound = phi * width
+    sl = part_slice(fc, part)
+    bound = full_rank(fc, part)
     vectors = orbit_vectors(fc, part, maxlen, rank_bound=bound)
     restricted = [v[sl] for v in vectors]
-    if not restricted or width == 0:
+    if not restricted or bound == 0:
         return 0
     return rank_over_rationals(restricted)
 
@@ -427,7 +453,7 @@ def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
 def upper_half_exponents(d: int, k: int) -> tuple[int, ...]:
     """Galois exponents t with gcd(t,d)=1 whose image of q lies in the upper
     half plane under the e^{-2*pi*i/d} embedding: t*k mod d in (d/2, d)."""
-    return tuple(t for t in range(1, d) if math.gcd(t, d) == 1 and 2 * ((t * k) % d) > d)
+    return tuple(t for t in units(d) if 2 * ((t * k) % d) > d)
 
 
 def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
@@ -448,9 +474,8 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
 
     basis: list[Vector] = []
     span = RationalSpan()
-    part_bounds = {LOWER: phi * (fc.m - 2), UPPER: phi * (ctx.n - fc.m - 2)}
     for part in (LOWER, UPPER):
-        for v in _orbit(fc, part).prefix(MAX_ORBIT_LEN, part_bounds[part]):
+        for v in _orbit(fc, part).prefix(MAX_ORBIT_LEN, full_rank(fc, part)):
             if span.add(v):
                 basis.append(v)
             if span.rank == target:

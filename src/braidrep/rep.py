@@ -322,7 +322,7 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     prefix_twist or block_twist, so nothing is eliminated and a letter costs
     no matrix product of its own.
     """
-    result = CycloMatrix.identity(ctx.d, ctx.n - 1)
+    result = None
     cache: dict[Letter, CycloMatrix] = ctx._letter_cache  # type: ignore[attr-defined]
     for letter in word.letters:
         mat = cache.get(letter)
@@ -335,8 +335,8 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
             else:
                 mat = block_twist(ctx, gen[1], gen[2], exp)
             cache[letter] = mat
-        result = result @ mat
-    return result
+        result = mat if result is None else result @ mat
+    return CycloMatrix.identity(ctx.d, ctx.n - 1) if result is None else result
 
 
 def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:

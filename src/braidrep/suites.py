@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import criteria, horo
-from .cyclo import CycloNum, euler_phi, from_coeffs
-from .errors import AmbiguousSign, BadM, InvalidParameter
+from .cyclo import CycloNum, euler_phi, from_coeffs, order_of_power, to_strings, units
+from .errors import AmbiguousSign, BadM
 from .linalg import CycloMatrix, inertia
 from .rep import (
     BraidWord,
@@ -81,12 +81,13 @@ class SuiteReport:
         }
 
 
-def _sample_context(
+def sample_context(
     rng: random.Random,
     d_range: tuple[int, int] = (3, 10),
     n_range: tuple[int, int] = (3, 6),
     force_eps0: bool = False,
 ) -> RepContext:
+    """One valid seeded context: reduced weights, connected cover, unit k."""
     while True:
         d = rng.randint(*d_range)
         n = rng.randint(*n_range)
@@ -98,11 +99,11 @@ def _sample_context(
             kappa[-1] = last
         if math.gcd(d, *kappa) != 1:
             continue
-        units = [k for k in range(1, d) if math.gcd(k, d) == 1]
-        return make_context(d, tuple(kappa), rng.choice(units))
+        return make_context(d, tuple(kappa), rng.choice(tuple(units(d))))
 
 
-def _all_generators(ctx: RepContext):
+def all_generators(ctx: RepContext):
+    """(kind, indices, matrix) of every pair twist A(i, j), then of every prefix twist T(r)."""
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
         yield ("A", (i, j), pair_twist(ctx, i, j))
     for r in range(2, ctx.n):
@@ -123,7 +124,7 @@ def suite_forms(seed: int, size: int = 1) -> SuiteReport:
     rep = SuiteReport("forms")
     rng = random.Random(seed)
     for _ in range(12 * size):
-        ctx = _sample_context(rng)
+        ctx = sample_context(rng)
         g = ctx.gram
         tag = f"d={ctx.d} kappa={ctx.weights} k={ctx.k}"
         rep.check(g.conj_transpose() == -g, "gram is anti-Hermitian", tag)
@@ -136,7 +137,7 @@ def suite_forms(seed: int, size: int = 1) -> SuiteReport:
         rep.check(tri, "gram is tridiagonal", tag)
         rep.check(ctx.mu.is_real() and ctx.mu.embed().real > 0, "mu is real positive", tag)
         g_inv = g.inverse() if ctx.eps0 == 0 else None
-        for kind, idx, m in _all_generators(ctx):
+        for kind, idx, m in all_generators(ctx):
             rep.check(
                 m.conj_transpose() @ g @ m == g,
                 "generator preserves the form (M* G M = G)",
@@ -163,7 +164,7 @@ def suite_relations(seed: int, size: int = 1) -> SuiteReport:
     rep = SuiteReport("relations")
     rng = random.Random(seed)
     for _ in range(10 * size):
-        ctx = _sample_context(rng)
+        ctx = sample_context(rng)
         n, d = ctx.n, ctx.d
         tag = f"d={d} kappa={ctx.weights} k={ctx.k}"
         ident = CycloMatrix.identity(d, n - 1)
@@ -195,8 +196,6 @@ def suite_relations(seed: int, size: int = 1) -> SuiteReport:
             if (ki + kj) % d == 0:
                 rep.check(m.is_unipotent(), "pair twist unipotent when d | k_i + k_j", tag)
             else:
-                from .cyclo import order_of_power
-
                 expected = order_of_power(d, ctx.k * (ki + kj))
                 rep.check(
                     m.multiplicative_order(d) == expected,
@@ -204,11 +203,11 @@ def suite_relations(seed: int, size: int = 1) -> SuiteReport:
                     f"{tag} ({i},{j})",
                 )
     for _ in range(6 * size):
-        ctx = _sample_context(rng, force_eps0=True)
+        ctx = sample_context(rng, force_eps0=True)
         tag = f"d={ctx.d} kappa={ctx.weights} k={ctx.k}"
         w = radical_vector(ctx)
         rep.check(all(not x for x in ctx.gram.apply(w)), "gram annihilates the radical", tag)
-        fixed = all(m.apply(w) == w for _, _, m in _all_generators(ctx))
+        fixed = all(m.apply(w) == w for _, _, m in all_generators(ctx))
         rep.check(fixed, "all generators fix the radical vector", tag)
         rep.check(quotient_gram(ctx).rank() == ctx.n - 2, "quotient Gram has full rank", tag)
         rep.check(scalar_relation_holds(ctx), "last pair twist is scalar times prefix twist", tag)
@@ -223,7 +222,7 @@ def suite_lantern(seed: int, size: int = 1) -> SuiteReport:
     attempts = 0
     while done < 20 * size and attempts < 4000:
         attempts += 1
-        ctx = _sample_context(rng)
+        ctx = sample_context(rng)
         r = rng.randint(3, ctx.n)
         if ctx.prefix_sums[r - 2] % ctx.d == 0 or ctx.prefix_sums[r] % ctx.d == 0:
             continue
@@ -264,10 +263,9 @@ def suite_galois(seed: int, size: int = 1) -> SuiteReport:
     rep = SuiteReport("galois")
     rng = random.Random(seed)
     for _ in range(8 * size):
-        ctx = _sample_context(rng)
-        units = [t for t in range(1, ctx.d) if math.gcd(t, ctx.d) == 1]
+        ctx = sample_context(rng)
         tag = f"d={ctx.d} kappa={ctx.weights} k={ctx.k}"
-        for t in units:
+        for t in units(ctx.d):
             sibling = transported_context(ctx, t)
             rep.check(ctx.gram.galois(t) == sibling.gram, "gram transports entrywise", f"{tag} t={t}")
             for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
@@ -300,42 +298,32 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     """
     ctx = fc.ctx
     d, n, m = ctx.d, ctx.n, fc.m
-    if m < 3 and n - m < 3:
+    parts = horo.witness_parts(fc)
+    if not parts:
         raise BadM(f"no witness: need m >= 3 or n - m >= 3, got m = {m}, n = {n}")
-    if not 0 <= maxlen <= horo.MAX_ORBIT_LEN:
-        raise InvalidParameter(f"maxlen must lie in 0..{horo.MAX_ORBIT_LEN}, got {maxlen}")
+    horo.check_maxlen(maxlen)
     rep = SuiteReport("horo")
     rng = random.Random(seed)
     tag = f"d={d} kappa={ctx.weights} k={ctx.k} m={m}"
     phi = euler_phi(d)
-    from .cyclo import to_strings
 
     report: dict = {"d": d, "kappa": list(ctx.weights), "k": ctx.k, "m": m}
 
-    lower_word = horo.witness_lower(fc) if m >= 3 else None
-    upper_word = horo.witness_upper(fc) if n - m >= 3 else None
+    words = {part: horo.witness(fc, part) for part in parts}
     report["witnesses"] = {
-        "lower": str(lower_word) if lower_word else None,
-        "upper": str(upper_word) if upper_word else None,
+        part: str(words[part]) if part in words else None for part in (horo.LOWER, horo.UPPER)
     }
 
     # parabolic membership of both puncture groups
-    lower_gens = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    upper_gens = [(i, j) for i in range(m + 1, n + 1) for j in range(i + 1, n + 1)]
-    for i, j in lower_gens + upper_gens:
+    all_gens = horo.part_pairs(fc, horo.LOWER) + horo.part_pairs(fc, horo.UPPER)
+    for i, j in all_gens:
         mat = quotient_matrix(ctx, pair_twist(ctx, i, j))
         rep.check(horo.in_parabolic(fc, mat), "puncture-group generators preserve the flag", f"{tag} A({i},{j})")
 
-    parts = []
-    if lower_word:
-        parts.append((horo.LOWER, lower_word, fc.lower_slice))
-    if upper_word:
-        parts.append((horo.UPPER, upper_word, fc.upper_slice))
-
-    chis = {}
-    mats = {}
-    for part, word, sl in parts:
-        mat = horo.evaluate_on_quotient(fc, word)
+    chis, mats = {}, {}
+    for part in parts:
+        sl = horo.part_slice(fc, part)
+        mat = horo.evaluate_on_quotient(fc, words[part])
         mats[part] = mat
         rep.check(horo.in_unipotent(fc, mat), "witness is unipotent with forced constraints", f"{tag} {part}")
         nu = horo.translation_part(fc, mat)
@@ -343,12 +331,10 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
         rep.check(any(nu[sl]), "witness translation part is non-zero on its block", f"{tag} {part}")
         other = slice(sl.stop, None) if sl.start == 0 else slice(0, sl.start)
         rep.check(not any(nu[other]), "witness translation part vanishes off its block", f"{tag} {part}")
-    report["translation_parts"] = {
-        part: [to_strings(x) for x in nu] for part, nu in chis.items()
-    }
+    report["translation_parts"] = {part: [to_strings(x) for x in nu] for part, nu in chis.items()}
 
     # itemized images of the lower witness
-    if lower_word:
+    if horo.LOWER in parts:
         one = CycloNum.one(d)
         zero = CycloNum.zero(d)
 
@@ -373,9 +359,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
             "translation part is additive on products",
             tag,
         )
-    all_gens = lower_gens + upper_gens
-    base_mat = mats[horo.LOWER] if horo.LOWER in mats else mats[horo.UPPER]
-    base_nu = horo.translation_part(fc, base_mat)
+    base_mat, base_nu = mats[parts[0]], chis[parts[0]]
     for trial in range(trials):
         word = BraidWord()
         for _ in range(rng.randint(1, 3)):
@@ -415,14 +399,14 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
             for _ in range(fc.middle_size)
         )
 
-    units = [t for t in range(1, d) if math.gcd(t, d) == 1]
+    exponents = tuple(units(d))
     for _ in range(5):
         x, y = rand_vec(), rand_vec()
         val = horo.commutator_pairing(fc, x, y)
         omega_samples.append(val)
         rep.check(val.is_real(), "pairing takes values in the real subfield", tag)
         rep.check(horo.commutator_pairing(fc, y, x) == -val, "pairing is antisymmetric", tag)
-        t = rng.choice(units)
+        t = rng.choice(exponents)
         sibling = horo.make_flag(transported_context(ctx, t), m)
         xs = tuple(e.galois(t) for e in x)
         ys = tuple(e.galois(t) for e in y)
@@ -435,15 +419,12 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
 
     # orbit ranks and the lattice vectors in the center
     ranks = {}
-    if lower_word:
-        ranks["lower"] = horo.orbit_rank(fc, horo.LOWER, maxlen)
-        rep.check(ranks["lower"] == phi * (m - 2), "lower orbit reaches full rational rank", tag)
-    if upper_word:
-        ranks["upper"] = horo.orbit_rank(fc, horo.UPPER, maxlen)
-        rep.check(ranks["upper"] == phi * (n - m - 2), "upper orbit reaches full rational rank", tag)
-    if lower_word and upper_word:
+    for part in parts:
+        ranks[part] = horo.orbit_rank(fc, part, maxlen)
+        rep.check(ranks[part] == horo.full_rank(fc, part), f"{part} orbit reaches full rational rank", tag)
+    if len(parts) == 2:
         rep.check(
-            ranks["lower"] + ranks["upper"] == phi * (n - 4),
+            sum(ranks.values()) == sum(horo.full_rank(fc, part) for part in parts),
             "orbit ranks sum to the middle dimension over Q",
             tag,
         )
@@ -457,13 +438,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
         )
         report["center_vectors"] = [[to_strings(e) for e in v] for v in vectors]
     report["ranks"] = ranks
-    report["passed"] = rep.passed
-    report["failed"] = rep.failed
-    report["failures"] = rep.failures
-    report["invariants"] = {
-        name: {"passed": p, "failed": f}
-        for name, (p, f) in sorted(rep.by_identity.items())
-    }
+    report.update((key, value) for key, value in rep.to_json().items() if key != "suite")
     return report, rep
 
 
@@ -497,7 +472,7 @@ def suite_criteria(seed: int, size: int = 1) -> SuiteReport:
 
     # signature formula vs numeric inertia of the acting space Gram
     for _ in range(10 * size):
-        ctx = _sample_context(rng, d_range=(3, 10), n_range=(3, 6))
+        ctx = sample_context(rng, d_range=(3, 10), n_range=(3, 6))
         gram = quotient_gram(ctx) if ctx.eps0 == 1 else ctx.gram
         try:
             numeric = inertia(gram, 1e-7)

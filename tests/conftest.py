@@ -3,29 +3,8 @@ import random
 
 import pytest
 
+from braidrep.cyclo import units
 from braidrep.rep import RepContext, make_context
-
-
-def sample_context(
-    rng: random.Random,
-    d_range=(3, 10),
-    n_range=(3, 6),
-    force_eps0: bool = False,
-) -> RepContext:
-    """One valid seeded context: reduced weights, connected cover, unit k."""
-    while True:
-        d = rng.randint(*d_range)
-        n = rng.randint(*n_range)
-        kappa = [rng.randint(1, d - 1) for _ in range(n)]
-        if force_eps0:
-            last = (-sum(kappa[:-1])) % d
-            if last == 0:
-                continue
-            kappa[-1] = last
-        if math.gcd(d, *kappa) != 1:
-            continue
-        units = [k for k in range(1, d) if math.gcd(k, d) == 1]
-        return make_context(d, tuple(kappa), rng.choice(units))
 
 
 @pytest.fixture(scope="session")
@@ -35,14 +14,14 @@ def grid_contexts() -> list[RepContext]:
     rng = random.Random(20240)
     contexts: list[RepContext] = []
     for d in range(3, 11):
-        units = [k for k in range(1, d) if math.gcd(k, d) == 1]
+        exponents = tuple(units(d))
         for n in range(3, 7):
             cell = 0
             while cell < 7:
                 kappa = tuple(rng.randint(1, d - 1) for _ in range(n))
                 if math.gcd(d, *kappa) != 1:
                     continue
-                contexts.append(make_context(d, kappa, rng.choice(units)))
+                contexts.append(make_context(d, kappa, rng.choice(exponents)))
                 cell += 1
     assert len(contexts) >= 200
     return contexts

@@ -15,7 +15,7 @@ from braidrep.criteria import (
     find_signature_window,
     signature,
 )
-from braidrep.cyclo import CycloNum, euler_phi, order_of_power
+from braidrep.cyclo import CycloNum, euler_phi, order_of_power, units
 from braidrep.horo import make_flag
 from braidrep.linalg import CycloMatrix, inertia
 from braidrep.rep import (
@@ -30,9 +30,7 @@ from braidrep.rep import (
     radical_vector,
     transported_context,
 )
-from braidrep.suites import horo_report
-
-from conftest import sample_context
+from braidrep.suites import all_generators, horo_report, sample_context
 
 
 class Budget:
@@ -53,18 +51,11 @@ class Budget:
         return False
 
 
-def _generators(ctx):
-    for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        yield ("A", (i, j), pair_twist(ctx, i, j))
-    for r in range(2, ctx.n):
-        yield ("T", (r,), prefix_twist(ctx, r))
-
-
 def test_criterion_01_form_preservation(grid_contexts):
     with Budget("01 form preservation", 60.0):
         for ctx in grid_contexts:
             g = ctx.gram
-            for kind, idx, m in _generators(ctx):
+            for kind, idx, m in all_generators(ctx):
                 assert m.conj_transpose() @ g @ m == g, (ctx.d, ctx.weights, ctx.k, kind, idx)
 
 
@@ -85,9 +76,8 @@ def test_criterion_02_det_order_unipotency(grid_contexts):
 def test_criterion_03_uniform_weight_specialization():
     with Budget("03 uniform-weight specialization", 60.0):
         for d in range(3, 11):
-            units = [k for k in range(1, d) if math.gcd(k, d) == 1]
             for n in range(3, 7):
-                for k in units:
+                for k in units(d):
                     ctx = make_context(d, (1,) * n, k)
                     q = ctx.q
                     one = CycloNum.one(d)
@@ -124,7 +114,7 @@ def test_criterion_05_radical_behavior(grid_contexts):
             assert all(not x for x in ctx.gram.apply(w))
             for i in range(1, ctx.n):
                 assert not ctx.jform(ctx.basis_vector(i), w)
-            for _, _, m in _generators(ctx):
+            for _, _, m in all_generators(ctx):
                 assert m.apply(w) == w
             assert quotient_gram(ctx).rank() == ctx.n - 2
         # the seeded grid must actually exercise the degenerate stratum
@@ -167,10 +157,9 @@ def test_criterion_06_lantern_block():
 def test_criterion_07_galois_equivariance(grid_contexts):
     with Budget("07 Galois equivariance", 120.0):
         for ctx in grid_contexts:
-            units = [t for t in range(1, ctx.d) if math.gcd(t, ctx.d) == 1]
-            for t in units:
+            for t in units(ctx.d):
                 sibling = transported_context(ctx, t)
-                for kind, idx, m in _generators(ctx):
+                for kind, idx, m in all_generators(ctx):
                     direct = (
                         pair_twist(sibling, *idx) if kind == "A" else prefix_twist(sibling, *idx)
                     )

@@ -171,14 +171,21 @@ def test_horo_maxlen_above_limit(capsys):
 
 
 def test_horo_json_is_pinned(capsys):
-    # SHA-256 of the document the exact Fraction-based Q-side linear algebra printed
-    code, out, _ = run_cli(
-        capsys, "horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,6", "--m", "3", "--json"
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "524ff0d58dae8e35c41f6102f0c303a2615feddfe201230c233b7348a4752ceb"
-    )
+    # SHA-256 of documents recorded from earlier code: both witnesses (the exact
+    # Fraction-based Q side), then the lower witness only and the upper witness
+    # only (the per-witness branches of horo_report)
+    cases = [
+        ("11", "1,1,9,1,1,1,1,1,6", "3",
+         "524ff0d58dae8e35c41f6102f0c303a2615feddfe201230c233b7348a4752ceb"),
+        ("5", "1,1,3,2,3", "3",
+         "af81137e0f4d15829986f23ca06664486c13e444a109fe5a4ee7044b37563cd0"),
+        ("5", "2,3,1,1,1,2", "2",
+         "d14eba36110923758a4b268bfe154df5ec3e48be72995dc65d2e1cfb19f81a56"),
+    ]
+    for d, kappa, m, digest in cases:
+        code, out, _ = run_cli(capsys, "horo", "--d", d, "--kappa", kappa, "--m", m, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, kappa, m)
 
 
 def test_verify_deterministic(capsys):

@@ -16,11 +16,11 @@ from braidrep.criteria import (
     is_good,
     signature,
 )
+from braidrep.cyclo import units
 from braidrep.errors import OutOfRange, PreconditionFailed
 from braidrep.linalg import inertia
 from braidrep.rep import make_context, normalize_weights, quotient_gram
-
-from conftest import sample_context
+from braidrep.suites import sample_context
 
 F = Fraction
 
@@ -35,9 +35,7 @@ def test_signature_closed_form_uniform_weights():
     # kappa = (1,...,1): (ceil(n k / d - 1), ceil(n (1 - k/d) - 1))
     for d in range(3, 11):
         for n in range(3, 7):
-            for k in range(1, d):
-                if math.gcd(k, d) != 1:
-                    continue
+            for k in units(d):
                 ctx = make_context(d, (1,) * n, k)
                 r_q, s_q = signature(ctx)
                 assert r_q == math.ceil(F(n * k, d) - 1)
@@ -54,9 +52,7 @@ def test_signature_matches_inertia():
     rng = random.Random(55)
     for _ in range(20):
         base = sample_context(rng)
-        for k in range(1, base.d):
-            if math.gcd(k, base.d) != 1:
-                continue
+        for k in units(base.d):
             ctx = make_context(base.d, base.weights, k)
             gram = quotient_gram(ctx) if ctx.eps0 == 1 else ctx.gram
             r_q, s_q = signature(ctx)

@@ -14,6 +14,7 @@ from braidrep.cyclo import (
     from_strings,
     order_of_power,
     to_strings,
+    units,
     zeta,
 )
 from braidrep import cyclo
@@ -158,6 +159,16 @@ def test_unit_chain_covers_the_unit_group():
         assert math.prod(m for _, m in cyclo._unit_chain(d)) == euler_phi(d)
 
 
+def test_units_against_totient():
+    for d in range(2, 61):
+        members = list(units(d))
+        assert members == sorted(set(members))
+        assert all(0 < t < d and math.gcd(t, d) == 1 for t in members)
+        assert len(members) == sympy.totient(d)
+    # lazy: the first unit of a huge modulus comes without a scan
+    assert next(units(10**18)) == 1
+
+
 def test_hash_agrees_with_eq():
     assert CycloNum.one(5) in {1}
     assert len({CycloNum.one(5), 1, Fraction(1)}) == 1
@@ -192,15 +203,15 @@ def test_galois():
     rng = random.Random(17)
     for d in (5, 7, 12):
         phi = euler_phi(d)
-        units = [t for t in range(1, d) if math.gcd(t, d) == 1]
+        exponents = tuple(units(d))
         for _ in range(15):
             z = from_coeffs(d, [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(phi)])
             w = from_coeffs(d, [Fraction(rng.randint(-6, 6)) for _ in range(phi)])
-            for t in units:
+            for t in exponents:
                 assert z.galois(t).conj() == z.conj().galois(t)
                 assert (z * w).galois(t) == z.galois(t) * w.galois(t)
                 assert (z + w).galois(t) == z.galois(t) + w.galois(t)
-            s, t = rng.choice(units), rng.choice(units)
+            s, t = rng.choice(exponents), rng.choice(exponents)
             assert z.galois(s).galois(t) == z.galois((s * t) % d)
 
 

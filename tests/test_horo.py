@@ -1,10 +1,9 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidrep.cyclo import CycloNum, euler_phi, from_coeffs
+from braidrep.cyclo import CycloNum, euler_phi, from_coeffs, units
 from braidrep import horo
 from braidrep.errors import (
     BadM,
@@ -102,6 +101,7 @@ def test_puncture_groups_are_parabolic(flag):
     ctx, m, n = fc.ctx, fc.m, fc.ctx.n
     lower = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     upper = [(i, j) for i in range(m + 1, n + 1) for j in range(i + 1, n + 1)]
+    assert horo.part_pairs(fc, LOWER) == lower and horo.part_pairs(fc, UPPER) == upper
     for i, j in lower + upper:
         mat = quotient_matrix(ctx, pair_twist(ctx, i, j))
         assert in_parabolic(fc, mat), (i, j)
@@ -113,10 +113,12 @@ def test_puncture_groups_are_parabolic(flag):
 def test_witness_preconditions():
     ctx = make_context(4, (1, 1, 1, 1, 3, 1), 1)   # prefix sums 1,2,3,4,...
     fc = make_flag(ctx, 4)
+    assert horo.witness_parts(fc) == (LOWER,)
     with pytest.raises(BadM):
         witness_upper(fc)                          # n - m = 2
     ctx2 = make_context(4, (1, 3, 1, 1, 1, 1), 1)
     fc2 = make_flag(ctx2, 2)
+    assert horo.witness_parts(fc2) == (UPPER,)
     with pytest.raises(BadM):
         witness_lower(fc2)                         # m = 2
 
@@ -235,7 +237,7 @@ def test_pairing_properties(flag):
             for _ in range(fc.middle_size)
         )
 
-    units = [t for t in range(1, d) if math.gcd(t, d) == 1]
+    exponents = tuple(units(d))
     for _ in range(8):
         x, y, z = rvec(), rvec(), rvec()
         val = commutator_pairing(fc, x, y)
@@ -243,7 +245,7 @@ def test_pairing_properties(flag):
         assert commutator_pairing(fc, x, x).is_zero()
         assert commutator_pairing(fc, y, x) == -val
         assert commutator_pairing(fc, tuple(a + b for a, b in zip(x, z)), y) == val + commutator_pairing(fc, z, y)
-        t = rng.choice(units)
+        t = rng.choice(exponents)
         sibling = make_flag(transported_context(fc.ctx, t), fc.m)
         assert commutator_pairing(
             sibling,
@@ -259,8 +261,8 @@ def test_orbit_rank(flag):
     assert orbit_rank(fc, LOWER, 0) == 1
     lo = orbit_rank(fc, LOWER, 6)
     hi = orbit_rank(fc, UPPER, 6)
-    assert lo == phi * (m - 2)
-    assert hi == phi * (n - m - 2)
+    assert lo == phi * (m - 2) == horo.full_rank(fc, LOWER)
+    assert hi == phi * (n - m - 2) == horo.full_rank(fc, UPPER)
     assert lo + hi == phi * (n - 4)
     # monotone in maxlen
     assert orbit_rank(fc, LOWER, 2) <= lo

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from braidrep.cyclo import CycloNum, order_of_power, zeta
+from braidrep.cyclo import CycloNum, order_of_power, units, zeta
 from braidrep.errors import (
     DegenerateBlock,
     DisconnectedCover,
@@ -40,8 +40,7 @@ from braidrep.rep import (
     transported_context,
     word_det,
 )
-
-from conftest import sample_context
+from braidrep.suites import sample_context
 
 
 # -- context construction ------------------------------------------------------
@@ -237,8 +236,7 @@ def contexts(draw, d_range=(3, 30), n_range=(3, 9)):
         kappa[-1] = (-sum(kappa[:-1])) % d or 1
     if math.gcd(d, *kappa) != 1:
         kappa[0] = 1
-    units = [k for k in range(1, d) if math.gcd(k, d) == 1]
-    return make_context(d, tuple(kappa), draw(st.sampled_from(units)))
+    return make_context(d, tuple(kappa), draw(st.sampled_from(tuple(units(d)))))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
