@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .cyclo import units
 from .errors import OutOfRange, PreconditionFailed
-from .rep import RepContext, normalize_weights
+from .rep import RepContext, eps0_of, normalize_weights
 
 
 def eigenspace_dimension(ctx: RepContext) -> int:
@@ -87,7 +87,7 @@ def density_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     """
     kappa = normalize_weights(d, tuple(kappa_raw))
     n = len(kappa)
-    eps0 = 1 if sum(kappa) % d == 0 else 0
+    eps0 = eps0_of(d, kappa)
     dim = n - 1 - eps0
 
     per_k: dict[str, dict] = {}
@@ -190,7 +190,7 @@ def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     """
     kappa = normalize_weights(d, tuple(kappa_raw))
     n = len(kappa)
-    eps0 = 1 if sum(kappa) % d == 0 else 0
+    eps0 = eps0_of(d, kappa)
     total = Fraction(sum(kappa), d)
 
     size_ok = n + 1 - eps0 >= 5

@@ -214,12 +214,8 @@ def _unipotent(fc: FlagContext, f: CycloMatrix) -> bool:
 
 def _pairing_scalar(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
     """x^T . G_W^{-1} . conj(y) as a field element."""
-    gy = fc.G_W_inv.apply(tuple(e.conj() for e in y))
-    acc = CycloNum.zero(fc.ctx.d)
-    for a, b in zip(x, gy):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    y_bar = CycloMatrix(fc.ctx.d, len(y), 1, tuple(e.conj() for e in y))
+    return (CycloMatrix(fc.ctx.d, 1, len(x), tuple(x)) @ fc.G_W_inv @ y_bar).entries[0]
 
 
 def translation_part(fc: FlagContext, m_quot: CycloMatrix) -> Vector:
@@ -227,14 +223,12 @@ def translation_part(fc: FlagContext, m_quot: CycloMatrix) -> Vector:
     f = flag_matrix(fc, m_quot)
     if not _unipotent(fc, f):
         raise NotUnipotentElement("operator is not in the unipotent group")
-    s = fc.middle_size
-    return tuple(f.entry(0, t) for t in range(1, s + 1))
+    return _blocks(fc, f)[2]
 
 
 def corner_entry(fc: FlagContext, m_quot: CycloMatrix) -> CycloNum:
     """Top-right corner of the flag form; real for elements of the center."""
-    f = flag_matrix(fc, m_quot)
-    return f.entry(0, fc.middle_size + 1)
+    return _blocks(fc, flag_matrix(fc, m_quot))[4]
 
 
 def conjugation_action(fc: FlagContext, a_quot: CycloMatrix, x: Vector) -> Vector:
@@ -250,15 +244,7 @@ def _row_action(fc: FlagContext, lam: CycloNum, c_inv: CycloMatrix, x: Vector) -
     s = fc.middle_size
     if len(x) != s:
         raise ShapeMismatch(f"translation part must have length {s}")
-    zero = CycloNum.zero(fc.ctx.d)
-    out = []
-    for col in range(s):
-        acc = zero
-        for row in range(s):
-            if x[row] and c_inv.entry(row, col):
-                acc = acc + x[row] * c_inv.entry(row, col)
-        out.append(lam * acc)
-    return tuple(out)
+    return (CycloMatrix(fc.ctx.d, 1, s, tuple(x)) @ c_inv).scale(lam).entries
 
 
 def commutator_pairing(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
@@ -369,7 +355,12 @@ class _Orbit:
 
     After ``l`` levels, ``ends[l]`` vectors have been reached by words of
     length at most l in the part generators and their inverses, and
-    ``ranks[l]`` is their Q-rank.
+    ``ranks[l]`` is their Q-rank; ``basis[:ranks[l]]`` are the ones among
+    them that enlarged the Q-span, in orbit order.  Each vector is checked
+    to vanish off the part's block, so these are also the ranks restricted
+    to the block: a part generator moves vectors only along w and its own
+    block (G is tridiagonal, and the radical relation puts g_{m+1} in the
+    span of w and the upper block), so x -> lambda x C^-1 keeps the support.
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
@@ -381,13 +372,21 @@ class _Orbit:
             lam, _, _, _, _, middle = _blocks(fc, f)
             self.actions.append((lam, middle.inverse()))
             self.actions.append((lam.inv(), middle))
-        self.vectors = [start]
-        self.seen = {start}
-        self.frontier = [start]
+        self.block = part_slice(fc, part)
+        self.vectors, self.basis, self.seen = [], [], set()
         self.span = RationalSpan()
-        self.span.add(start)
+        self._add(start)
+        self.frontier = [start]
         self.ends = [1]
-        self.ranks = [self.span.rank]
+        self.ranks = [len(self.basis)]
+
+    def _add(self, v: Vector) -> None:
+        if any(v[: self.block.start]) or any(v[self.block.stop :]):
+            raise ConstraintViolation("orbit vector is non-zero off its part's block")
+        self.seen.add(v)
+        self.vectors.append(v)
+        if self.span.add(v):
+            self.basis.append(v)
 
     def _grow(self) -> None:
         new_frontier = []
@@ -395,13 +394,11 @@ class _Orbit:
             for lam, c_inv in self.actions:
                 image = _row_action(self.fc, lam, c_inv, v)
                 if image not in self.seen:
-                    self.seen.add(image)
+                    self._add(image)
                     new_frontier.append(image)
-                    self.vectors.append(image)
-                    self.span.add(image)
         self.frontier = new_frontier
         self.ends.append(len(self.vectors))
-        self.ranks.append(self.span.rank)
+        self.ranks.append(len(self.basis))
 
     def prefix(self, maxlen: int, rank_bound: int | None) -> list[Vector]:
         """The vectors of the first maxlen levels, stopping after the first
@@ -414,6 +411,10 @@ class _Orbit:
                 self._grow()
             level += 1
         return self.vectors[: self.ends[level]]
+
+    def rank_of(self, prefix: list[Vector]) -> int:
+        """The Q-rank of a list returned by :meth:`prefix`."""
+        return self.ranks[self.ends.index(len(prefix))]
 
 
 def _orbit(fc: FlagContext, part: str) -> _Orbit:
@@ -438,14 +439,10 @@ def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6, *, rank_bound: in
 
 
 def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
-    """Q-rank of the orbit restricted to its own coordinate block."""
-    sl = part_slice(fc, part)
-    bound = full_rank(fc, part)
-    vectors = orbit_vectors(fc, part, maxlen, rank_bound=bound)
-    restricted = [v[sl] for v in vectors]
-    if not restricted or bound == 0:
-        return 0
-    return rank_over_rationals(restricted)
+    """Q-rank of the orbit restricted to its own coordinate block: the rank
+    its span recorded, since every orbit vector vanishes off the block."""
+    vectors = orbit_vectors(fc, part, maxlen, rank_bound=full_rank(fc, part))
+    return _orbit(fc, part).rank_of(vectors)
 
 
 # -- lattice vectors in the center ------------------------------------------------
@@ -459,7 +456,8 @@ def upper_half_exponents(d: int, k: int) -> tuple[int, ...]:
 def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     """Galois-spread commutator values generating a rank phi(d)/2 group.
 
-    Collects a Q-basis of the middle space from the two witness orbits,
+    Collects a Q-basis of the middle space from the two witness orbits
+    (the vectors each orbit's span accepted; their supports are disjoint),
     locates a pair with non-vanishing commutator pairing a_q, scales the
     real-subfield basis elements zeta^s + zeta^{-s} by integers so each
     multiple of the chosen orbit vector stays in the generated lattice, and
@@ -473,16 +471,12 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     target = phi * fc.middle_size
 
     basis: list[Vector] = []
-    span = RationalSpan()
     for part in (LOWER, UPPER):
-        for v in _orbit(fc, part).prefix(MAX_ORBIT_LEN, full_rank(fc, part)):
-            if span.add(v):
-                basis.append(v)
-            if span.rank == target:
-                break
-    if span.rank < target:
+        orb = _orbit(fc, part)
+        basis += orb.basis[: orb.rank_of(orb.prefix(MAX_ORBIT_LEN, full_rank(fc, part)))]
+    if len(basis) < target:
         raise NoNonzeroPairing(
-            f"orbits span rank {span.rank} < {target}; enlarge the orbit sample"
+            f"orbits span rank {len(basis)} < {target}; enlarge the orbit sample"
         )
 
     pivot = None

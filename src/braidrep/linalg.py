@@ -168,10 +168,7 @@ class CycloMatrix:
         """Matrix times column coordinate vector."""
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(
-            sum((self.entry(i, j) * v[j] for j in range(self.cols) if v[j]), CycloNum.zero(self.d))
-            for i in range(self.rows)
-        )
+        return (self @ CycloMatrix(self.d, self.cols, 1, tuple(v))).entries
 
     def transpose(self) -> CycloMatrix:
         return CycloMatrix(self.d, self.cols, self.rows,
@@ -288,7 +285,8 @@ def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:
     """
     if len(x) != gram.cols or len(y) != gram.rows:
         raise ShapeMismatch("vector lengths do not match the Gram matrix")
-    return sum((yr.conj() * gx for yr, gx in zip(y, gram.apply(x))), CycloNum.zero(gram.d))
+    y_star = CycloMatrix(gram.d, 1, gram.rows, tuple(e.conj() for e in y))
+    return (y_star @ gram @ CycloMatrix(gram.d, gram.cols, 1, tuple(x))).entries[0]
 
 
 def _rref(rows: list[list], ncols: int) -> tuple[list[int], list, int]:

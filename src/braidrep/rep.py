@@ -169,6 +169,11 @@ class RepContext:
         return tuple(one if j == i - 1 else zero for j in range(self.n - 1))
 
 
+def eps0_of(d: int, kappa: tuple[int, ...]) -> int:
+    """eps0: 1 when d divides k_1 + ... + k_n (the form then has a radical), else 0."""
+    return 1 if sum(kappa) % d == 0 else 0
+
+
 def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> RepContext:
     """Validate parameters and build the Gram matrix on g_1, ..., g_{n-1}."""
     kappa = normalize_weights(d, kappa_raw)
@@ -179,7 +184,6 @@ def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> 
     prefix = [0]
     for ki in kappa:
         prefix.append(prefix[-1] + ki)
-    eps0 = 1 if prefix[n] % d == 0 else 0
 
     q = zeta(d, k)
     one = CycloNum.one(d)
@@ -199,7 +203,7 @@ def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> 
             rows[a][a + 1] = mu / (one - qp(-knext))
             rows[a + 1][a] = -(mu / (one - qp(knext)))
     gram = CycloMatrix.from_rows(d, rows)
-    return RepContext(d, n, kappa, k, eps0, tuple(prefix), q, mu, gram)
+    return RepContext(d, n, kappa, k, eps0_of(d, kappa), tuple(prefix), q, mu, gram)
 
 
 # -- operator construction -----------------------------------------------------

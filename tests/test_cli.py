@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from braidrep import suites
+from braidrep import horo, suites
 from braidrep.cli import build_parser, main
+from braidrep.cyclo import CycloNum
 from braidrep.linalg import matrix_from_json
 
 
@@ -186,6 +187,15 @@ def test_horo_json_is_pinned(capsys):
         code, out, _ = run_cli(capsys, "horo", "--d", d, "--kappa", kappa, "--m", m, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, kappa, m)
+
+
+def test_horo_orbit_off_its_block_exits_2(capsys, monkeypatch):
+    # an orbit action that leaves the part's block breaks a named invariant
+    monkeypatch.setattr(horo, "_row_action",
+                        lambda fc, lam, c_inv, x: (CycloNum.one(fc.ctx.d),) * len(x))
+    code, out, err = run_cli(capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3")
+    assert code == 2
+    assert err.startswith("error: ConstraintViolation: ") and "Traceback" not in err
 
 
 def test_verify_deterministic(capsys):

@@ -34,7 +34,7 @@ from braidrep.horo import (
     witness_lower,
     witness_upper,
 )
-from braidrep.linalg import CycloMatrix, rank_over_rationals
+from braidrep.linalg import CycloMatrix, RationalSpan, rank_over_rationals
 from braidrep.rep import (
     BraidWord,
     make_context,
@@ -43,6 +43,7 @@ from braidrep.rep import (
     quotient_matrix,
     transported_context,
 )
+from braidrep.suites import horo_report
 
 CASES = [
     (5, (1, 1, 3, 2, 2, 1), 3),
@@ -325,6 +326,37 @@ def test_orbit_computed_once_per_part(monkeypatch, d, kappa, m):
         assert orbit_rank(fc, part) == bounds[part]
     center_lattice_vectors(fc)
     assert witnessed == [LOWER, UPPER]
+
+
+def test_each_orbit_vector_is_reduced_once(monkeypatch):
+    # one full battery at n = 8: every orbit vector enters a RationalSpan once,
+    # and the one Q-rank elimination left is the center's
+    added, ranked = [], []
+    span_add, rank_q = RationalSpan.add, horo.rank_over_rationals
+    monkeypatch.setattr(RationalSpan, "add", lambda span, v: added.append(v) or span_add(span, v))
+    monkeypatch.setattr(horo, "rank_over_rationals", lambda vs: ranked.append(vs) or rank_q(vs))
+    fc = make_flag(make_context(11, (1, 1, 9, 1, 1, 1, 1, 7), 1), 3)
+    report, _ = horo_report(fc)
+    assert report["failed"] == 0
+    assert report["ranks"] == {LOWER: 10, UPPER: 30, "center": 5}
+    orbit = [v for part in (LOWER, UPPER) for v in fc.orbits[part].vectors]
+    assert len(added) == len(orbit) == len(set(added)) and set(added) == set(orbit)
+    assert len(ranked) == 1
+
+
+def test_orbit_vector_off_its_block_is_named(monkeypatch):
+    d, kappa, m = CASES[0]
+    one = CycloNum.one(d)
+    fc = make_flag(make_context(d, kappa, 1), m)
+    # the witness itself is checked ...
+    monkeypatch.setattr(horo, "part_witness", lambda fc, part: (one,) * fc.middle_size)
+    with pytest.raises(ConstraintViolation):
+        orbit_vectors(fc, LOWER, 0)
+    monkeypatch.undo()
+    # ... and so is every image of the action
+    monkeypatch.setattr(horo, "_row_action", lambda fc, lam, c_inv, x: (one,) * len(x))
+    with pytest.raises(ConstraintViolation):
+        orbit_rank(fc, UPPER, 1)
 
 
 def test_part_witness_supported(flag):

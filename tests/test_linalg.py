@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from braidrep import horo
 from braidrep.cyclo import CycloNum, _raw_add, _raw_mul, euler_phi, from_coeffs, from_rational, zeta
 from braidrep.errors import (
     AmbiguousSign,
@@ -349,6 +351,94 @@ def test_solve_rational_property(system):
     assert all(isinstance(x, Fraction) for x in sol)
     assert to_sympy([[x] for x in sol]) == expected
     assert bool(params) == (kind == "underdetermined")
+
+
+# -- products through the one matmul kernel ---------------------------------------
+# The loops that formed these products with CycloNum + and * before they were
+# written as matmuls, kept as references.
+
+def _reference_apply(m, v):
+    return tuple(
+        sum((m.entry(i, j) * v[j] for j in range(m.cols) if v[j]), CycloNum.zero(m.d))
+        for i in range(m.rows)
+    )
+
+
+def _reference_sesquilinear(gram, x, y):
+    return sum((yr.conj() * gx for yr, gx in zip(y, _reference_apply(gram, x))), CycloNum.zero(gram.d))
+
+
+def _reference_pairing_scalar(fc, x, y):
+    gy = _reference_apply(fc.G_W_inv, tuple(e.conj() for e in y))
+    acc = CycloNum.zero(fc.ctx.d)
+    for a, b in zip(x, gy):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def _reference_row_action(fc, lam, c_inv, x):
+    s = fc.middle_size
+    zero = CycloNum.zero(fc.ctx.d)
+    out = []
+    for col in range(s):
+        acc = zero
+        for row in range(s):
+            if x[row] and c_inv.entry(row, col):
+                acc = acc + x[row] * c_inv.entry(row, col)
+        out.append(lam * acc)
+    return tuple(out)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(m, x, y, lam): a rows x cols matrix, vectors of length cols and rows,
+    and a scalar, with entries mixing 0, 1, -1, zeta^e and dense elements
+    whose coefficients have denominators."""
+    d = draw(st.sampled_from((3, 5, 7, 12, 19)))
+    phi = euler_phi(d)
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+    def entry():
+        kind = draw(st.sampled_from("01-zd"))
+        if kind == "0":
+            return CycloNum.zero(d)
+        if kind == "1":
+            return CycloNum.one(d)
+        if kind == "-":
+            return -CycloNum.one(d)
+        if kind == "z":
+            return zeta(d, draw(st.integers(0, d - 1)))
+        return from_coeffs(d, [draw(coeff) for _ in range(phi)])
+
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    m = CycloMatrix.from_rows(d, [[entry() for _ in range(cols)] for _ in range(rows)])
+    return m, tuple(entry() for _ in range(cols)), tuple(entry() for _ in range(rows)), entry()
+
+
+@PROPERTY
+@given(kernel_operands())
+def test_vector_products_match_the_loops_they_replaced(operands):
+    m, x, y, lam = operands
+    assert m.apply(x) == _reference_apply(m, x) and isinstance(m.apply(x), tuple)
+    assert sesquilinear(m, x, y) == _reference_sesquilinear(m, x, y)
+    # the horo products read only these fields of a flag context
+    k = min(m.rows, m.cols)
+    square = m.submatrix(range(k), range(k))
+    fc = SimpleNamespace(ctx=SimpleNamespace(d=m.d), middle_size=k, G_W_inv=square)
+    xs, ys = x[:k], y[:k]
+    assert horo._pairing_scalar(fc, xs, ys) == _reference_pairing_scalar(fc, xs, ys)
+    action = horo._row_action(fc, lam, square, xs)
+    assert action == _reference_row_action(fc, lam, square, xs) and isinstance(action, tuple)
+    # a vector of the wrong length is still a named shape error
+    with pytest.raises(ShapeMismatch):
+        m.apply(x + (lam,))
+    with pytest.raises(ShapeMismatch):
+        sesquilinear(m, x, y + (lam,))
+    with pytest.raises(ShapeMismatch):
+        horo._pairing_scalar(fc, xs, ys + (lam,))
+    with pytest.raises(ShapeMismatch):
+        horo._row_action(fc, lam, square, xs + (lam,))
 
 
 def test_unipotency_and_order():

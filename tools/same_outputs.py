@@ -1,0 +1,79 @@
+"""Check that the working tree prints what a parent commit prints.
+
+    python3 tools/same_outputs.py --parent REF
+
+Both sides come from ``bench_pairs.checkout``: the parent from ``git archive
+REF``, the change from the working tree.  Each side runs the same commands
+through ``braidrep.cli.main`` in one fresh interpreter (``perfbench/worker.py``
+of that side), and the exit code, stdout and stderr of every command are
+compared.  The commands are ``verify --suite all --seed E``, human and
+``--json``, for E = 0..15; every command whose output
+``perfbench/references.json`` records; every workload's commands for passes
+0..15 of seed 0; and the horo documents pinned in ``tests/test_cli.py``.
+Prints a summary line and exits 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, checkout
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+SEEDS = range(16)
+PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
+
+
+def commands() -> list[list[str]]:
+    argvs = []
+    for seed in SEEDS:
+        verify = ["verify", "--suite", "all", "--seed", str(seed)]
+        argvs += [verify, verify + ["--json"]]
+    argvs += workloads.reference_argvs()
+    for w in workloads.WORKLOADS.values():
+        for p in SEEDS:
+            argvs += w.commands(0, p)
+    argvs += [["horo", "--d", d, "--kappa", k, "--m", m, "--json"] for d, k, m in PINNED_HORO]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
+
+
+def run_side(side: Path, argvs: list[list[str]]) -> list[dict]:
+    """(rc, out, err) of every command, from one worker process of the side."""
+    job = {"src": str(side / "src"), "degrees": [], "commands": argvs, "trace": False}
+    out = subprocess.run([sys.executable, "perfbench/worker.py"], cwd=side, input=json.dumps(job),
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])["commands"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git commit of the parent side")
+    args = parser.parse_args(argv)
+
+    workdir = Path(tempfile.mkdtemp(prefix="same_outputs_"))
+    try:
+        sides = checkout(args.parent, workdir)
+        argvs = commands()
+        results = {name: run_side(path, argvs) for name, path in sides.items()}
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    mismatches = 0
+    for argv, par, chg in zip(argvs, results["parent"], results["change"]):
+        diff = [key for key in ("rc", "out", "err") if par[key] != chg[key]]
+        if diff:
+            mismatches += 1
+            print(f"MISMATCH ({', '.join(diff)}): {' '.join(argv)}")
+    print(f"same_outputs: {len(argvs)} commands, {mismatches} mismatches (parent {args.parent})")
+    return int(mismatches > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
