@@ -34,40 +34,37 @@ def _parse_kappa(text: str) -> tuple[int, ...]:
         raise BraidRepError(f"cannot parse kappa {text!r}: {exc}") from exc
 
 
-def _emit(doc: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(human)
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, sort_keys=True))
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
     ctx = make_context(args.d, _parse_kappa(args.kappa), args.k)
     r_q, s_q = criteria.signature(ctx)
     dim = criteria.eigenspace_dimension(ctx)
-    doc = {
-        "d": ctx.d,
-        "n": ctx.n,
-        "kappa": list(ctx.weights),
-        "k": ctx.k,
-        "eps0": ctx.eps0,
-        "dimension": dim,
-        "signature": [r_q, s_q],
-        "mu": to_strings(ctx.mu),
-        "gram": matrix_to_json(ctx.gram),
-    }
-    if ctx.eps0 == 1:
-        doc["radical"] = [to_strings(x) for x in radical_vector(ctx)]
-        doc["quotient_gram"] = matrix_to_json(quotient_gram(ctx))
-    lines = [
-        f"d={ctx.d} n={ctx.n} kappa={','.join(map(str, ctx.weights))} k={ctx.k}",
-        f"eps0      = {ctx.eps0}",
-        f"dimension = {dim}",
-        f"signature = ({r_q}, {s_q})",
-        "gram:",
-        str(ctx.gram),
-    ]
-    _emit(doc, args.json, "\n".join(lines))
+    if args.json:
+        doc = {
+            "d": ctx.d,
+            "n": ctx.n,
+            "kappa": list(ctx.weights),
+            "k": ctx.k,
+            "eps0": ctx.eps0,
+            "dimension": dim,
+            "signature": [r_q, s_q],
+            "mu": to_strings(ctx.mu),
+            "gram": matrix_to_json(ctx.gram),
+        }
+        if ctx.eps0 == 1:
+            doc["radical"] = [to_strings(x) for x in radical_vector(ctx)]
+            doc["quotient_gram"] = matrix_to_json(quotient_gram(ctx))
+        _print_json(doc)
+        return 0
+    print(f"d={ctx.d} n={ctx.n} kappa={','.join(map(str, ctx.weights))} k={ctx.k}")
+    print(f"eps0      = {ctx.eps0}")
+    print(f"dimension = {dim}")
+    print(f"signature = ({r_q}, {s_q})")
+    print("gram:")
+    print(ctx.gram)
     return 0
 
 
@@ -80,38 +77,40 @@ def cmd_rep(args: argparse.Namespace) -> int:
     det = word_det(ctx, word)
     if args.quotient:
         matrix = quotient_matrix(ctx, matrix)
-    doc = {
-        "word": str(word),
-        "det": to_strings(det),
-        "quotient": bool(args.quotient),
-        "matrix": matrix_to_json(matrix),
-    }
-    human = f"word: {word if word.letters else '(empty)'}\ndet = {det}\n{matrix}"
-    _emit(doc, args.json, human)
+    if args.json:
+        _print_json({
+            "word": str(word),
+            "det": to_strings(det),
+            "quotient": bool(args.quotient),
+            "matrix": matrix_to_json(matrix),
+        })
+    else:
+        print(f"word: {word if word.letters else '(empty)'}\ndet = {det}\n{matrix}")
     return 0
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     verdict = criteria.density_verdict(args.d, _parse_kappa(args.kappa))
-    doc = verdict.to_json()
-    human = f"verdict: {verdict.verdict}"
-    if not args.json:
-        bad = [k for k, rec in verdict.diagnostics["per_k"].items() if not rec["good"]]
-        if bad:
-            human += f"\nnon-good exponents k: {', '.join(bad)}"
-        human += f"\ndimension {verdict.diagnostics['dimension']}" \
-                 f" (condition {'met' if verdict.diagnostics['dimension_condition'] else 'not met'})"
-    _emit(doc, args.json, human)
+    if args.json:
+        _print_json(verdict.to_json())
+        return 0
+    print(f"verdict: {verdict.verdict}")
+    bad = [k for k, rec in verdict.diagnostics["per_k"].items() if not rec["good"]]
+    if bad:
+        print(f"non-good exponents k: {', '.join(bad)}")
+    print(f"dimension {verdict.diagnostics['dimension']}"
+          f" (condition {'met' if verdict.diagnostics['dimension_condition'] else 'not met'})")
     return 0
 
 
 def cmd_arithmeticity(args: argparse.Namespace) -> int:
     verdict = criteria.arithmeticity_verdict(args.d, _parse_kappa(args.kappa))
-    doc = verdict.to_json()
-    human = f"verdict: {verdict.verdict}"
+    if args.json:
+        _print_json(verdict.to_json())
+        return 0
+    print(f"verdict: {verdict.verdict}")
     if verdict.witness:
-        human += f"\nwitness subset I = {verdict.witness}"
-    _emit(doc, args.json, human)
+        print(f"witness subset I = {verdict.witness}")
     return 0
 
 
@@ -120,7 +119,7 @@ def cmd_horo(args: argparse.Namespace) -> int:
     fc = horo.make_flag(ctx, args.m)
     report, rep = suites.horo_report(fc, maxlen=args.maxlen, seed=args.seed)
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        _print_json(report)
     else:
         print(f"d={ctx.d} kappa={','.join(map(str, ctx.weights))} k={ctx.k} m={fc.m}")
         print(f"witnesses: lower={report['witnesses']['lower']}  upper={report['witnesses']['upper']}")
@@ -137,13 +136,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total_pass = sum(r.passed for r in reports)
     total_fail = sum(r.failed for r in reports)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "suites": [r.to_json() for r in reports],
             "passed": total_pass,
             "failed": total_fail,
             "seed": args.seed,
             "size": args.size,
-        }, sort_keys=True))
+        })
         return 0 if total_fail == 0 else 1
     for r in reports:
         status = "PASS" if r.ok else "FAIL"

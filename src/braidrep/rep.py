@@ -32,7 +32,7 @@ from .errors import (
     RadicalNotFixed,
     Singular,
 )
-from .linalg import CycloMatrix, Vector, sesquilinear
+from .linalg import CycloMatrix, Vector, product, sesquilinear
 
 # -- braid words -------------------------------------------------------------
 
@@ -324,9 +324,11 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
 
     Every letter, inverse letters included, is a closed form: pair_twist,
     prefix_twist or block_twist, so nothing is eliminated and a letter costs
-    no matrix product of its own.
+    no matrix product of its own.  Letters are cached per context, and
+    linalg.product multiplies them, as int64 arrays while they stay integral
+    and small enough.
     """
-    result = None
+    mats = []
     cache: dict[Letter, CycloMatrix] = ctx._letter_cache  # type: ignore[attr-defined]
     for letter in word.letters:
         mat = cache.get(letter)
@@ -339,8 +341,8 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
             else:
                 mat = block_twist(ctx, gen[1], gen[2], exp)
             cache[letter] = mat
-        result = mat if result is None else result @ mat
-    return CycloMatrix.identity(ctx.d, ctx.n - 1) if result is None else result
+        mats.append(mat)
+    return product(mats) if mats else CycloMatrix.identity(ctx.d, ctx.n - 1)
 
 
 def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:

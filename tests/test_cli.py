@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
 from braidrep import horo, suites
 from braidrep.cli import build_parser, main
-from braidrep.cyclo import CycloNum
+from braidrep.cyclo import CycloNum, units
 from braidrep.linalg import matrix_from_json
 
 
@@ -187,6 +189,84 @@ def test_horo_json_is_pinned(capsys):
         code, out, _ = run_cli(capsys, "horo", "--d", d, "--kappa", kappa, "--m", m, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, kappa, m)
+
+
+def _rep_argvs():
+    """12 seeded 16-letter words at d 19/23/25, n=7, every other one on an
+    eps0 = 1 context pushed to the quotient, then one 240-letter word at
+    d=25 whose running product outgrows the int64 bound of linalg.product."""
+    rng = random.Random(2026)
+    n, argvs = 7, []
+
+    def letter():
+        kind = rng.randrange(3)
+        if kind == 0:
+            i = rng.randint(1, n - 1)
+            text = f"A({i},{rng.randint(i + 1, n)})"
+        elif kind == 1:
+            text = f"T({rng.randint(2, n - 1)})"
+        else:
+            s = rng.randint(1, n - 1)
+            text = f"FT({s},{rng.randint(s + 1, n)})"
+        return text + "^-1" * rng.randrange(2)
+
+    for w in range(13):
+        d = 25 if w == 12 else (19, 23, 25)[w % 3]
+        quotient = w % 2 == 1
+        while True:
+            kappa = [rng.randint(1, d - 1) for _ in range(n)]
+            if quotient:
+                kappa[-1] = -sum(kappa[:-1]) % d
+            if kappa[-1] and math.gcd(d, *kappa) == 1 and (sum(kappa) % d == 0) == quotient:
+                break
+        k = rng.choice(tuple(units(d)))
+        word = " ".join(letter() for _ in range(16 if w < 12 else 240))
+        argv = ["rep", "--d", str(d), "--kappa", ",".join(map(str, kappa)), "--k", str(k),
+                "--word", word]
+        argvs.append(argv + ["--quotient"] if quotient else argv)
+    return argvs
+
+
+# SHA-256 of the JSON and of the human output of each _rep_argvs() command,
+# recorded from the schoolbook word product (no int64 kernel)
+REP_DIGESTS = [
+    ("40fe7c4c6954b54a17d85c574f92ee4b51f6cc62b1791027ab57865bbf5f33c3",
+     "2047585b5408c7bd840e51477a8ba4023bf9acfefc22fc763b0531f6f2ec456e"),
+    ("4315209e6a8726e0586df0887dfce751f91cca6142f5a77eea4f5f4463fd6bb8",
+     "2b997d561596b806b4312edeb96fac859873f1de26bd0a17a004fe1ee85da037"),
+    ("1d7233b7def3b05819781ff71940d3b87b8bd90813d9108685945b12c79d8eb9",
+     "727ce8159e7bba5f958cfa11d54109ce9d0c13ff992bd29ecb38d7249e55093b"),
+    ("fc09554a5df933eb462cff1d94ec68373a0296574107309b9e7ab710bd2723df",
+     "e05d4fe14fc01ad51ad5e879b83b44f08560159cacb4345bcf754ade4dccb116"),
+    ("71b4af5da1eba4032a0e6287ce55167d555744dc51d9bd88e2598b237d4647e3",
+     "337f4bb2c3cff7d4ec4b8bb9bda82ea89f8a2dae17df8ca8e3333ef437bd494d"),
+    ("869f8cb942f66a13d13ba1aae92d0cb1eb556bfda37bb1af2841d3ced74e7642",
+     "b2b40ebeea5b8db62232ebffb2d149e33c2d3b85c6e77c026c2033dbf13a5709"),
+    ("85de955dd04575734195e120ee783e2be999a702173ffaa73f733c81da056745",
+     "01c1af952a5d571ac0389a19eedb38bb964445920fe69c02c52f8b5688a3809f"),
+    ("e63e97665bbf997c28eb872b59ec1f817ebf90725dbdca0525b90c0f07134886",
+     "6c0d5b5bdb5e774dfcff6f4adbb04a63ac3a53f6dd196bd6b54d2032c4dc2853"),
+    ("f07ec118a017ec23462f9b7667abbb8a05dbe7389881f0e2d1b0155c14be3525",
+     "710a160b6547b033b689e7c1ba462ef11d277698fe6ba93233ff45f8b368e03b"),
+    ("8eaa4c959c0d04fdb0e4d94f4524e1626144d59985ccd7017621937246f70632",
+     "c9fd8b8f61b66f28a4c1b9663f7a19f1a6459e740a1cc0ae6d5c7e8745242b86"),
+    ("7df7a3a21951199c0340bccb001062ef1e9ce84470745b708f74be29eb1fe72f",
+     "34890feff094d1769902e361770fb72193833114dc8a2c393660ddc16d151476"),
+    ("67fc78ce486a7aeea07a58bc79176e8c3744b3928f6d24b01c3288a2804e2297",
+     "e81eff96465c151829cd7485310009a7e55894a4d750ca40b904e0691b7b8f9a"),
+    ("75826b6227ad49cec6c52a525fa42a35d27b2bf6b4480faf0aa5da537ebb325f",
+     "51499d08c5e2275aa28c776ef2dca37052c8da890b81e11c4a9905fb747457fb"),
+]
+
+
+def test_rep_json_is_pinned(capsys):
+    argvs = _rep_argvs()
+    assert len(argvs) == len(REP_DIGESTS)
+    for argv, (json_digest, human_digest) in zip(argvs, REP_DIGESTS):
+        for flags, digest in (["--json"], json_digest), ([], human_digest):
+            code, out, _ = run_cli(capsys, *argv, *flags)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv[:6] + flags
 
 
 def test_horo_orbit_off_its_block_exits_2(capsys, monkeypatch):

@@ -28,15 +28,19 @@ from braidrep.horo import (
     make_flag,
     orbit_rank,
     orbit_vectors,
+    part_pairs,
     part_witness,
     translation_part,
     upper_half_exponents,
+    witness,
     witness_lower,
+    witness_parts,
     witness_upper,
 )
 from braidrep.linalg import CycloMatrix, RationalSpan, rank_over_rationals
 from braidrep.rep import (
     BraidWord,
+    commutator,
     make_context,
     pair_twist,
     quotient_gram,
@@ -224,6 +228,22 @@ def test_commutator_lands_in_center(flag):
     val = commutator_pairing(fc, translation_part(fc, mt), translation_part(fc, mtp))
     assert corner_entry(fc, comm) == val
     assert val.is_real()
+    # the two witnesses braid disjoint punctures and pair to 0; a witness W
+    # and its conjugate a W a^-1 by a generator a of its own part do not
+    for part in witness_parts(fc):
+        w = witness(fc, part)
+        x = translation_part(fc, evaluate_on_quotient(fc, w))
+        pairings = []
+        for i, j in part_pairs(fc, part):
+            a = BraidWord.A(i, j)
+            conj = a * w * a.inverse()
+            comm = evaluate_on_quotient(fc, commutator(w, conj))
+            assert in_unipotent(fc, comm)
+            assert not any(translation_part(fc, comm))
+            y = translation_part(fc, evaluate_on_quotient(fc, conj))
+            pairings.append(commutator_pairing(fc, x, y))
+            assert corner_entry(fc, comm) == pairings[-1], (part, i, j)
+        assert any(pairings), part
 
 
 def test_pairing_properties(flag):

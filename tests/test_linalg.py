@@ -1,4 +1,7 @@
+import functools
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +10,7 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from braidrep import horo
+from braidrep import horo, linalg
 from braidrep.cyclo import CycloNum, _raw_add, _raw_mul, euler_phi, from_coeffs, from_rational, zeta
 from braidrep.errors import (
     AmbiguousSign,
@@ -27,6 +30,7 @@ from braidrep.linalg import (
     sesquilinear,
     solve_rational,
 )
+from braidrep.rep import BraidWord, evaluate_word, make_context
 
 D = 5
 PHI = 4
@@ -439,6 +443,153 @@ def test_vector_products_match_the_loops_they_replaced(operands):
         horo._pairing_scalar(fc, xs, ys + (lam,))
     with pytest.raises(ShapeMismatch):
         horo._row_action(fc, lam, square, xs + (lam,))
+
+
+# -- linalg.product: int64 array products under a checked bound ----------------
+
+def _counting(counts, name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counted
+
+
+def counted(fn, *args):
+    """fn(*args) with a count of each branch linalg.product took: int64 array
+    products, schoolbook matmuls and array-to-CycloMatrix conversions."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_array_product", _counting(counts, "array", linalg._array_product))
+        mp.setattr(linalg, "_from_array", _counting(counts, "convert", linalg._from_array))
+        mp.setattr(CycloMatrix, "__matmul__", _counting(counts, "schoolbook", CycloMatrix.__matmul__))
+        result = fn(*args)
+    return result, counts
+
+
+@st.composite
+def factor_chains(draw, first_fraction=None):
+    """A chain of 1..6 conformable factors over d in {3, 5, 7, 12, 25} with
+    entries 0, 1, -1, zeta^e or integer coefficients in -9..9.  When
+    first_fraction is given, factors from that index on (drawn, if 'draw')
+    each hold one entry with a denominator; the factors before are integral."""
+    d = draw(st.sampled_from((3, 5, 7, 12, 25)))
+    phi = euler_phi(d)
+    k = draw(st.integers(2 if first_fraction == "draw" else 1, 6))
+    dims = [draw(st.integers(1, 4)) for _ in range(k + 1)]
+    if first_fraction == "draw":
+        first_fraction = draw(st.integers(1, k - 1))
+
+    def entry():
+        kind = draw(st.sampled_from("01-zi"))
+        if kind == "0":
+            return CycloNum.zero(d)
+        if kind == "1":
+            return CycloNum.one(d)
+        if kind == "-":
+            return -CycloNum.one(d)
+        if kind == "z":
+            return zeta(d, draw(st.integers(0, d - 1)))
+        return from_coeffs(d, [draw(st.integers(-9, 9)) for _ in range(phi)])
+
+    mats = []
+    for t in range(k):
+        rows = [[entry() for _ in range(dims[t + 1])] for _ in range(dims[t])]
+        if first_fraction is not None and t >= first_fraction:
+            i, j = draw(st.integers(0, dims[t] - 1)), draw(st.integers(0, dims[t + 1] - 1))
+            rows[i][j] = from_rational(d, Fraction(draw(st.sampled_from((1, -1, 5))), draw(st.sampled_from((2, 3, 7)))))
+        mats.append(CycloMatrix.from_rows(d, rows))
+    return mats, first_fraction
+
+
+@PROPERTY
+@given(factor_chains())
+def test_product_of_integral_factors_runs_on_arrays(chain):
+    mats, _ = chain
+    result, counts = counted(linalg.product, mats)
+    assert result == functools.reduce(operator.matmul, mats)
+    assert counts == Counter(array=len(mats) - 1, convert=int(len(mats) > 1))
+
+
+@PROPERTY
+@given(factor_chains(first_fraction=0))
+def test_product_with_denominators_never_takes_the_array_path(chain):
+    mats, _ = chain
+    result, counts = counted(linalg.product, mats)
+    assert result == functools.reduce(operator.matmul, mats)
+    assert counts["array"] == counts["convert"] == 0
+    assert counts["schoolbook"] == len(mats) - 1
+
+
+@PROPERTY
+@given(factor_chains(first_fraction="draw"))
+def test_product_switches_to_schoolbook_at_the_first_denominator(chain):
+    mats, first = chain
+    result, counts = counted(linalg.product, mats)
+    assert result == functools.reduce(operator.matmul, mats)
+    assert counts == Counter(array=first - 1, convert=int(first > 1), schoolbook=len(mats) - first)
+
+
+def _flat(d, rows, cols, coeffs):
+    """rows x cols matrix whose entries all have the coefficient vector coeffs."""
+    return CycloMatrix(d, rows, cols, (CycloNum(d, tuple(coeffs), 1),) * (rows * cols))
+
+
+def test_product_bound_decides_the_branch():
+    """Operands sized just below the int64 bound multiply as arrays, just
+    above it by the schoolbook product; both give the exact product."""
+    d, inner = 5, 3
+    phi, rho = euler_phi(d), linalg._reduction(d)[1]
+    a = 2**20
+    b = (2**63 - 1) // (inner * phi * a * rho)
+    assert inner * phi * a * b * rho < 2**63 <= inner * phi * a * (b + 1) * rho
+    left = _flat(d, 2, inner, (a, -a, a, 5))
+    for coeff, branch in ((b, "array"), (b + 1, "schoolbook")):
+        right = _flat(d, inner, 2, (coeff, coeff, -7, coeff))
+        assert right._integral[1] == coeff
+        result, counts = counted(linalg.product, [left, right])
+        assert result == left @ right
+        # only an array product leaves an array to convert
+        assert counts == Counter({branch: 1, "convert": int(branch == "array")})
+
+
+def test_product_wider_than_the_window_limit_stays_schoolbook():
+    d, size = 101, 3
+    phi = euler_phi(d)
+    assert size * size * (2 * phi - 1) * phi > linalg._WINDOW_LIMIT
+    mats = [CycloMatrix.diagonal(d, [zeta(d, e), zeta(d, 2 * e), CycloNum.one(d)]) for e in (1, 5, 7)]
+    result, counts = counted(linalg.product, mats)
+    assert result == functools.reduce(operator.matmul, mats)
+    assert counts == Counter(schoolbook=2)
+
+
+def test_product_beyond_int64_is_rejected_by_the_bound_and_exact():
+    d = 5
+    left, right = _flat(d, 2, 2, (2**32, 2**32, 2**32, -2**32)), _flat(d, 2, 2, (2**32,) * 4)
+    three = [left, right, right]
+    result, counts = counted(linalg.product, three)
+    assert result == functools.reduce(operator.matmul, three)
+    assert max(abs(c) for e in result.entries for c in e.num) >= 2**63
+    assert counts == Counter(schoolbook=2)
+    # coefficients themselves outside int64 give no array at all; -2^63 fits
+    assert _flat(d, 1, 1, (2**63, 0, 0, 0))._integral is None
+    assert _flat(d, 1, 1, (-2**63, 0, 0, 0))._integral[1] == 2**63
+
+
+def test_long_word_falls_back_partway():
+    """A 320-letter word at d=25 outgrows the int64 bound: evaluate_word folds
+    on arrays, converts once and ends on the schoolbook product, exactly."""
+    rng = random.Random(25)
+    ctx = make_context(25, (1, 2, 3, 4, 5, 6, 7), 2)
+    letters = []
+    for _ in range(320):
+        kind, i = rng.randrange(3), rng.randint(1, 5)
+        gen = ("A", i, rng.randint(i + 1, 7)) if kind == 0 else ("T", i + 1) if kind == 1 else ("FT", i, i + 2)
+        letters.append((gen, rng.choice((1, -1))))
+    mats = [evaluate_word(ctx, BraidWord((letter,))) for letter in letters]
+    result, counts = counted(evaluate_word, ctx, BraidWord(tuple(letters)))
+    assert result == functools.reduce(operator.matmul, mats)
+    assert counts["array"] > 0 and counts["schoolbook"] > 0 and counts["convert"] == 1
+    assert counts["array"] + counts["schoolbook"] == len(mats) - 1
 
 
 def test_unipotency_and_order():
