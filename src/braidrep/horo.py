@@ -47,7 +47,6 @@ from .linalg import (
 from .rep import (
     BraidWord,
     RepContext,
-    _last_basis_rewrite,
     commutator,
     evaluate_word,
     quotient_gram,
@@ -115,7 +114,7 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
         for i in range(size)
     )
 
-    g_last = _last_basis_rewrite(ctx)
+    g_last = ctx._last_basis_rewrite
     flag: list[Vector] = [w]
     flag += [unit(i) for i in range(m - 2)]
     for j in range(m + 2, n):

@@ -3,14 +3,15 @@
 A context fixes integers (d, n), a weight vector kappa reduced into
 [1, d-1], and an exponent k coprime to d selecting the eigenvalue
 q = zeta_d^k.  On the compact-support space with basis g_1, ..., g_{n-1}
-we store the anti-Hermitian Gram matrix G with
+the form is the anti-Hermitian Gram matrix G with
 
     G[r][c] = J(g_c, g_r),        J = i * <.,.>,
 
 so that the form evaluates as conj(y)^T G x (linear in x, conjugate-linear
 in y) and every operator matrix M acting on column coordinate vectors
 satisfies M* G M = G exactly.  Under this layout the radical vector w
-(present when eps0 = 1) satisfies G w = 0.
+(present when eps0 = 1) satisfies G w = 0.  A context builds G and the
+radical data once, on first use; the twist operators never read G.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclo import CycloNum, zeta
 from .errors import (
@@ -140,7 +142,7 @@ def normalize_weights(d: int, kappa_raw: tuple[int, ...] | list[int]) -> tuple[i
 
 @dataclass(frozen=True, eq=False)
 class RepContext:
-    """Parameters (d, n, kappa, k) plus derived data for one eigenvalue q."""
+    """Parameters (d, n, kappa, k) for one eigenvalue q; derived data is built on first use."""
 
     d: int
     n: int
@@ -150,10 +152,35 @@ class RepContext:
     prefix_sums: tuple[int, ...]   # prefix_sums[r] = k_1 + ... + k_r, index 0..n
     q: CycloNum
     mu: CycloNum                   # (1 - q)(1 - conj(q)), real and positive
-    gram: CycloMatrix              # (n-1) x (n-1) anti-Hermitian J-Gram
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_letter_cache", {})
+
+    @cached_property
+    def gram(self) -> CycloMatrix:
+        """The (n-1) x (n-1) anti-Hermitian J-Gram on g_1, ..., g_{n-1}."""
+        d, size, kappa, mu, qp = self.d, self.n - 1, self.weights, self.mu, self.qpow
+        one, zero = CycloNum.one(d), CycloNum.zero(d)
+        rows = [[zero] * size for _ in range(size)]
+        for a in range(size):
+            ki, kj = kappa[a], kappa[a + 1]
+            rows[a][a] = mu * (one - qp(ki + kj)) / ((one - qp(ki)) * (one - qp(kj)))
+            if a + 1 < size:
+                rows[a][a + 1] = mu / (one - qp(-kj))
+                rows[a + 1][a] = -(mu / (one - qp(kj)))
+        return CycloMatrix.from_rows(d, rows)
+
+    @cached_property
+    def _radical(self) -> Vector:
+        """The coordinates qbar^{k_1+...+k_i} - 1 of radical_vector."""
+        one = CycloNum.one(self.d)
+        return tuple(self.qpow(-self.prefix_sums[i]) - one for i in range(1, self.n))
+
+    @cached_property
+    def _last_basis_rewrite(self) -> Vector:
+        """Quotient coordinates of the class of g_{n-1} via the radical relation."""
+        c = -self._radical[-1].inv()
+        return tuple(c * x for x in self._radical[:-1])
 
     def qpow(self, e: int) -> CycloNum:
         """q^e as a field element (e may be negative)."""
@@ -175,35 +202,17 @@ def eps0_of(d: int, kappa: tuple[int, ...]) -> int:
 
 
 def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> RepContext:
-    """Validate parameters and build the Gram matrix on g_1, ..., g_{n-1}."""
+    """Validate parameters and build the context; its Gram matrix waits for first use."""
     kappa = normalize_weights(d, kappa_raw)
-    n = len(kappa)
     if math.gcd(k, d) != 1:
         raise NotPrimitive(f"gcd(k={k}, d={d}) != 1")
     k %= d
     prefix = [0]
     for ki in kappa:
         prefix.append(prefix[-1] + ki)
-
-    q = zeta(d, k)
-    one = CycloNum.one(d)
-
-    def qp(e: int) -> CycloNum:
-        return zeta(d, (k * e) % d)
-
-    mu = (one - qp(1)) * (one - qp(-1))
-    zero = CycloNum.zero(d)
-    size = n - 1
-    rows = [[zero] * size for _ in range(size)]
-    for a in range(size):
-        ki, kj = kappa[a], kappa[a + 1]
-        rows[a][a] = mu * (one - qp(ki + kj)) / ((one - qp(ki)) * (one - qp(kj)))
-        if a + 1 < size:
-            knext = kappa[a + 1]
-            rows[a][a + 1] = mu / (one - qp(-knext))
-            rows[a + 1][a] = -(mu / (one - qp(knext)))
-    gram = CycloMatrix.from_rows(d, rows)
-    return RepContext(d, n, kappa, k, eps0_of(d, kappa), tuple(prefix), q, mu, gram)
+    q, one = zeta(d, k), CycloNum.one(d)
+    mu = (one - q) * (one - zeta(d, -k % d))
+    return RepContext(d, len(kappa), kappa, k, eps0_of(d, kappa), tuple(prefix), q, mu)
 
 
 # -- operator construction -----------------------------------------------------
@@ -230,43 +239,44 @@ def _check_block(n: int, s: int, r: int) -> None:
 
 def pair_twist(ctx: RepContext, i: int, j: int, exp: int = 1) -> CycloMatrix:
     """Matrix of the twist about a disc enclosing punctures i and j, or of its
-    inverse when exp = -1.
+    inverse when exp = -1, in closed form.
 
-    Acts as the complex reflection x -> x - c * J(x, u) u with
+    The twist is the complex reflection x -> x - c * J(x, u) u with
     u = g_i + sum_{l=i+1}^{j-1} qbar^{k_{i+1}+...+k_l} g_l and
-    c = (1 - q^{k_i})(1 - q^{k_j}) / mu; its determinant is
-    1 - c * J(u, u) = q^{k_i + k_j}.  The inverse is the same rank-one
-    update with c replaced by -c * q^{-(k_i + k_j)}.  Since G is
-    tridiagonal, u^* G is summed over the band of the rows i..j-1 that
-    carry u, and only the non-zero entries of the update are touched.
+    c = (1 - q^{k_i})(1 - q^{k_j}) / mu.  With P_l = k_1+...+k_l and 0-based
+    rows and columns, it equals I - u w^T: u_a = q^{-(P_{a+1} - P_i)} on the
+    rows a = i-1..j-2, and w = c * u^* G is non-zero on four columns at most,
+
+        w_{i-2}  = q^{k_j} - 1, when i >= 2,
+        w_{i-1}  = 1 - q^{k_j},
+        w_{j-2} += q^{P_j - P_i} - q^{P_j - P_{i-1}}  (onto w_{i-1} when j = i+1),
+        w_{j-1}  = q^{P_j - P_{i-1}} - q^{P_j - P_i}, when j <= n-1.
+
+    Its determinant is 1 - w^T u = 1 - c * J(u, u) = q^{k_i + k_j}, so by
+    Sherman-Morrison the inverse is I + q^{-(k_i + k_j)} u w^T.  Every entry
+    of u w^T is a sum of differences of powers of q, so no Gram matrix, no
+    field inverse and no field product enters.
     """
     n = ctx.n
     _check_pair(n, i, j)
     _check_exp(exp)
-    d, size = ctx.d, n - 1
-    one, zero = CycloNum.one(d), CycloNum.zero(d)
-    u = {i - 1: one}  # the non-zero coordinates, rows i-1..j-2
-    for l in range(i + 1, j):
-        u[l - 1] = ctx.qpow(-(ctx.prefix_sums[l] - ctx.prefix_sums[i]))
-    c = (one - ctx.qpow(ctx.weights[i - 1])) * (one - ctx.qpow(ctx.weights[j - 1])) / ctx.mu
-    if exp == -1:
-        c = -c * ctx.qpow(-(ctx.weights[i - 1] + ctx.weights[j - 1]))
-    # rank-one update I - c * u * (u^* G), columns act on coordinates
-    gram = ctx.gram.entries
-    ustar_g: dict[int, CycloNum] = {}
-    for r, ur in u.items():
-        ur = ur.conj()
-        for col in range(max(r - 1, 0), min(r + 2, size)):
-            g = gram[r * size + col]
-            if g:
-                ustar_g[col] = ustar_g.get(col, zero) + ur * g
-    ustar_g = {col: v for col, v in ustar_g.items() if v}
-    entries = [zero] * (size * size)
-    entries[:: size + 1] = [one] * size
-    for a, ua in u.items():
-        cu = c * ua
-        for b, v in ustar_g.items():
-            entries[a * size + b] = entries[a * size + b] - cu * v
+    d, size, p = ctx.d, n - 1, ctx.prefix_sums
+    kj = ctx.weights[j - 1]
+    # w as terms (b, e, f), each adding q^e - q^f to w_b
+    w = [(i - 1, 0, kj), (j - 2, p[j] - p[i], p[j] - p[i - 1])]
+    if i >= 2:
+        w.append((i - 2, kj, 0))
+    if j <= size:
+        w.append((j - 1, p[j] - p[i - 1], p[j] - p[i]))
+    if exp == 1:
+        w = [(b, f, e) for b, e, f in w]  # -u w^T
+    shift = 0 if exp == 1 else -(ctx.weights[i - 1] + kj)
+    entries = [CycloNum.zero(d)] * (size * size)
+    entries[:: size + 1] = [CycloNum.one(d)] * size
+    for a in range(i - 1, j - 1):
+        g = shift - (p[a + 1] - p[i])  # u_a = q^{-(P_{a+1} - P_i)}
+        for b, e, f in w:
+            entries[a * size + b] += ctx.qpow(g + e) - ctx.qpow(g + f)
     return CycloMatrix(d, size, size, tuple(entries))
 
 
@@ -381,8 +391,7 @@ def radical_vector(ctx: RepContext) -> Vector:
     """
     if ctx.eps0 != 1:
         raise NotDegenerate("radical vector exists only when eps0 = 1")
-    one = CycloNum.one(ctx.d)
-    return tuple(ctx.qpow(-ctx.prefix_sums[i]) - one for i in range(1, ctx.n))
+    return ctx._radical
 
 
 def quotient_gram(ctx: RepContext) -> CycloMatrix:
@@ -393,32 +402,20 @@ def quotient_gram(ctx: RepContext) -> CycloMatrix:
     return ctx.gram.submatrix(idx, idx)
 
 
-def _last_basis_rewrite(ctx: RepContext) -> Vector:
-    """Quotient coordinates of the class of g_{n-1} via the radical relation."""
-    one = CycloNum.one(ctx.d)
-    c = -(ctx.qpow(-ctx.prefix_sums[ctx.n - 1]) - one).inv()
-    return tuple(c * (ctx.qpow(-ctx.prefix_sums[i]) - one) for i in range(1, ctx.n - 1))
-
-
 def quotient_matrix(ctx: RepContext, m: CycloMatrix) -> CycloMatrix:
     """Push an operator that fixes the radical down to the n-2 quotient."""
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
-    w = radical_vector(ctx)
+    w = ctx._radical
     if m.apply(w) != w:
         raise RadicalNotFixed("operator moves the radical vector")
-    rewrite = _last_basis_rewrite(ctx)
+    rewrite = ctx._last_basis_rewrite
     size = ctx.n - 2
-    rows = [[None] * size for _ in range(size)]
-    for b in range(size):
-        col = m.col(b)
-        tail = col[size]
-        for a in range(size):
-            val = col[a]
-            if tail:
-                val = val + tail * rewrite[a]
-            rows[a][b] = val
-    return CycloMatrix.from_rows(ctx.d, rows)
+    cols = [m.col(b) for b in range(size)]
+    return CycloMatrix.from_rows(ctx.d, [
+        [col[a] + col[size] * rewrite[a] if col[size] else col[a] for col in cols]
+        for a in range(size)
+    ])
 
 
 # -- two-dimensional lantern block ------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import criteria, horo
 from .cyclo import CycloNum, euler_phi, from_coeffs, order_of_power, to_strings, units
-from .errors import AmbiguousSign, BadM
+from .errors import AmbiguousSign, BadM, InvalidParameter
 from .linalg import CycloMatrix, inertia
 from .rep import (
     BraidWord,
@@ -528,4 +528,7 @@ SUITES = {
 
 
 def run_suites(names: list[str], seed: int, size: int = 1) -> list[SuiteReport]:
+    """Run the named suites; size multiplies every sample count and must be >= 1."""
+    if size < 1:
+        raise InvalidParameter(f"size must be >= 1, got {size}")
     return [SUITES[name](seed, size) for name in names]

@@ -9,6 +9,7 @@ from braidrep import horo, suites
 from braidrep.cli import build_parser, main
 from braidrep.cyclo import CycloNum, units
 from braidrep.linalg import matrix_from_json
+from braidrep.rep import RepContext, make_context
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,21 @@ def test_rep_json_is_pinned(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv[:6] + flags
 
 
+def test_rep_and_quotient_never_build_the_gram(capsys, monkeypatch):
+    def no_gram(ctx):
+        raise AssertionError("rep built the Gram matrix")
+
+    monkeypatch.setattr(RepContext, "gram", property(no_gram))
+    for argv, (json_digest, _) in zip(_rep_argvs(), REP_DIGESTS):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == json_digest, argv[:6]
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "gram", "--d", "12", "--kappa", "7,5,4,4,4", "--k", "5", "--json")
+    assert code == 0
+    assert matrix_from_json(json.loads(out)["gram"]) == make_context(12, (7, 5, 4, 4, 4), 5).gram
+
+
 def test_horo_orbit_off_its_block_exits_2(capsys, monkeypatch):
     # an orbit action that leaves the part's block breaks a named invariant
     monkeypatch.setattr(horo, "_row_action",
@@ -300,6 +316,14 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_verify_size_below_one_exits_2(capsys, size):
+    code, out, err = run_cli(capsys, "verify", "--suite", "forms", "--size", size)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: InvalidParameter: size must be >= 1, got {size}\n"
 
 
 def _tally(out):

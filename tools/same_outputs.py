@@ -9,13 +9,16 @@ of that side), and the exit code, stdout and stderr of every command are
 compared.  The commands are ``verify --suite all --seed E``, human and
 ``--json``, for E = 0..15; every command whose output
 ``perfbench/references.json`` records; every workload's commands for passes
-0..15 of seed 0; and the horo documents pinned in ``tests/test_cli.py``.
+0..15 of seed 0; the horo documents pinned in ``tests/test_cli.py``; ``gram``,
+human and ``--json``, and ``rep --json`` of every one-letter word A(i,j) and
+A(i,j)^-1, in the contexts of ``LETTER_CONTEXTS``.
 Prints a summary line and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import shutil
 import subprocess
@@ -30,6 +33,10 @@ import workloads  # noqa: E402
 
 SEEDS = range(16)
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
+# (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
+# kappa and an eps0 = 1 kappa whose words are pushed to the quotient
+LETTER_CONTEXTS = (("29", "1,2,3,4,5,6,7", "3", False), ("29", "1,2,3,4,5,6,8", "3", True),
+                   ("12", "1,2,3,4,5,6,7", "5", False), ("12", "7,5,4,4,4,1,11", "5", True))
 
 
 def commands() -> list[list[str]]:
@@ -42,6 +49,13 @@ def commands() -> list[list[str]]:
         for p in SEEDS:
             argvs += w.commands(0, p)
     argvs += [["horo", "--d", d, "--kappa", k, "--m", m, "--json"] for d, k, m in PINNED_HORO]
+    for d, kappa, k, quotient in LETTER_CONTEXTS:
+        flags = ["--d", d, "--kappa", kappa, "--k", k]
+        argvs += [["gram", *flags], ["gram", *flags, "--json"]]
+        n = len(kappa.split(","))
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            for letter in (f"A({i},{j})", f"A({i},{j})^-1"):
+                argvs.append(["rep", *flags, "--word", letter, "--json"] + ["--quotient"] * quotient)
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
