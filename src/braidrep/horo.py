@@ -350,16 +350,23 @@ def part_witness(fc: FlagContext, part: str) -> Vector:
 
 class _Orbit:
     """Breadth-first conjugation orbit of one part witness, exact dedup,
-    grown one word length at a time.
+    grown one vector at a time.
 
-    After ``l`` levels, ``ends[l]`` vectors have been reached by words of
-    length at most l in the part generators and their inverses, and
-    ``ranks[l]`` is their Q-rank; ``basis[:ranks[l]]`` are the ones among
-    them that enlarged the Q-span, in orbit order.  Each vector is checked
-    to vanish off the part's block, so these are also the ranks restricted
-    to the block: a part generator moves vectors only along w and its own
-    block (G is tridiagonal, and the radical relation puts g_{m+1} in the
-    span of w and the upper block), so x -> lambda x C^-1 keeps the support.
+    A generator a acts by x -> lambda x C^-1 with lambda the corner of F(a)
+    and C^-1 the middle block of F(a^-1), F = flag_matrix; a^-1 acts by the
+    corner of F(a^-1) and the middle block of F(a).  A parabolic flag matrix
+    is block upper-triangular, so the diagonal blocks of F(a^-1) are the
+    inverses of those of F(a), and the inverse words' closed-form letters
+    take the place of any inversion.
+
+    Once ``l`` levels are complete, ``ends[l]`` vectors have been reached by
+    words of length at most l in the part generators and their inverses,
+    and ``ranks[l]`` is their Q-rank; ``basis`` holds the vectors that
+    enlarged the Q-span, in orbit order.  Each vector is checked to vanish
+    off the part's block, so these are also the ranks restricted to the
+    block: a part generator moves vectors only along w and its own block (G
+    is tridiagonal, and the radical relation puts g_{m+1} in the span of w
+    and the upper block), so x -> lambda x C^-1 keeps the support.
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
@@ -367,17 +374,17 @@ class _Orbit:
         start = part_witness(fc, part)
         self.actions = []
         for word in _part_generators(fc, part):
-            f = flag_matrix(fc, evaluate_on_quotient(fc, word))
-            lam, _, _, _, _, middle = _blocks(fc, f)
-            self.actions.append((lam, middle.inverse()))
-            self.actions.append((lam.inv(), middle))
+            (lam, *_, middle), (lam_inv, *_, middle_inv) = (
+                _blocks(fc, flag_matrix(fc, evaluate_on_quotient(fc, w))) for w in (word, word.inverse())
+            )
+            self.actions += [(lam, middle_inv), (lam_inv, middle)]
         self.block = part_slice(fc, part)
         self.vectors, self.basis, self.seen = [], [], set()
         self.span = RationalSpan()
         self._add(start)
-        self.frontier = [start]
         self.ends = [1]
         self.ranks = [len(self.basis)]
+        self.acted = 0                 # (vector, action) pairs applied, in BFS order
 
     def _add(self, v: Vector) -> None:
         if any(v[: self.block.start]) or any(v[self.block.stop :]):
@@ -387,33 +394,45 @@ class _Orbit:
         if self.span.add(v):
             self.basis.append(v)
 
-    def _grow(self) -> None:
-        new_frontier = []
-        for v in self.frontier:
-            for lam, c_inv in self.actions:
-                image = _row_action(self.fc, lam, c_inv, v)
-                if image not in self.seen:
-                    self._add(image)
-                    new_frontier.append(image)
-        self.frontier = new_frontier
+    def _step(self) -> bool:
+        """Add the next vector of the BFS, or close a level once every
+        vector before it has been acted on; False after a level that added
+        nothing.  A step that raises has not advanced, so it raises again."""
+        width = len(self.actions)
+        while self.acted < self.ends[-1] * width:
+            lam, c_inv = self.actions[self.acted % width]
+            image = _row_action(self.fc, lam, c_inv, self.vectors[self.acted // width])
+            if image in self.seen:
+                self.acted += 1
+                continue
+            self._add(image)
+            self.acted += 1
+            return True
+        if len(self.ends) > 1 and self.ends[-1] == self.ends[-2]:
+            return False
         self.ends.append(len(self.vectors))
         self.ranks.append(len(self.basis))
+        return True
 
     def prefix(self, maxlen: int, rank_bound: int | None) -> list[Vector]:
         """The vectors of the first maxlen levels, stopping after the first
-        level whose rank reaches rank_bound; grows the orbit as needed."""
+        level whose rank reaches rank_bound; finishes open levels as needed."""
         level = 0
         while level < maxlen and (rank_bound is None or self.ranks[level] < rank_bound):
+            while level + 1 == len(self.ends) and self._step():
+                pass
             if level + 1 == len(self.ends):
-                if not self.frontier:
-                    break
-                self._grow()
+                break
             level += 1
         return self.vectors[: self.ends[level]]
 
-    def rank_of(self, prefix: list[Vector]) -> int:
-        """The Q-rank of a list returned by :meth:`prefix`."""
-        return self.ranks[self.ends.index(len(prefix))]
+    def rank(self, maxlen: int, rank_bound: int) -> int:
+        """Q-rank of the first maxlen levels, or rank_bound if reached
+        sooner: grows the orbit until the vector that makes the rank
+        rank_bound, then stops, in the middle of a level if need be."""
+        while len(self.basis) < rank_bound and len(self.ends) <= maxlen and self._step():
+            pass
+        return self.ranks[maxlen] if maxlen < len(self.ends) else len(self.basis)
 
 
 def _orbit(fc: FlagContext, part: str) -> _Orbit:
@@ -426,22 +445,24 @@ def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6, *, rank_bound: in
     """Breadth-first conjugation orbit of the part witness, exact dedup.
 
     Returns the full middle-coordinate vectors reached by words of length
-    at most maxlen in the part generators and their inverses.  Stops early
-    once rank_bound many Q-independent vectors have been produced (the rank
-    is monotone in maxlen, so early exit cannot change a rank computation).
+    at most maxlen in the part generators and their inverses, whole levels
+    only.  Stops after the first level whose Q-rank reaches rank_bound.
     Each part's orbit is computed once per flag context and shared by
-    later calls.  Raises InvalidParameter unless 0 <= maxlen <=
-    MAX_ORBIT_LEN.
+    later calls, which finish a level left open by orbit_rank.  Raises
+    InvalidParameter unless 0 <= maxlen <= MAX_ORBIT_LEN.
     """
     check_maxlen(maxlen)
     return _orbit(fc, part).prefix(maxlen, rank_bound)
 
 
 def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
-    """Q-rank of the orbit restricted to its own coordinate block: the rank
-    its span recorded, since every orbit vector vanishes off the block."""
-    vectors = orbit_vectors(fc, part, maxlen, rank_bound=full_rank(fc, part))
-    return _orbit(fc, part).rank_of(vectors)
+    """Q-rank of the orbit restricted to its own coordinate block, over
+    words of length at most maxlen.  The orbit stops growing at the vector
+    that makes the rank full, in the middle of a level if need be (the rank
+    is monotone, so no later vector can change it); every orbit vector
+    vanishes off the block, so the span's rank is the restricted one."""
+    check_maxlen(maxlen)
+    return _orbit(fc, part).rank(maxlen, full_rank(fc, part))
 
 
 # -- lattice vectors in the center ------------------------------------------------
@@ -456,9 +477,10 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     """Galois-spread commutator values generating a rank phi(d)/2 group.
 
     Collects a Q-basis of the middle space from the two witness orbits
-    (the vectors each orbit's span accepted; their supports are disjoint),
-    locates a pair with non-vanishing commutator pairing a_q, scales the
-    real-subfield basis elements zeta^s + zeta^{-s} by integers so each
+    (the vectors each orbit's span accepted over words of length at most
+    MAX_ORBIT_LEN, each orbit stopping at the vector that makes its rank
+    full; their supports are disjoint), locates a pair with non-vanishing
+    commutator pairing a_q, scales the real-subfield basis elements zeta^s + zeta^{-s} by integers so each
     multiple of the chosen orbit vector stays in the generated lattice, and
     emits the vectors (galois(scaled * a_q, t))_t over the upper-half
     exponents, together with their Q-rank.
@@ -472,7 +494,7 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     basis: list[Vector] = []
     for part in (LOWER, UPPER):
         orb = _orbit(fc, part)
-        basis += orb.basis[: orb.rank_of(orb.prefix(MAX_ORBIT_LEN, full_rank(fc, part)))]
+        basis += orb.basis[: orb.rank(MAX_ORBIT_LEN, full_rank(fc, part))]
     if len(basis) < target:
         raise NoNonzeroPairing(
             f"orbits span rank {len(basis)} < {target}; enlarge the orbit sample"

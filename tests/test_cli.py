@@ -8,7 +8,7 @@ import pytest
 from braidrep import horo, suites
 from braidrep.cli import build_parser, main
 from braidrep.cyclo import CycloNum, units
-from braidrep.linalg import matrix_from_json
+from braidrep.linalg import CycloMatrix, matrix_from_json
 from braidrep.rep import RepContext, make_context
 
 
@@ -324,6 +324,24 @@ def test_verify_size_below_one_exits_2(capsys, size):
     assert code == 2
     assert out == ""
     assert err == f"error: InvalidParameter: size must be >= 1, got {size}\n"
+
+
+def test_forms_inverse_check_fails_a_wrong_candidate(monkeypatch):
+    # the inverse identity is checked as M (G^-1 M* G) == I: with G^-1 off in
+    # one entry, every candidate is wrong, and every such check must fail
+    name = "inverse identity M^-1 = G^-1 M* G"
+    honest = suites.suite_forms(5).by_identity
+    real = CycloMatrix.inverse
+
+    def perturbed(m):
+        inv = real(m)
+        return inv + CycloMatrix.diagonal(m.d, [CycloNum.one(m.d)] + [CycloNum.zero(m.d)] * (m.rows - 1))
+
+    monkeypatch.setattr(CycloMatrix, "inverse", perturbed)
+    broken = suites.suite_forms(5).by_identity
+    assert honest[name][0] > 0 and honest[name][1] == 0
+    assert broken[name] == [0, honest[name][0]]
+    assert {k: v for k, v in broken.items() if k != name} == {k: v for k, v in honest.items() if k != name}
 
 
 def _tally(out):

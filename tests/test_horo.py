@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -379,6 +380,25 @@ def test_orbit_vector_off_its_block_is_named(monkeypatch):
         orbit_rank(fc, UPPER, 1)
 
 
+def test_orbit_fault_is_raised_again(monkeypatch):
+    # a step that raised has not advanced: no later call reads a cut orbit
+    d, kappa, m = CASES[0]
+    one = CycloNum.one(d)
+    fc = make_flag(make_context(d, kappa, 1), m)
+    start, real = part_witness(fc, UPPER), horo._row_action
+
+    def faulty(fc, lam, c_inv, x):
+        # off the block for the first action on the witness only
+        first = fc.orbits[UPPER].actions[0][1]
+        return (one,) * len(x) if x == start and c_inv is first else real(fc, lam, c_inv, x)
+
+    monkeypatch.setattr(horo, "_row_action", faulty)
+    for call in (orbit_rank, orbit_rank, orbit_vectors):
+        with pytest.raises(ConstraintViolation):
+            call(fc, UPPER, 1)
+    assert fc.orbits[UPPER].vectors == [start]
+
+
 def test_part_witness_supported(flag):
     fc = flag
     nu = part_witness(fc, LOWER)
@@ -422,3 +442,54 @@ def test_center_lattice_unsolvable_is_named(monkeypatch):
     monkeypatch.setattr(horo, "solve_rational", lambda columns, target: None)
     with pytest.raises(Singular):
         center_lattice_vectors(fc)
+
+
+N8 = (11, (1, 1, 9, 1, 1, 1, 1, 7), 3)
+
+
+@pytest.mark.parametrize("d,kappa,m", CASES + [N8], ids=lambda c: str(c))
+def test_orbit_resumes_after_stopping_mid_level(d, kappa, m):
+    fc = make_flag(make_context(d, kappa, 1), m)
+    for part in (LOWER, UPPER):
+        assert orbit_rank(fc, part, MAX_ORBIT_LEN) == horo.full_rank(fc, part)
+    center_lattice_vectors(fc)
+    for part in (LOWER, UPPER):
+        orbit = fc.orbits[part]
+        assert len(orbit.vectors) > orbit.ends[-1]       # a level is left open
+        bound = horo.full_rank(fc, part)
+        # whole levels at n = 8 grow about 15-fold per level past the second
+        unbounded = range(MAX_ORBIT_LEN + 1) if d != N8[0] else range(3)
+        for maxlen in unbounded:
+            assert orbit_vectors(fc, part, maxlen) == reference_orbit(fc, part, maxlen)
+        for maxlen in range(MAX_ORBIT_LEN + 1):
+            expected = reference_orbit(fc, part, maxlen, bound)
+            assert orbit_vectors(fc, part, maxlen, rank_bound=bound) == expected
+            # the grown orbit still answers shorter budgets level by level
+            assert orbit_rank(fc, part, maxlen) == rank_over_rationals(expected)
+
+
+def test_battery_adds_no_orbit_vector_after_full_rank():
+    fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
+    report, _ = horo_report(fc)
+    assert report["failed"] == 0
+    for part in (LOWER, UPPER):
+        orbit = fc.orbits[part]
+        assert len(orbit.basis) == horo.full_rank(fc, part)
+        assert orbit.vectors[-1] is orbit.basis[-1]
+
+
+def test_battery_inverts_no_braid_image(monkeypatch):
+    # inverses of braid images come from inverse words; what is left inverts
+    # the flag basis and G_W, and the middle block in conjugation_action
+    callers = []
+    real = CycloMatrix.inverse
+
+    def recording(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(m)
+
+    monkeypatch.setattr(CycloMatrix, "inverse", recording)
+    fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
+    report, _ = horo_report(fc)
+    assert report["failed"] == 0
+    assert set(callers) == {"make_flag", "conjugation_action"}

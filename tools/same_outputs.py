@@ -9,7 +9,9 @@ of that side), and the exit code, stdout and stderr of every command are
 compared.  The commands are ``verify --suite all --seed E``, human and
 ``--json``, for E = 0..15; every command whose output
 ``perfbench/references.json`` records; every workload's commands for passes
-0..15 of seed 0; the horo documents pinned in ``tests/test_cli.py``; ``gram``,
+0..15 of seed 0; the horo documents pinned in ``tests/test_cli.py``, and
+those and the ``horo`` workload's cases at every ``--maxlen`` (at n = 8 the
+short budgets end before full rank and exit 1); ``gram``,
 human and ``--json``, and ``rep --json`` of every one-letter word A(i,j) and
 A(i,j)^-1, in the contexts of ``LETTER_CONTEXTS``.
 Prints a summary line and exits 1 on any mismatch.
@@ -32,6 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = range(16)
+MAXLENS = range(9)  # every horo --maxlen, 0..horo.MAX_ORBIT_LEN
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
 # kappa and an eps0 = 1 kappa whose words are pushed to the quotient
@@ -49,6 +52,9 @@ def commands() -> list[list[str]]:
         for p in SEEDS:
             argvs += w.commands(0, p)
     argvs += [["horo", "--d", d, "--kappa", k, "--m", m, "--json"] for d, k, m in PINNED_HORO]
+    horo_cases = PINNED_HORO + tuple(("11", k, "3") for k in workloads.HORO_KAPPAS)
+    argvs += [["horo", "--d", d, "--kappa", k, "--m", m, "--json", "--maxlen", str(maxlen)]
+              for d, k, m in horo_cases for maxlen in MAXLENS]
     for d, kappa, k, quotient in LETTER_CONTEXTS:
         flags = ["--d", d, "--kappa", kappa, "--k", k]
         argvs += [["gram", *flags], ["gram", *flags, "--json"]]
