@@ -466,7 +466,7 @@ def order_of_power(d: int, s: int) -> int:
 
 def to_strings(z: CycloNum) -> list[str]:
     """Canonical JSON form: phi(d) reduced fraction strings, low degree first."""
-    return [str(c) for c in z.coeffs]
+    return [str(c) for c in (z.num if z.den == 1 else z.coeffs)]
 
 
 def from_strings(d: int, items: list[str]) -> CycloNum:

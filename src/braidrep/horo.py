@@ -45,6 +45,7 @@ from .linalg import (
     solve_rational,
 )
 from .rep import (
+    MAX_ORBIT_LEN,
     BraidWord,
     RepContext,
     commutator,
@@ -56,10 +57,6 @@ from .rep import (
 LOWER = "lower"
 UPPER = "upper"
 
-# The longest orbit words scanned: the budget of center_lattice_vectors and
-# the upper limit of a user's maxlen, since the orbit BFS can grow
-# exponentially in the word length.
-MAX_ORBIT_LEN = 8
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,8 @@
 
 Matrices are immutable, row-major, with every entry sharing one modulus d.
 Products are formed by the schoolbook ``CycloMatrix.__matmul__``, except
-that :func:`product`, the fold of a braid word's letters, multiplies
-integral factors as int64 arrays under a checked overflow bound.  Every
+that :func:`word_product`, the fold of a braid word's sparse letters, rolls
+int64 arrays over Z[x]/(x^d - 1) under a checked overflow bound.  Every
 exact elimination over K_d runs through the one Gauss-Jordan routine
 :func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
 cleared of denominators and reduced fraction-free over the integers by the
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclo import CycloNum, _field_data, _raw_add, _raw_mul, from_strings, to_strings
+from .cyclo import CycloNum, _field_data, _raw_add, _raw_mul, _raw_reduce, from_strings, to_strings
 from .errors import (
     AmbiguousSign,
     ModulusMismatch,
@@ -168,20 +168,6 @@ class CycloMatrix:
                     out.append(CycloNum(d, acc[0], acc[1]))
         return CycloMatrix(d, n, p, tuple(out))
 
-    @functools.cached_property
-    def _integral(self) -> tuple[np.ndarray, int] | None:
-        """The numerators as an int64 array of shape (rows, cols, phi) with
-        their largest absolute value, or None when some entry has a
-        denominator or a coefficient outside int64."""
-        if any(e.den != 1 for e in self.entries):
-            return None
-        try:
-            arr = np.array([e.num for e in self.entries], dtype=np.int64)
-        except OverflowError:
-            return None
-        arr = arr.reshape(self.rows, self.cols, _field_data(self.d)[0])
-        return arr, _max_abs(arr)
-
     def apply(self, v: Vector) -> Vector:
         """Matrix times column coordinate vector."""
         if len(v) != self.cols:
@@ -294,16 +280,47 @@ class CycloMatrix:
                          for i in range(self.rows))
 
 
-# -- the integral word product ---------------------------------------------------
+# -- word products by monomial rolls -------------------------------------------
 
 _INT64_LIMIT = 1 << 63
-# the most entries the sliding window of one array product may hold.  The
-# dense array product costs inner * cols * phi * (2 phi - 1) whatever the
-# sparsity of the factors; past about 2^16 window entries (n - 1 = 6 at
-# phi = 30, n - 1 = 9 at phi = 20) measured 16-letter words ran slower than
-# on the schoolbook product, which skips zeros and ones.  The limit also
-# bounds the memory of a product and of the cached reduction rows.
-_WINDOW_LIMIT = 1 << 16
+Term = tuple[int, int, int, int]  # (target column, source row, sign +-1, power t of zeta)
+
+
+def sparse_matrix(d: int, size: int, terms: Iterable[Term]) -> CycloMatrix:
+    """The size x size matrix that is the identity outside the target columns
+    of terms and whose entry (source, target) there is the sum of sign *
+    zeta^t over its terms (target, source, sign, t), 0 <= t < d: each entry
+    counts its powers of zeta, sums the rows of the table of x^t mod Phi_d
+    that they select, and is wrapped once, with den = 1."""
+    spreads: dict[tuple[int, int], list[int]] = {}
+    for c, r, sign, t in terms:
+        spreads.setdefault((r, c), [0] * d)[t] += sign
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    entries = [zero] * (size * size)
+    entries[:: size + 1] = [one] * size
+    for c in {c for _, c in spreads}:
+        entries[c * size + c] = zero
+    for (r, c), spread in spreads.items():
+        entries[r * size + c] = CycloNum(d, tuple(_raw_reduce(d, spread)), 1)
+    return CycloMatrix(d, size, size, tuple(entries))
+
+
+class SparseLetter:
+    """A :func:`sparse_matrix` prepared for :func:`word_product`: its terms
+    sorted by target column, the distinct targets and the index of the first
+    term of each, the flat index in a (rows, size * d) array of each term's
+    source column rolled by zeta^t, the signs, and lam, the most terms of one
+    target column, which bounds the l1-norm of every column."""
+
+    def __init__(self, d: int, terms: Iterable[Term]) -> None:
+        self.terms = tuple(sorted(terms))
+        cols, rows, signs, powers = zip(*self.terms)
+        starts = [i for i, c in enumerate(cols) if i == 0 or c != cols[i - 1]]
+        self.lam = max(b - a for a, b in zip(starts, starts[1:] + [len(cols)]))
+        self.targets, self.starts = np.array([cols[i] for i in starts]), np.array(starts)
+        # x^t * f has coefficient f[(j - t) mod d] at x^j
+        self.gather = (np.arange(d) - np.array(powers)[:, None]) % d + np.array(rows)[:, None] * d
+        self.sign = np.array(signs, dtype=np.int64)[:, None]
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -312,87 +329,61 @@ def _max_abs(arr: np.ndarray) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction(d: int) -> tuple[np.ndarray, int]:
-    """Rows 0..2*phi-2 of the table of x^j mod Phi_d as an int64 array R, and
-    rho, the largest l1-norm of a column of R."""
+def _cyclic_reduction(d: int) -> tuple[np.ndarray, int]:
+    """Rows phi..d-1 of the table of x^j mod Phi_d as an int64 array (rows
+    0..phi-1 are the identity), and rho_d, the largest l1-norm of a column
+    of rows 0..d-1."""
     phi, _, table = _field_data(d)
-    rows = table[: 2 * phi - 1]
-    return np.array(rows, dtype=np.int64), max(sum(abs(row[i]) for row in rows) for i in range(phi))
+    rows = table[phi:d]
+    return np.array(rows, dtype=np.int64), 1 + max(sum(abs(row[i]) for row in rows) for i in range(phi))
 
 
-def _array_product(a: np.ndarray, b: np.ndarray, red: np.ndarray) -> np.ndarray:
-    """(rows, m, phi) times (m, cols, phi) over Z[zeta_d]: the convolution over
-    the power-basis index is one tensordot of the reversed left operand with
-    a sliding window of the zero-padded right one, and @ red reduces the
-    2*phi-1 convolution coefficients modulo Phi_d."""
-    m, cols, phi = b.shape
-    padded = np.zeros((m, cols, 3 * phi - 2), dtype=np.int64)
-    padded[:, :, phi - 1 : 2 * phi - 1] = b
-    # window[l, j, t, w] = b[l, j, t + w - (phi - 1)], zero outside 0..phi-1
-    window = np.lib.stride_tricks.sliding_window_view(padded, phi, axis=2)
-    return np.tensordot(a[:, :, ::-1], window, axes=([1, 2], [0, 3])) @ red
+def _integral_matrix(d: int, size: int, nums: Iterable[list[int]]) -> CycloMatrix:
+    """The size x size matrix of reduced integer coefficient rows; den == 1
+    makes every entry canonical."""
+    return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
 
 
-def _from_array(d: int, arr: np.ndarray) -> CycloMatrix:
-    """The CycloMatrix of an integral array; den == 1 makes every entry canonical."""
-    rows, cols, phi = arr.shape
-    return CycloMatrix(d, rows, cols,
-                       tuple(CycloNum(d, tuple(c), 1) for c in arr.reshape(rows * cols, phi).tolist()))
+def _exact(d: int, arr: np.ndarray) -> CycloMatrix:
+    """The matrix of a (size, size * d) array over Z[x]/(x^d - 1), reduced
+    modulo Phi_d in Python ints."""
+    return _integral_matrix(d, arr.shape[0], (_raw_reduce(d, c) for c in arr.reshape(-1, d).tolist()))
 
 
-def _certified(d: int, amax: int, m: CycloMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """(reduction rows, array of m) when the int64 product of an array with
-    max |coeff| amax by m is certified exact, else None: m is integral, its
-    window fits _WINDOW_LIMIT, and m.rows * phi * amax * max|m| * rho < 2^63,
-    which caps every partial sum of the convolution and of the reduction."""
-    phi = _field_data(d)[0]
-    if m.rows * m.cols * (2 * phi - 1) * phi > _WINDOW_LIMIT:
-        return None
-    right = m._integral
-    if right is None:
-        return None
-    red, rho = _reduction(d)
-    if m.rows * phi * amax * right[1] * rho >= _INT64_LIMIT:
-        return None
-    return red, right[0]
+def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMatrix:
+    """The exact product of sparse letters, folded left to right (the
+    identity for none).
 
-
-def product(mats: Sequence[CycloMatrix]) -> CycloMatrix:
-    """The exact product mats[0] @ mats[1] @ ..., folded left to right.
-
-    While the running product and the next factor are both integral (every
-    entry has den == 1) and :func:`_certified` shows their int64 product
-    exact, they are multiplied as arrays by :func:`_array_product`.  The
-    bound cols * phi * max|A| * max|B| * rho < 2^63, with rho the largest
-    column l1-norm of the reduction rows, caps every partial sum (the
-    a-priori bound of FFLAS, Dumas-Gautier-Pernet, ISSAC 2002).  At the
-    first product that is not certified, the running array becomes a
-    CycloMatrix once and the rest of the fold runs through
-    ``CycloMatrix.__matmul__``.
+    The running product M is an int64 array over Z[x]/(x^d - 1), in which
+    multiplying by zeta^t rolls the coefficient axis by t.  A letter is one
+    gather of the rolled source columns of its terms, times their signs,
+    and one np.add.reduceat that sums the terms of each target column.  M
+    is reduced modulo Phi_d once, by rows 0..d-1 of the table of x^j mod
+    Phi_d.  Before each letter max|M| * lam < 2^63, and before the
+    reduction max|M| * rho_d < 2^63, cap every partial sum (the a-priori
+    bound of FFLAS, Dumas-Gautier-Pernet, ISSAC 2002).  At the first step
+    that fails, M is reduced exactly in Python ints and the rest of the
+    fold runs through ``CycloMatrix.__matmul__``.
     """
-    if not mats:
-        raise ShapeMismatch("product of no matrices")
-    d = mats[0].d
-    # running is the product so far, or None while only its array is current
-    running, left = mats[0], mats[0]._integral
-    for m in mats[1:]:
-        if left is not None:
-            arr, amax = left
-            if m.d != d:
-                raise ModulusMismatch(f"moduli {d} and {m.d}")
-            if arr.shape[1] != m.rows:
-                raise ShapeMismatch(f"{arr.shape[0]}x{arr.shape[1]} @ {m.rows}x{m.cols}")
-            certified = _certified(d, amax, m)
-            if certified is not None:
-                red, right = certified
-                arr = _array_product(arr, right, red)
-                running, left = None, (arr, _max_abs(arr))
-                continue
-            if running is None:
-                running = _from_array(d, arr)
-            left = None
-        running = running @ m
-    return _from_array(d, left[0]) if running is None else running
+    arr = np.zeros((size, size * d), dtype=np.int64)
+    arr[range(size), range(0, size * d, d)] = 1
+    bound = 1  # at least max|M|; recomputed only when it would fail a check
+    for pos, letter in enumerate(letters):
+        if bound * letter.lam >= _INT64_LIMIT:
+            bound = _max_abs(arr)
+            if bound * letter.lam >= _INT64_LIMIT:
+                running = _exact(d, arr)
+                for rest in letters[pos:]:
+                    running = running @ sparse_matrix(d, size, rest.terms)
+                return running
+        sums = np.add.reduceat(arr[:, letter.gather] * letter.sign, letter.starts, axis=1)
+        arr.reshape(size, size, d)[:, letter.targets] = sums
+        bound *= letter.lam
+    high, rho = _cyclic_reduction(d)
+    if bound * rho >= _INT64_LIMIT and _max_abs(arr) * rho >= _INT64_LIMIT:
+        return _exact(d, arr)
+    flat, phi = arr.reshape(-1, d), high.shape[1]
+    return _integral_matrix(d, size, (flat[:, :phi] + flat[:, phi:] @ high).tolist())
 
 
 def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:

@@ -34,7 +34,7 @@ from .errors import (
     RadicalNotFixed,
     Singular,
 )
-from .linalg import CycloMatrix, Vector, product, sesquilinear
+from .linalg import CycloMatrix, SparseLetter, Term, Vector, sesquilinear, sparse_matrix, word_product
 
 # -- braid words -------------------------------------------------------------
 
@@ -126,6 +126,15 @@ def block_twist_word(s: int, r: int) -> BraidWord:
 
 # -- contexts ----------------------------------------------------------------
 
+# Resource limits, checked before any table is built.  MAX_DEGREE bounds the
+# modulus d of a context: its field table holds about 2 phi(d) rows of phi(d)
+# ints.  MAX_ORBIT_LEN bounds the horo orbit words (the budget of
+# center_lattice_vectors and a user's maxlen): the orbit BFS can grow
+# exponentially in the word length.
+MAX_DEGREE = 2048
+MAX_ORBIT_LEN = 8
+
+
 def normalize_weights(d: int, kappa_raw: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Reduce raw weights mod d into [1, d-1] and validate the cover."""
     if d < 3:
@@ -203,6 +212,8 @@ def eps0_of(d: int, kappa: tuple[int, ...]) -> int:
 
 def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> RepContext:
     """Validate parameters and build the context; its Gram matrix waits for first use."""
+    if d > MAX_DEGREE:
+        raise InvalidParameter(f"modulus d must be <= {MAX_DEGREE}, got {d}")
     kappa = normalize_weights(d, kappa_raw)
     if math.gcd(k, d) != 1:
         raise NotPrimitive(f"gcd(k={k}, d={d}) != 1")
@@ -217,24 +228,69 @@ def make_context(d: int, kappa_raw: tuple[int, ...] | list[int], k: int = 1) -> 
 
 # -- operator construction -----------------------------------------------------
 
-def _check_exp(exp: int) -> None:
+def _check_letter(n: int, letter: Letter) -> None:
+    """IndexOutOfRange for a letter outside 1..n, then InvalidParameter for an
+    exponent other than +-1."""
+    (kind, a, *b), exp = letter
+    if kind == "T":
+        if not 2 <= a <= n - 1:
+            raise IndexOutOfRange(f"need 2 <= r <= {n - 1}, got {a}")
+    elif not 1 <= a < b[0] <= n:
+        raise IndexOutOfRange(f"need 1 <= i < j <= {n}, got ({a}, {b[0]})" if kind == "A"
+                              else f"FT({a}, {b[0]}) outside 1..{n}")
     if exp not in (1, -1):
         raise InvalidParameter(f"letter exponent must be 1 or -1, got {exp}")
 
 
-def _check_pair(n: int, i: int, j: int) -> None:
-    if not 1 <= i < j <= n:
-        raise IndexOutOfRange(f"need 1 <= i < j <= {n}, got ({i}, {j})")
+def _pair_terms(ctx: RepContext, i: int, j: int, exp: int) -> list[Term]:
+    """Terms (column, row, sign, exponent of q) of A(i,j)^exp: see pair_twist."""
+    p, kj = ctx.prefix_sums, ctx.weights[j - 1]
+    # w as pairs (b, e, f), each adding q^e - q^f to w_b; q^e = q^f adds nothing
+    w = [(i - 1, 0, kj), (j - 2, p[j] - p[i], p[j] - p[i - 1])]
+    if i >= 2:
+        w.append((i - 2, kj, 0))
+    if j <= ctx.n - 1:
+        w.append((j - 1, p[j] - p[i - 1], p[j] - p[i]))
+    w = [(b, e, f) if exp == -1 else (b, f, e) for b, e, f in w if (e - f) % ctx.d]  # -u w^T
+    shift = 0 if exp == 1 else -(ctx.weights[i - 1] + kj)
+    terms = [(b, b, 1, 0) for b in {b for b, _, _ in w}]
+    for a in range(i - 1, j - 1):
+        g = shift - (p[a + 1] - p[i])  # u_a = q^{-(P_{a+1} - P_i)}
+        terms += [t for b, e, f in w for t in ((b, a, 1, g + e), (b, a, -1, g + f))]
+    return terms
 
 
-def _check_prefix(n: int, r: int) -> None:
-    if not 2 <= r <= n - 1:
-        raise IndexOutOfRange(f"need 2 <= r <= {n - 1}, got {r}")
+def _block_terms(ctx: RepContext, s: int, r: int, exp: int) -> list[Term]:
+    """Terms (column, row, sign, exponent of q) of FT(s,r)^exp: see block_twist."""
+    p, size = ctx.prefix_sums, ctx.n - 1
+    scale = exp * (p[r] - p[s - 1])
+    shears = [(r - 1, r <= size), (s - 2, s >= 2)]
+    terms = [(c, c, 1, 0) for c, present in shears if present]
+    for l in range(s, r):
+        h, v = p[l] - p[s - 1], p[r] - p[l]
+        terms.append((l - 1, l - 1, 1, scale))
+        # column r: Q (q^-h - 1), inverse 1 - q^-h; column s-1: 1 - q^v, inverse -Q^-1 (1 - q^v)
+        pairs = ((scale - h, scale), (0, v)) if exp == 1 else ((0, -h), (scale + v, scale))
+        for (c, present), (plus, minus) in zip(shears, pairs):
+            if present and (plus - minus) % ctx.d:
+                terms += [(c, l - 1, 1, plus), (c, l - 1, -1, minus)]
+    return terms
 
 
-def _check_block(n: int, s: int, r: int) -> None:
-    if not 1 <= s < r <= n:
-        raise IndexOutOfRange(f"FT({s}, {r}) outside 1..{n}")
+def _letter_terms(ctx: RepContext, letter: Letter) -> list[Term]:
+    """A letter's signed q-power terms for its non-identity columns, each
+    (target column, source row, sign, power k e mod d of zeta for q^e)."""
+    gen, exp = letter
+    if gen[0] == "A":
+        terms = _pair_terms(ctx, gen[1], gen[2], exp)
+    else:
+        terms = _block_terms(ctx, *((1, gen[1]) if gen[0] == "T" else gen[1:]), exp)
+    return [(c, r, sign, ctx.k * e % ctx.d) for c, r, sign, e in terms]
+
+
+def _letter_matrix(ctx: RepContext, letter: Letter) -> CycloMatrix:
+    _check_letter(ctx.n, letter)
+    return sparse_matrix(ctx.d, ctx.n - 1, _letter_terms(ctx, letter))
 
 
 def pair_twist(ctx: RepContext, i: int, j: int, exp: int = 1) -> CycloMatrix:
@@ -254,30 +310,10 @@ def pair_twist(ctx: RepContext, i: int, j: int, exp: int = 1) -> CycloMatrix:
 
     Its determinant is 1 - w^T u = 1 - c * J(u, u) = q^{k_i + k_j}, so by
     Sherman-Morrison the inverse is I + q^{-(k_i + k_j)} u w^T.  Every entry
-    of u w^T is a sum of differences of powers of q, so no Gram matrix, no
-    field inverse and no field product enters.
+    of u w^T is a sum of signed powers of q, so no Gram matrix and no field
+    arithmetic enters: the entries are sums of rows of the power table.
     """
-    n = ctx.n
-    _check_pair(n, i, j)
-    _check_exp(exp)
-    d, size, p = ctx.d, n - 1, ctx.prefix_sums
-    kj = ctx.weights[j - 1]
-    # w as terms (b, e, f), each adding q^e - q^f to w_b
-    w = [(i - 1, 0, kj), (j - 2, p[j] - p[i], p[j] - p[i - 1])]
-    if i >= 2:
-        w.append((i - 2, kj, 0))
-    if j <= size:
-        w.append((j - 1, p[j] - p[i - 1], p[j] - p[i]))
-    if exp == 1:
-        w = [(b, f, e) for b, e, f in w]  # -u w^T
-    shift = 0 if exp == 1 else -(ctx.weights[i - 1] + kj)
-    entries = [CycloNum.zero(d)] * (size * size)
-    entries[:: size + 1] = [CycloNum.one(d)] * size
-    for a in range(i - 1, j - 1):
-        g = shift - (p[a + 1] - p[i])  # u_a = q^{-(P_{a+1} - P_i)}
-        for b, e, f in w:
-            entries[a * size + b] += ctx.qpow(g + e) - ctx.qpow(g + f)
-    return CycloMatrix(d, size, size, tuple(entries))
+    return _letter_matrix(ctx, (("A", i, j), exp))
 
 
 def block_twist(ctx: RepContext, s: int, r: int, exp: int = 1) -> CycloMatrix:
@@ -296,24 +332,7 @@ def block_twist(ctx: RepContext, s: int, r: int, exp: int = 1) -> CycloMatrix:
     evaluated word block_twist_word(s, r), or its inverse word, and costs no
     matrix product.
     """
-    n = ctx.n
-    _check_block(n, s, r)
-    _check_exp(exp)
-    d, size, p = ctx.d, n - 1, ctx.prefix_sums
-    one, zero = CycloNum.one(d), CycloNum.zero(d)
-    scale = ctx.qpow(exp * (p[r] - p[s - 1]))
-    entries = [zero] * (size * size)
-    entries[:: size + 1] = [one] * size
-    for l in range(s, r):
-        row = (l - 1) * size
-        entries[row + l - 1] = scale
-        if r <= size:
-            shear = ctx.qpow(-(p[l] - p[s - 1])) - one
-            entries[row + r - 1] = scale * shear if exp == 1 else -shear
-        if s >= 2:
-            shear = one - ctx.qpow(p[r] - p[l])
-            entries[row + s - 2] = shear if exp == 1 else -(scale * shear)
-    return CycloMatrix(d, size, size, tuple(entries))
+    return _letter_matrix(ctx, (("FT", s, r), exp))
 
 
 def prefix_twist(ctx: RepContext, r: int, exp: int = 1) -> CycloMatrix:
@@ -325,34 +344,25 @@ def prefix_twist(ctx: RepContext, r: int, exp: int = 1) -> CycloMatrix:
     holds q^{P_r} (q^{-P_l} - 1) in row l < r, with P_l = k_1+...+k_l.  The
     inverse scales by q^{-P_r} and holds 1 - q^{-P_l} in column r.
     """
-    _check_prefix(ctx.n, r)
-    return block_twist(ctx, 1, r, exp)
+    return _letter_matrix(ctx, (("T", r), exp))
 
 
 def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     """Evaluate a braid word to its exact operator matrix, left to right.
 
-    Every letter, inverse letters included, is a closed form: pair_twist,
-    prefix_twist or block_twist, so nothing is eliminated and a letter costs
-    no matrix product of its own.  Letters are cached per context, and
-    linalg.product multiplies them, as int64 arrays while they stay integral
-    and small enough.
+    Every letter, inverse letters included, is a closed form, the signed
+    q-power terms of pair_twist, prefix_twist or block_twist, so nothing is
+    eliminated.  Bad letters raise before anything is built; the terms are
+    cached per context, and linalg.word_product applies them as rolls of an
+    int64 array.
     """
-    mats = []
-    cache: dict[Letter, CycloMatrix] = ctx._letter_cache  # type: ignore[attr-defined]
-    for letter in word.letters:
-        mat = cache.get(letter)
-        if mat is None:
-            gen, exp = letter
-            if gen[0] == "A":
-                mat = pair_twist(ctx, gen[1], gen[2], exp)
-            elif gen[0] == "T":
-                mat = prefix_twist(ctx, gen[1], exp)
-            else:
-                mat = block_twist(ctx, gen[1], gen[2], exp)
-            cache[letter] = mat
-        mats.append(mat)
-    return product(mats) if mats else CycloMatrix.identity(ctx.d, ctx.n - 1)
+    cache: dict[Letter, SparseLetter] = ctx._letter_cache  # type: ignore[attr-defined]
+    missing = [letter for letter in dict.fromkeys(word.letters) if letter not in cache]
+    for letter in missing:
+        _check_letter(ctx.n, letter)
+    for letter in missing:
+        cache[letter] = SparseLetter(ctx.d, _letter_terms(ctx, letter))
+    return word_product(ctx.d, ctx.n - 1, [cache[letter] for letter in word.letters])
 
 
 def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
@@ -365,18 +375,15 @@ def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
     """
     p = ctx.prefix_sums
     total = 0
-    for gen, exp in word.letters:
-        if gen[0] == "A":
-            _check_pair(ctx.n, gen[1], gen[2])
-            e = ctx.weights[gen[1] - 1] + ctx.weights[gen[2] - 1]
-        elif gen[0] == "T":
-            _check_prefix(ctx.n, gen[1])
-            e = (gen[1] - 1) * p[gen[1]]
+    for letter in word.letters:
+        _check_letter(ctx.n, letter)
+        (kind, a, *b), exp = letter
+        if kind == "A":
+            e = ctx.weights[a - 1] + ctx.weights[b[0] - 1]
+        elif kind == "T":
+            e = (a - 1) * p[a]
         else:
-            s, r = gen[1], gen[2]
-            _check_block(ctx.n, s, r)
-            e = (r - s) * (p[r] - p[s - 1])
-        _check_exp(exp)
+            e = (b[0] - a) * (p[b[0]] - p[a - 1])
         total += exp * e
     return ctx.qpow(total)
 

@@ -266,18 +266,20 @@ def suite_galois(seed: int, size: int = 1) -> SuiteReport:
     for _ in range(8 * size):
         ctx = sample_context(rng)
         tag = f"d={ctx.d} kappa={ctx.weights} k={ctx.k}"
+        pairs = {(i, j): pair_twist(ctx, i, j) for i, j in itertools.combinations(range(1, ctx.n + 1), 2)}
+        prefixes = {r: prefix_twist(ctx, r) for r in range(2, ctx.n)}
         for t in units(ctx.d):
             sibling = transported_context(ctx, t)
             rep.check(ctx.gram.galois(t) == sibling.gram, "gram transports entrywise", f"{tag} t={t}")
-            for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
+            for (i, j), m in pairs.items():
                 rep.check(
-                    pair_twist(ctx, i, j).galois(t) == pair_twist(sibling, i, j),
+                    m.galois(t) == pair_twist(sibling, i, j),
                     "pair twist transports entrywise",
                     f"{tag} t={t} ({i},{j})",
                 )
-            for r in range(2, ctx.n):
+            for r, m in prefixes.items():
                 rep.check(
-                    prefix_twist(ctx, r).galois(t) == prefix_twist(sibling, r),
+                    m.galois(t) == prefix_twist(sibling, r),
                     "prefix twist transports entrywise",
                     f"{tag} t={t} r={r}",
                 )

@@ -7,9 +7,9 @@ import pytest
 
 from braidrep import horo, suites
 from braidrep.cli import build_parser, main
-from braidrep.cyclo import CycloNum, units
+from braidrep.cyclo import CycloNum, _field_data, units
 from braidrep.linalg import CycloMatrix, matrix_from_json
-from braidrep.rep import RepContext, make_context
+from braidrep.rep import MAX_DEGREE, RepContext, make_context
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +174,20 @@ def test_horo_maxlen_above_limit(capsys):
     assert err.startswith("error: InvalidParameter") and "Traceback" not in err
 
 
+def test_degree_above_the_limit_exits_2_before_any_table(capsys):
+    """gram, rep and horo reject d > MAX_DEGREE with a named error and no
+    traceback before a field table is built; arithmeticity stays unlimited."""
+    tables = _field_data.cache_info().currsize
+    for d in (str(MAX_DEGREE + 1), "99999999999"):
+        for argv in (["gram", "--kappa", "1,1,1"], ["rep", "--kappa", "1,2,3", "--word", "A(1,2)"],
+                     ["horo", "--kappa", "1,1,3,2,2,1", "--m", "3"]):
+            code, out, err = run_cli(capsys, *argv, "--d", d)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: InvalidParameter") and "Traceback" not in err, argv
+    assert _field_data.cache_info().currsize == tables
+    assert run_cli(capsys, "arithmeticity", "--d", "99999999999", "--kappa", "1,2,3")[0] == 0
+
+
 def test_horo_json_is_pinned(capsys):
     # SHA-256 of documents recorded from earlier code: both witnesses (the exact
     # Fraction-based Q side), then the lower witness only and the upper witness
@@ -195,7 +209,7 @@ def test_horo_json_is_pinned(capsys):
 def _rep_argvs():
     """12 seeded 16-letter words at d 19/23/25, n=7, every other one on an
     eps0 = 1 context pushed to the quotient, then one 240-letter word at
-    d=25 whose running product outgrows the int64 bound of linalg.product."""
+    d=25 whose running product outgrows the int64 bound of linalg.word_product."""
     rng = random.Random(2026)
     n, argvs = 7, []
 

@@ -445,7 +445,7 @@ def test_vector_products_match_the_loops_they_replaced(operands):
         horo._row_action(fc, lam, square, xs + (lam,))
 
 
-# -- linalg.product: int64 array products under a checked bound ----------------
+# -- linalg.word_product: sparse letters rolled on int64 arrays -----------------
 
 def _counting(counts, name, fn):
     def counted(*args):
@@ -455,129 +455,138 @@ def _counting(counts, name, fn):
 
 
 def counted(fn, *args):
-    """fn(*args) with a count of each branch linalg.product took: int64 array
-    products, schoolbook matmuls and array-to-CycloMatrix conversions."""
+    """fn(*args) with a count of each fallback step linalg.word_product took:
+    exact reductions in Python ints and schoolbook matmuls after one."""
     counts = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_array_product", _counting(counts, "array", linalg._array_product))
-        mp.setattr(linalg, "_from_array", _counting(counts, "convert", linalg._from_array))
+        mp.setattr(linalg, "_exact", _counting(counts, "exact", linalg._exact))
         mp.setattr(CycloMatrix, "__matmul__", _counting(counts, "schoolbook", CycloMatrix.__matmul__))
         result = fn(*args)
     return result, counts
 
 
+def _letter(d, terms):
+    return linalg.SparseLetter(d, terms)
+
+
+def _reference(d, size, terms):
+    """The letter's matrix in CycloNum arithmetic: identity outside the
+    target columns, sign * zeta^t summed into (source, target) there."""
+    targets = {c for c, _, _, _ in terms}
+    rows = [[CycloNum.one(d) if r == c and c not in targets else CycloNum.zero(d) for c in range(size)]
+            for r in range(size)]
+    for c, r, sign, t in terms:
+        rows[r][c] = rows[r][c] + sign * zeta(d, t)
+    return CycloMatrix.from_rows(d, rows)
+
+
+def _fold(d, size, letters):
+    return functools.reduce(operator.matmul, [_reference(d, size, x.terms) for x in letters],
+                            CycloMatrix.identity(d, size))
+
+
 @st.composite
-def factor_chains(draw, first_fraction=None):
-    """A chain of 1..6 conformable factors over d in {3, 5, 7, 12, 25} with
-    entries 0, 1, -1, zeta^e or integer coefficients in -9..9.  When
-    first_fraction is given, factors from that index on (drawn, if 'draw')
-    each hold one entry with a denominator; the factors before are integral."""
-    d = draw(st.sampled_from((3, 5, 7, 12, 25)))
-    phi = euler_phi(d)
-    k = draw(st.integers(2 if first_fraction == "draw" else 1, 6))
-    dims = [draw(st.integers(1, 4)) for _ in range(k + 1)]
-    if first_fraction == "draw":
-        first_fraction = draw(st.integers(1, k - 1))
+def sparse_letters(draw, d, size):
+    """A letter on a drawn non-empty set of target columns, each with 1..4
+    terms of any source row, sign and power of zeta."""
+    targets = draw(st.sets(st.integers(0, size - 1), min_size=1))
+    return [(c, draw(st.integers(0, size - 1)), draw(st.sampled_from((1, -1))), draw(st.integers(0, d - 1)))
+            for c in sorted(targets) for _ in range(draw(st.integers(1, 4)))]
 
-    def entry():
-        kind = draw(st.sampled_from("01-zi"))
-        if kind == "0":
-            return CycloNum.zero(d)
-        if kind == "1":
-            return CycloNum.one(d)
-        if kind == "-":
-            return -CycloNum.one(d)
-        if kind == "z":
-            return zeta(d, draw(st.integers(0, d - 1)))
-        return from_coeffs(d, [draw(st.integers(-9, 9)) for _ in range(phi)])
 
-    mats = []
-    for t in range(k):
-        rows = [[entry() for _ in range(dims[t + 1])] for _ in range(dims[t])]
-        if first_fraction is not None and t >= first_fraction:
-            i, j = draw(st.integers(0, dims[t] - 1)), draw(st.integers(0, dims[t + 1] - 1))
-            rows[i][j] = from_rational(d, Fraction(draw(st.sampled_from((1, -1, 5))), draw(st.sampled_from((2, 3, 7)))))
-        mats.append(CycloMatrix.from_rows(d, rows))
-    return mats, first_fraction
+@st.composite
+def letter_chains(draw):
+    """0..8 sparse letters of one size 1..4 over d in {3, 4, 5, 7, 12, 25}."""
+    d, size = draw(st.sampled_from((3, 4, 5, 7, 12, 25))), draw(st.integers(1, 4))
+    return d, size, [_letter(d, draw(sparse_letters(d, size))) for _ in range(draw(st.integers(0, 8)))]
 
 
 @PROPERTY
-@given(factor_chains())
+@given(letter_chains())
 def test_product_of_integral_factors_runs_on_arrays(chain):
-    mats, _ = chain
-    result, counts = counted(linalg.product, mats)
-    assert result == functools.reduce(operator.matmul, mats)
-    assert counts == Counter(array=len(mats) - 1, convert=int(len(mats) > 1))
+    d, size, letters = chain
+    assert all(linalg.sparse_matrix(d, size, x.terms) == _reference(d, size, x.terms) for x in letters)
+    result, counts = counted(linalg.word_product, d, size, letters)
+    assert result == _fold(d, size, letters)
+    assert counts == Counter()
 
 
-@PROPERTY
-@given(factor_chains(first_fraction=0))
-def test_product_with_denominators_never_takes_the_array_path(chain):
-    mats, _ = chain
-    result, counts = counted(linalg.product, mats)
-    assert result == functools.reduce(operator.matmul, mats)
-    assert counts["array"] == counts["convert"] == 0
-    assert counts["schoolbook"] == len(mats) - 1
-
-
-@PROPERTY
-@given(factor_chains(first_fraction="draw"))
-def test_product_switches_to_schoolbook_at_the_first_denominator(chain):
-    mats, first = chain
-    result, counts = counted(linalg.product, mats)
-    assert result == functools.reduce(operator.matmul, mats)
-    assert counts == Counter(array=first - 1, convert=int(first > 1), schoolbook=len(mats) - first)
-
-
-def _flat(d, rows, cols, coeffs):
-    """rows x cols matrix whose entries all have the coefficient vector coeffs."""
-    return CycloMatrix(d, rows, cols, (CycloNum(d, tuple(coeffs), 1),) * (rows * cols))
+def _value_letters(value):
+    """Letters at size 2 whose product holds value at (0, 0), its largest
+    coefficient: col1 += col0, then per bit col0 *= 2 and col0 += col1."""
+    double, add = [(0, 0, 1, 0), (0, 0, 1, 0)], [(0, 0, 1, 0), (0, 1, 1, 0)]
+    terms = [[(1, 1, 1, 0), (1, 0, 1, 0)]]
+    for bit in bin(value)[3:]:
+        terms += [double, add] if bit == "1" else [double]
+    return [_letter(5, t) for t in terms]
 
 
 def test_product_bound_decides_the_branch():
-    """Operands sized just below the int64 bound multiply as arrays, just
-    above it by the schoolbook product; both give the exact product."""
-    d, inner = 5, 3
-    phi, rho = euler_phi(d), linalg._reduction(d)[1]
-    a = 2**20
-    b = (2**63 - 1) // (inner * phi * a * rho)
-    assert inner * phi * a * b * rho < 2**63 <= inner * phi * a * (b + 1) * rho
-    left = _flat(d, 2, inner, (a, -a, a, 5))
-    for coeff, branch in ((b, "array"), (b + 1, "schoolbook")):
-        right = _flat(d, inner, 2, (coeff, coeff, -7, coeff))
-        assert right._integral[1] == coeff
-        result, counts = counted(linalg.product, [left, right])
-        assert result == left @ right
-        # only an array product leaves an array to convert
-        assert counts == Counter({branch: 1, "convert": int(branch == "array")})
+    """max|M| * lam one unit below 2^63 applies the letter on the array, one
+    unit above takes the exact path; likewise max|M| * rho_d before the
+    reduction.  Every branch gives the exact product."""
+    d, triple = 5, _letter(5, [(0, 0, 1, 0), (0, 0, 1, 0), (0, 1, 1, 0)])
+    b = (2**63 - 1) // triple.lam
+    assert b * triple.lam < 2**63 <= (b + 1) * triple.lam
+    for value, schoolbook in ((b, 0), (b + 1, 1)):
+        letters = _value_letters(value) + [triple]
+        result, counts = counted(linalg.word_product, d, 2, letters)
+        assert result.entry(0, 0) == from_rational(d, 2 * value + 1)
+        assert result == _fold(d, 2, letters)
+        # the array that held 2 * value + 1 needs the exact reduction either way
+        assert counts == Counter(exact=1, schoolbook=schoolbook)
+    rho = linalg._cyclic_reduction(d)[1]
+    b = (2**63 - 1) // rho
+    for value, exact in ((b, 0), (b + 1, 1)):
+        result, counts = counted(linalg.word_product, d, 2, _value_letters(value))
+        assert result.entry(0, 0) == from_rational(d, value)
+        assert counts == Counter(exact=exact)
 
 
-def test_product_wider_than_the_window_limit_stays_schoolbook():
-    d, size = 101, 3
-    phi = euler_phi(d)
-    assert size * size * (2 * phi - 1) * phi > linalg._WINDOW_LIMIT
-    mats = [CycloMatrix.diagonal(d, [zeta(d, e), zeta(d, 2 * e), CycloNum.one(d)]) for e in (1, 5, 7)]
-    result, counts = counted(linalg.product, mats)
-    assert result == functools.reduce(operator.matmul, mats)
-    assert counts == Counter(schoolbook=2)
+@PROPERTY
+@given(st.data())
+def test_product_switches_to_schoolbook_at_the_first_letter_over_the_bound(data):
+    """After a prefix with max|M| = 2^62, letters of lam 1 that keep that
+    column stay on the array, the first letter of lam 2 fails the bound, and
+    the rest of the fold is schoolbook."""
+    d, size = 5, 2
+    prefix = _value_letters(2**62)
+    single = [_letter(d, [(1, data.draw(st.integers(0, 1)), data.draw(st.sampled_from((1, -1))),
+                           data.draw(st.integers(0, d - 1)))])
+              for _ in range(data.draw(st.integers(0, 3)))]
+    double = _letter(d, [(0, 0, 1, 0), (0, 1, -1, 3)])
+    rest = [_letter(d, data.draw(sparse_letters(d, size))) for _ in range(data.draw(st.integers(0, 3)))]
+    letters = prefix + single + [double] + rest
+    result, counts = counted(linalg.word_product, d, size, letters)
+    assert result == _fold(d, size, letters)
+    assert counts == Counter(exact=1, schoolbook=1 + len(rest))
+
+
+def test_product_wider_than_the_old_window_runs_on_arrays():
+    """No window limit: at d = 101, size 3 (past the 2^16 entries that gated
+    the dense int64 product) the letters still roll on the array."""
+    d = 101
+    letters = [_letter(d, [(0, 0, 1, e), (1, 1, 1, 2 * e), (1, 2, -1, 0)]) for e in (1, 5, 7)]
+    result, counts = counted(linalg.word_product, d, 3, letters)
+    assert result == _fold(d, 3, letters)
+    assert counts == Counter()
 
 
 def test_product_beyond_int64_is_rejected_by_the_bound_and_exact():
+    """Coefficients >= 2^63 arise only on the exact path and stay exact."""
     d = 5
-    left, right = _flat(d, 2, 2, (2**32, 2**32, 2**32, -2**32)), _flat(d, 2, 2, (2**32,) * 4)
-    three = [left, right, right]
-    result, counts = counted(linalg.product, three)
-    assert result == functools.reduce(operator.matmul, three)
+    letters = _value_letters(2**70 + 3) + [_letter(d, [(1, 0, 1, 2), (1, 1, -1, 1)])]
+    result, counts = counted(linalg.word_product, d, 2, letters)
+    assert result == _fold(d, 2, letters)
+    assert result.entry(0, 0) == from_rational(d, 2**70 + 3)
     assert max(abs(c) for e in result.entries for c in e.num) >= 2**63
-    assert counts == Counter(schoolbook=2)
-    # coefficients themselves outside int64 give no array at all; -2^63 fits
-    assert _flat(d, 1, 1, (2**63, 0, 0, 0))._integral is None
-    assert _flat(d, 1, 1, (-2**63, 0, 0, 0))._integral[1] == 2**63
+    assert counts["exact"] == 1 and counts["schoolbook"] > 0
 
 
 def test_long_word_falls_back_partway():
-    """A 320-letter word at d=25 outgrows the int64 bound: evaluate_word folds
-    on arrays, converts once and ends on the schoolbook product, exactly."""
+    """A 320-letter word at d=25 outgrows the int64 bound: evaluate_word rolls
+    its letters on the array, reduces exactly once and ends on the schoolbook
+    product, exactly."""
     rng = random.Random(25)
     ctx = make_context(25, (1, 2, 3, 4, 5, 6, 7), 2)
     letters = []
@@ -588,8 +597,7 @@ def test_long_word_falls_back_partway():
     mats = [evaluate_word(ctx, BraidWord((letter,))) for letter in letters]
     result, counts = counted(evaluate_word, ctx, BraidWord(tuple(letters)))
     assert result == functools.reduce(operator.matmul, mats)
-    assert counts["array"] > 0 and counts["schoolbook"] > 0 and counts["convert"] == 1
-    assert counts["array"] + counts["schoolbook"] == len(mats) - 1
+    assert counts["exact"] == 1 and 0 < counts["schoolbook"] < len(mats)
 
 
 def test_unipotency_and_order():

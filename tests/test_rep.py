@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -296,6 +298,54 @@ def test_pair_twist_matches_dense_reference(ctx):
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
         for exp in (1, -1):
             assert pair_twist(ctx, i, j, exp) == _dense_pair_twist(ctx, i, j, exp), (i, j, exp)
+
+
+COMPOSITE_DEGREES = (4, 6, 9, 12, 15, 30)
+composite_contexts = st.sampled_from(COMPOSITE_DEGREES).flatmap(lambda d: contexts((d, d), (3, 7)))
+
+
+def _letter_matrix(ctx, letter):
+    (kind, *idx), exp = letter
+    return {"A": pair_twist, "T": prefix_twist, "FT": block_twist}[kind](ctx, *idx, exp)
+
+
+def _schoolbook(ctx, letters):
+    return functools.reduce(operator.matmul, [_letter_matrix(ctx, x) for x in letters],
+                            CycloMatrix.identity(ctx.d, ctx.n - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(composite_contexts, st.data())
+def test_evaluate_word_matches_the_schoolbook_fold(ctx, data):
+    """Random words over A, T and FT with both exponents evaluate to the
+    schoolbook fold of their letter matrices, at composite d."""
+    n, letters = ctx.n, []
+    for _ in range(data.draw(st.integers(0, 12))):
+        kind, exp = data.draw(st.sampled_from(("A", "T", "FT"))), data.draw(st.sampled_from((1, -1)))
+        if kind == "T":
+            letters.append((("T", data.draw(st.integers(2, n - 1))), exp))
+        else:
+            i = data.draw(st.integers(1, n - 1))
+            letters.append(((kind, i, data.draw(st.integers(i + 1, n))), exp))
+    assert evaluate_word(ctx, BraidWord(tuple(letters))) == _schoolbook(ctx, letters)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(composite_contexts)
+def test_prefix_and_block_twists_equal_their_word_products(ctx):
+    """FT(s,r)^+-1, and T(r)^+-1 when s = 1, equal the schoolbook product of
+    the pair twists of block_twist_word(s, r) or of its inverse word, at
+    composite d."""
+    n = ctx.n
+    for s, r in itertools.combinations(range(1, n + 1), 2):
+        word = block_twist_word(s, r)
+        for exp, letters in ((1, word.letters), (-1, word.inverse().letters)):
+            fold = _schoolbook(ctx, letters)
+            assert block_twist(ctx, s, r, exp) == fold, (s, r, exp)
+            if s == 1 and r <= n - 1:
+                assert prefix_twist(ctx, r, exp) == fold, (r, exp)
 
 
 def test_derived_data_is_built_once_on_first_use(monkeypatch):

@@ -12,8 +12,11 @@ compared.  The commands are ``verify --suite all --seed E``, human and
 0..15 of seed 0; the horo documents pinned in ``tests/test_cli.py``, and
 those and the ``horo`` workload's cases at every ``--maxlen`` (at n = 8 the
 short budgets end before full rank and exit 1); ``gram``,
-human and ``--json``, and ``rep --json`` of every one-letter word A(i,j) and
-A(i,j)^-1, in the contexts of ``LETTER_CONTEXTS``.
+human and ``--json``, and ``rep --json`` of every one-letter word A(i,j),
+T(r) and FT(s,r), each also with ^-1, in the contexts of
+``LETTER_CONTEXTS``, with human output too at the composite d; and
+``rep`` of ``LONG_WORD``, human and ``--json``, which takes the exact
+fallback of the word product.
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -42,6 +46,28 @@ LETTER_CONTEXTS = (("29", "1,2,3,4,5,6,7", "3", False), ("29", "1,2,3,4,5,6,8", 
                    ("12", "1,2,3,4,5,6,7", "5", False), ("12", "7,5,4,4,4,1,11", "5", True))
 
 
+def _long_word(length: int = 320, n: int = 7) -> str:
+    """A seeded word over every letter kind and both exponents whose int64
+    running product at d = 25 outgrows the overflow bound."""
+    rng = random.Random(25)
+    letters = []
+    for _ in range(length):
+        kind, i = rng.randrange(3), rng.randint(1, n - 2)
+        letters.append((f"A({i},{rng.randint(i + 1, n)})", f"T({i + 1})", f"FT({i},{i + 2})")[kind]
+                       + "^-1" * rng.randrange(2))
+    return " ".join(letters)
+
+
+LONG_WORD = ["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,7", "--k", "2", "--word", _long_word()]
+
+
+def one_letter_words(n: int) -> list[str]:
+    """Every letter A(i,j), T(r), FT(s,r) on n punctures, each also inverted."""
+    gens = [f"{kind}({i},{j})" for i, j in itertools.combinations(range(1, n + 1), 2) for kind in ("A", "FT")]
+    gens += [f"T({r})" for r in range(2, n)]
+    return [g + inv for g in gens for inv in ("", "^-1")]
+
+
 def commands() -> list[list[str]]:
     argvs = []
     for seed in SEEDS:
@@ -58,10 +84,10 @@ def commands() -> list[list[str]]:
     for d, kappa, k, quotient in LETTER_CONTEXTS:
         flags = ["--d", d, "--kappa", kappa, "--k", k]
         argvs += [["gram", *flags], ["gram", *flags, "--json"]]
-        n = len(kappa.split(","))
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            for letter in (f"A({i},{j})", f"A({i},{j})^-1"):
-                argvs.append(["rep", *flags, "--word", letter, "--json"] + ["--quotient"] * quotient)
+        for word in one_letter_words(len(kappa.split(","))):
+            rep = ["rep", *flags, "--word", word] + ["--quotient"] * quotient
+            argvs += [rep + ["--json"]] + [rep] * (d == "12")
+    argvs += [LONG_WORD, LONG_WORD + ["--json"]]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
