@@ -91,28 +91,24 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_data(d: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """phi(d), Phi_d, and the reduction table x^j mod Phi_d as integer rows.
+def _field_data(d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """phi(d) and the reduction table x^j mod Phi_d, 0 <= j < d, as integer rows.
 
-    The table covers 0 <= j <= max(2*phi - 2, d - 1), enough for products of
-    two reduced elements and for Galois substitution exponents below d.
+    No caller reads a row at or above d: products and Galois images fold by
+    x^d = 1 before they read the table.
     """
     phi = euler_phi(d)
     poly = cyclotomic_poly(d)
-    top = max(2 * phi - 2, d - 1)
-    rows: list[tuple[int, ...]] = []
-    for j in range(phi):
-        rows.append(tuple(1 if i == j else 0 for i in range(phi)))
-    cur = list(rows[phi - 1]) if phi > 0 else []
-    for _ in range(phi, top + 1):
-        nxt = [0] + cur[: phi - 1]
-        lead = cur[phi - 1]
+    zeros = (0,) * phi
+    rows = [zeros[:j] + (1,) + zeros[j + 1 :] for j in range(phi)]
+    cur = rows[-1]
+    for _ in range(phi, d):
+        lead = cur[-1]
+        cur = (0,) + cur[:-1]
         if lead:
-            for i in range(phi):
-                nxt[i] -= lead * poly[i]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return phi, poly, tuple(rows)
+            cur = tuple(c - lead * p for c, p in zip(cur, poly))
+        rows.append(cur)
+    return phi, tuple(rows)
 
 
 # -- low-level kernels on (numerator tuple, denominator) pairs -----------
@@ -133,7 +129,7 @@ def _raw_normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 
 def _raw_reduce(d: int, conv: list[int]) -> list[int]:
-    phi, _, table = _field_data(d)
+    phi, table = _field_data(d)
     if len(conv) > d:  # fold by zeta^d = 1 first: fewer table rows
         folded = conv[:d]
         for j in range(d, len(conv)):
@@ -444,7 +440,7 @@ def from_coeffs(d: int, coeffs: list[Fraction] | tuple[Fraction, ...]) -> CycloN
 
 def zeta(d: int, s: int = 1) -> CycloNum:
     """The root of unity zeta_d^s as a field element."""
-    phi, _, table = _field_data(d)
+    phi, table = _field_data(d)
     row = table[s % d]
     return CycloNum(d, row, 1)
 

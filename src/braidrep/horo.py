@@ -47,6 +47,7 @@ from .linalg import (
 from .rep import (
     MAX_ORBIT_LEN,
     BraidWord,
+    Letter,
     RepContext,
     commutator,
     evaluate_word,
@@ -56,7 +57,6 @@ from .rep import (
 
 LOWER = "lower"
 UPPER = "upper"
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +73,7 @@ class FlagContext:
     G_W_inv: CycloMatrix
     mu: CycloNum
     orbits: dict = field(default_factory=dict, repr=False)  # part -> _Orbit, built on demand
+    actions: dict = field(default_factory=dict, repr=False)  # letter -> (lambda, C^-1), built on demand
 
     @property
     def middle_size(self) -> int:
@@ -227,20 +228,39 @@ def corner_entry(fc: FlagContext, m_quot: CycloMatrix) -> CycloNum:
     return _blocks(fc, flag_matrix(fc, m_quot))[4]
 
 
-def conjugation_action(fc: FlagContext, a_quot: CycloMatrix, x: Vector) -> Vector:
-    """Action of a parabolic element on translation parts: x -> lambda * x * C^-1."""
-    f = flag_matrix(fc, a_quot)
-    if not _parabolic(fc, f):
-        raise NotParabolicElement("conjugation action needs a flag-preserving element")
-    lam, _, _, _, _, middle = _blocks(fc, f)
-    return _row_action(fc, lam, middle.inverse(), x)
+def _letter_action(fc: FlagContext, letter: Letter) -> tuple[CycloNum, CycloMatrix]:
+    """(lambda, C^-1) of a letter a, which acts on translation parts by
+    x -> lambda x C^-1: the corner of F(a) and the middle block of F(a^-1),
+    F = flag_matrix.  A parabolic flag matrix is block upper-triangular, so
+    these blocks of F(a^-1) are the inverses of those of F(a): the inverse
+    letter's closed form takes the place of any inversion, and a^-1 acts by
+    the corner of F(a^-1) and the middle block of F(a).  Both are built once
+    per flag context.  Raises NotParabolicElement unless F(a) preserves the flag.
+    """
+    if letter not in fc.actions:
+        gen, exp = letter
+        f, f_inv = (flag_matrix(fc, evaluate_on_quotient(fc, BraidWord(((gen, e),)))) for e in (exp, -exp))
+        if not _parabolic(fc, f):
+            raise NotParabolicElement(f"letter {BraidWord((letter,))} does not preserve the flag")
+        (lam, *_, middle), (lam_inv, *_, middle_inv) = _blocks(fc, f), _blocks(fc, f_inv)
+        fc.actions[letter], fc.actions[(gen, -exp)] = (lam, middle_inv), (lam_inv, middle)
+    return fc.actions[letter]
+
+
+def conjugation_action(fc: FlagContext, word: BraidWord, x: Vector) -> Vector:
+    """Action of a braid word on translation parts, its letters acting last
+    first: a = l1 l2 sends x to lambda1 lambda2 x C2^-1 C1^-1, and the empty
+    word fixes x.  Raises NotParabolicElement at any letter that does not
+    preserve the flag, even where the product of the letters would."""
+    if len(x) != fc.middle_size:
+        raise ShapeMismatch(f"translation part must have length {fc.middle_size}")
+    for letter in reversed(word.letters):
+        x = _row_action(fc, *_letter_action(fc, letter), x)
+    return tuple(x)
 
 
 def _row_action(fc: FlagContext, lam: CycloNum, c_inv: CycloMatrix, x: Vector) -> Vector:
-    s = fc.middle_size
-    if len(x) != s:
-        raise ShapeMismatch(f"translation part must have length {s}")
-    return (CycloMatrix(fc.ctx.d, 1, s, tuple(x)) @ c_inv).scale(lam).entries
+    return (CycloMatrix(fc.ctx.d, 1, fc.middle_size, tuple(x)) @ c_inv).scale(lam).entries
 
 
 def commutator_pairing(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
@@ -337,24 +357,14 @@ def check_maxlen(maxlen: int) -> None:
 
 # -- orbit machinery ------------------------------------------------------------
 
-def _part_generators(fc: FlagContext, part: str) -> list[BraidWord]:
-    return [BraidWord.A(i, j) for i, j in part_pairs(fc, part)]
-
-
 def part_witness(fc: FlagContext, part: str) -> Vector:
     return translation_part(fc, evaluate_on_quotient(fc, witness(fc, part)))
 
 
 class _Orbit:
     """Breadth-first conjugation orbit of one part witness, exact dedup,
-    grown one vector at a time.
-
-    A generator a acts by x -> lambda x C^-1 with lambda the corner of F(a)
-    and C^-1 the middle block of F(a^-1), F = flag_matrix; a^-1 acts by the
-    corner of F(a^-1) and the middle block of F(a).  A parabolic flag matrix
-    is block upper-triangular, so the diagonal blocks of F(a^-1) are the
-    inverses of those of F(a), and the inverse words' closed-form letters
-    take the place of any inversion.
+    grown one vector at a time; the part generators and their inverses act
+    by x -> lambda x C^-1 with the entries of _letter_action.
 
     Once ``l`` levels are complete, ``ends[l]`` vectors have been reached by
     words of length at most l in the part generators and their inverses,
@@ -369,12 +379,7 @@ class _Orbit:
     def __init__(self, fc: FlagContext, part: str) -> None:
         self.fc = fc
         start = part_witness(fc, part)
-        self.actions = []
-        for word in _part_generators(fc, part):
-            (lam, *_, middle), (lam_inv, *_, middle_inv) = (
-                _blocks(fc, flag_matrix(fc, evaluate_on_quotient(fc, w))) for w in (word, word.inverse())
-            )
-            self.actions += [(lam, middle_inv), (lam_inv, middle)]
+        self.actions = [_letter_action(fc, (("A", i, j), e)) for i, j in part_pairs(fc, part) for e in (1, -1)]
         self.block = part_slice(fc, part)
         self.vectors, self.basis, self.seen = [], [], set()
         self.span = RationalSpan()

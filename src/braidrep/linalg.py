@@ -333,7 +333,7 @@ def _cyclic_reduction(d: int) -> tuple[np.ndarray, int]:
     """Rows phi..d-1 of the table of x^j mod Phi_d as an int64 array (rows
     0..phi-1 are the identity), and rho_d, the largest l1-norm of a column
     of rows 0..d-1."""
-    phi, _, table = _field_data(d)
+    phi, table = _field_data(d)
     rows = table[phi:d]
     return np.array(rows, dtype=np.int64), 1 + max(sum(abs(row[i]) for row in rows) for i in range(phi))
 

@@ -433,7 +433,7 @@ class LanternBlock:
 
     A: CycloMatrix                   # prefix twist T(r-1) restricted
     B: CycloMatrix                   # pair twist A(r-1, r) restricted
-    C: CycloMatrix                   # q^{k_1+...+k_r} * B^-1 * A^-1
+    C: CycloMatrix                   # q^{k_1+...+k_r} * B^-1 * A^-1, from the inverse letters
     basis: tuple[Vector, Vector]     # (projected g_{r-2}, g_{r-1}) in full coordinates
     eigenvector: tuple[CycloNum, CycloNum]   # block coordinates
     eigenvalue: CycloNum
@@ -480,12 +480,11 @@ def lantern_block(ctx: RepContext, r: int) -> LanternBlock:
             g_proj[c_idx] = g_proj[c_idx] - c_val
     basis = (tuple(g_proj), ctx.basis_vector(r - 1))
 
-    a_full = prefix_twist(ctx, r - 1)
-    b_full = pair_twist(ctx, r - 1, r)
-    a_block = _restrict(ctx, a_full, basis)
-    b_block = _restrict(ctx, b_full, basis)
-    scalar = ctx.qpow(ctx.prefix_sums[r])
-    c_block = (b_block.inverse() @ a_block.inverse()).scale(scalar)
+    a_block = _restrict(ctx, prefix_twist(ctx, r - 1), basis)
+    b_block = _restrict(ctx, pair_twist(ctx, r - 1, r), basis)
+    # the closed-form inverse letters, so A B C = q^{k_1+...+k_r} is a check
+    b_inv_a_inv = pair_twist(ctx, r - 1, r, -1) @ prefix_twist(ctx, r - 1, -1)
+    c_block = _restrict(ctx, b_inv_a_inv, basis).scale(ctx.qpow(ctx.prefix_sums[r]))
     eigenvector = (CycloNum.one(d), ctx.qpow(-ctx.weights[r - 2]))
     eigenvalue = ctx.qpow(ctx.prefix_sums[r - 2] + ctx.weights[r - 1])
     return LanternBlock(a_block, b_block, c_block, basis, eigenvector, eigenvalue)

@@ -362,19 +362,18 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
             "translation part is additive on products",
             tag,
         )
-    base_mat, base_nu = mats[parts[0]], chis[parts[0]]
+    base_nu = chis[parts[0]]
     for trial in range(trials):
         word = BraidWord()
         for _ in range(rng.randint(1, 3)):
             i, j = rng.choice(all_gens)
             word = word * BraidWord.A(i, j, rng.choice((1, -1)))
-        a_mat = horo.evaluate_on_quotient(fc, word)
         try:
-            moved = horo.conjugation_action(fc, a_mat, base_nu)
+            moved = horo.conjugation_action(fc, word, base_nu)
         except NotParabolicElement:
             rep.check(False, "random puncture-group word preserves the flag", f"{tag} {word}")
             continue
-        conj = a_mat @ base_mat @ horo.evaluate_on_quotient(fc, word.inverse())
+        conj = horo.evaluate_on_quotient(fc, word * words[parts[0]] * word.inverse())
         rep.check(
             horo.translation_part(fc, conj) == moved,
             "conjugation acts by lambda x C^-1 on translation parts",
@@ -385,8 +384,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     omega_samples = []
     if len(parts) == 2:
         x, y = chis[horo.LOWER], chis[horo.UPPER]
-        lower_inv, upper_inv = (horo.evaluate_on_quotient(fc, words[part].inverse()) for part in parts)
-        comm = mats[horo.LOWER] @ mats[horo.UPPER] @ lower_inv @ upper_inv
+        comm = horo.evaluate_on_quotient(fc, commutator(words[horo.LOWER], words[horo.UPPER]))
         val = horo.commutator_pairing(fc, x, y)
         rep.check(horo.in_unipotent(fc, comm), "commutator of unipotents is unipotent", tag)
         rep.check(not any(horo.translation_part(fc, comm)),

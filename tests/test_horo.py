@@ -13,6 +13,7 @@ from braidrep.errors import (
     NotDegenerate,
     NotParabolicElement,
     NotUnipotentElement,
+    ShapeMismatch,
     Singular,
 )
 from braidrep.horo import (
@@ -162,10 +163,9 @@ def test_translation_part_additive(flag):
 def test_conjugation_action(flag):
     fc = flag
     ctx, m, n = fc.ctx, fc.m, fc.ctx.n
-    ident = CycloMatrix.identity(ctx.d, ctx.n - 2)
     base = evaluate_on_quotient(fc, witness_lower(fc))
     nu = translation_part(fc, base)
-    assert conjugation_action(fc, ident, nu) == nu
+    assert conjugation_action(fc, BraidWord(), nu) == nu
     rng = random.Random(ctx.d)
     gens = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     gens += [(i, j) for i in range(m + 1, n + 1) for j in range(i + 1, n + 1)]
@@ -176,18 +176,46 @@ def test_conjugation_action(flag):
             word = word * BraidWord.A(i, j, rng.choice((1, -1)))
         a_mat = evaluate_on_quotient(fc, word)
         conj = a_mat @ base @ a_mat.inverse()
-        assert translation_part(fc, conj) == conjugation_action(fc, a_mat, nu)
+        assert translation_part(fc, conj) == conjugation_action(fc, word, nu)
+    crossing = BraidWord.A(m, m + 1)
+    assert not in_parabolic(fc, evaluate_on_quotient(fc, crossing))
     with pytest.raises(NotParabolicElement):
-        crossing = quotient_matrix(ctx, pair_twist(ctx, m, m + 1))
-        if in_parabolic(fc, crossing):
-            raise NotParabolicElement("sampled element unexpectedly parabolic")
         conjugation_action(fc, crossing, nu)
 
 
-def test_flag_matrix_built_once_per_call(flag, monkeypatch):
+def test_word_with_a_crossing_letter_is_not_parabolic(flag):
+    # every letter must preserve the flag, wherever it stands in the word
     fc = flag
+    m = fc.m
+    nu = part_witness(fc, LOWER)
+    crossing = BraidWord.A(m, m + 1)
+    for word in (crossing, BraidWord.A(1, 2) * crossing, crossing.inverse() * BraidWord.A(m + 1, m + 2),
+                 crossing * crossing.inverse()):
+        with pytest.raises(NotParabolicElement):
+            conjugation_action(fc, word, nu)
+    with pytest.raises(ShapeMismatch):
+        conjugation_action(fc, BraidWord(), nu[:-1])
+
+
+def test_conjugation_action_of_short_words_at_n8():
+    fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
+    rng = random.Random(8)
+    gens = part_pairs(fc, LOWER) + part_pairs(fc, UPPER)
+    for part in (LOWER, UPPER):
+        base = witness(fc, part)
+        nu = part_witness(fc, part)
+        for length in (1, 2, 3):
+            for _ in range(3):
+                word = BraidWord()
+                for _ in range(length):
+                    word = word * BraidWord.A(*rng.choice(gens), rng.choice((1, -1)))
+                conj = evaluate_on_quotient(fc, word * base * word.inverse())
+                assert translation_part(fc, conj) == conjugation_action(fc, word, nu), (part, str(word))
+
+
+def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
+    fc = make_flag(flag.ctx, flag.m)
     unipotent = evaluate_on_quotient(fc, witness_lower(fc))
-    parabolic = quotient_matrix(fc.ctx, pair_twist(fc.ctx, 1, 2))
     nu = translation_part(fc, unipotent)
     calls = []
     real = horo.flag_matrix
@@ -199,24 +227,30 @@ def test_flag_matrix_built_once_per_call(flag, monkeypatch):
     monkeypatch.setattr(horo, "flag_matrix", counting)
     assert translation_part(fc, unipotent) == nu
     assert len(calls) == 1
-    conjugation_action(fc, parabolic, nu)
-    assert len(calls) == 2
+    a = BraidWord.A(1, 2)
+    conjugation_action(fc, a, nu)
+    assert len(calls) == 3                       # F(a) and F(a^-1)
+    for word in (a, a.inverse(), a * a.inverse() * a):
+        conjugation_action(fc, word, nu)
+    assert len(calls) == 3
+    conjugation_action(fc, a * BraidWord.A(1, 3, -1), nu)
+    assert len(calls) == 5
+    orbit_rank(fc, LOWER)                        # the orbit reads the same table
+    # two witness translation parts, and F(a), F(a^-1) of each lower generator
+    assert len(calls) == 2 + 2 * len(part_pairs(fc, LOWER))
 
 
 def test_lower_group_acts_trivially_on_upper_block(flag):
     fc = flag
-    ctx, m, n = fc.ctx, fc.m, fc.ctx.n
-    mtp = evaluate_on_quotient(fc, witness_upper(fc))
-    nup = translation_part(fc, mtp)
+    m, n = fc.m, fc.ctx.n
+    nup = part_witness(fc, UPPER)
     for i, j in [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]:
-        a_mat = quotient_matrix(ctx, pair_twist(ctx, i, j))
-        moved = conjugation_action(fc, a_mat, nup)
-        assert moved == nup, (i, j)
-    mt = evaluate_on_quotient(fc, witness_lower(fc))
-    nu = translation_part(fc, mt)
+        for e in (1, -1):
+            assert conjugation_action(fc, BraidWord.A(i, j, e), nup) == nup, (i, j, e)
+    nu = part_witness(fc, LOWER)
     for i, j in [(i, j) for i in range(m + 1, n + 1) for j in range(i + 1, n + 1)]:
-        a_mat = quotient_matrix(ctx, pair_twist(ctx, i, j))
-        assert conjugation_action(fc, a_mat, nu) == nu, (i, j)
+        for e in (1, -1):
+            assert conjugation_action(fc, BraidWord.A(i, j, e), nu) == nu, (i, j, e)
 
 
 def test_commutator_lands_in_center(flag):
@@ -309,8 +343,8 @@ def reference_orbit(fc, part, maxlen, rank_bound=None):
     """The orbit BFS as one loop with nothing shared: the oracle for orbit_vectors."""
     s = fc.middle_size
     actions = []
-    for word in horo._part_generators(fc, part):
-        f = horo.flag_matrix(fc, evaluate_on_quotient(fc, word))
+    for i, j in part_pairs(fc, part):
+        f = horo.flag_matrix(fc, evaluate_on_quotient(fc, BraidWord.A(i, j)))
         lam, middle = f.entry(0, 0), f.submatrix(range(1, s + 1), range(1, s + 1))
         actions += [(lam, middle.inverse()), (lam.inv(), middle)]
     start = part_witness(fc, part)
@@ -479,8 +513,8 @@ def test_battery_adds_no_orbit_vector_after_full_rank():
 
 
 def test_battery_inverts_no_braid_image(monkeypatch):
-    # inverses of braid images come from inverse words; what is left inverts
-    # the flag basis and G_W, and the middle block in conjugation_action
+    # inverses of braid images come from inverse words and the letter-action
+    # table; what is left inverts the flag basis and G_W
     callers = []
     real = CycloMatrix.inverse
 
@@ -492,4 +526,4 @@ def test_battery_inverts_no_braid_image(monkeypatch):
     fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
     report, _ = horo_report(fc)
     assert report["failed"] == 0
-    assert set(callers) == {"make_flag", "conjugation_action"}
+    assert set(callers) == {"make_flag"}

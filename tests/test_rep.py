@@ -42,7 +42,8 @@ from braidrep.rep import (
     transported_context,
     word_det,
 )
-from braidrep.suites import sample_context
+from braidrep import rep
+from braidrep.suites import sample_context, suite_lantern
 
 
 # -- context construction ------------------------------------------------------
@@ -511,6 +512,21 @@ def test_lantern_block_maps_only_singular(monkeypatch):
     monkeypatch.setattr(CycloMatrix, "solve", fail_with(ShapeMismatch))
     with pytest.raises(ShapeMismatch):
         lantern_block(ctx, 4)
+
+
+def test_lantern_product_checks_the_inverse_letters(monkeypatch):
+    # C is built from the closed-form inverse letters, not by inverting A and
+    # B, so the lantern product fails when pair_twist(..., -1) is wrong
+    ctx = make_context(5, (1, 1, 1, 2), 1)
+    monkeypatch.setattr(CycloMatrix, "inverse", lambda m: pytest.fail("lantern_block inverts a matrix"))
+    lantern_block(ctx, 3)
+    real = rep.pair_twist
+    monkeypatch.setattr(rep, "pair_twist", lambda ctx, i, j, exp=1: real(ctx, i, j, 1))
+    blk = lantern_block(ctx, 3)
+    assert blk.A @ blk.B @ blk.C != CycloMatrix.identity(ctx.d, 2).scale(ctx.qpow(ctx.prefix_sums[3]))
+    report = suite_lantern(0)
+    assert report.by_identity["block restriction of the pair twist"] == [20, 0]
+    assert report.by_identity["lantern product is the boundary scalar"][1] > 0
 
 
 def test_lantern_block_sampled():

@@ -16,7 +16,8 @@ human and ``--json``, and ``rep --json`` of every one-letter word A(i,j),
 T(r) and FT(s,r), each also with ^-1, in the contexts of
 ``LETTER_CONTEXTS``, with human output too at the composite d; and
 ``rep`` of ``LONG_WORD``, human and ``--json``, which takes the exact
-fallback of the word product.
+fallback of the word product; ``horo`` of the n = 12 case, human and
+``--json``; and ``verify --suite lantern --size 3`` for seeds 0..3.
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -40,6 +41,8 @@ import workloads  # noqa: E402
 SEEDS = range(16)
 MAXLENS = range(9)  # every horo --maxlen, 0..horo.MAX_ORBIT_LEN
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
+N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3"]  # the ROADMAP's n = 12 case
+LANTERN_SEEDS = range(4)
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
 # kappa and an eps0 = 1 kappa whose words are pushed to the quotient
 LETTER_CONTEXTS = (("29", "1,2,3,4,5,6,7", "3", False), ("29", "1,2,3,4,5,6,8", "3", True),
@@ -87,7 +90,8 @@ def commands() -> list[list[str]]:
         for word in one_letter_words(len(kappa.split(","))):
             rep = ["rep", *flags, "--word", word] + ["--quotient"] * quotient
             argvs += [rep + ["--json"]] + [rep] * (d == "12")
-    argvs += [LONG_WORD, LONG_WORD + ["--json"]]
+    argvs += [LONG_WORD, LONG_WORD + ["--json"], N12_HORO, N12_HORO + ["--json"]]
+    argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
