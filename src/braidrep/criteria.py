@@ -28,13 +28,35 @@ def signature(ctx: RepContext) -> tuple[int, int]:
     """Exact signature (r_q, s_q) of the Hermitian form, via fractional parts.
 
     r_q = floor(sum_i {k*k_i/d}) - eps0 and s_q the same at exponent d - k;
-    always r_q + s_q = n - 1 - eps0.
+    always r_q + s_q = n - 1 - eps0.  In residues, sum_i {k*k_i/d} is
+    sum_i (k*k_i mod d) / d, so its floor is an integer quotient.
     """
-    total_pos = sum(Fraction(ctx.k * ki, ctx.d) % 1 for ki in ctx.weights)
-    total_neg = sum(Fraction((ctx.d - ctx.k) * ki, ctx.d) % 1 for ki in ctx.weights)
-    r_q = math.floor(total_pos) - ctx.eps0
-    s_q = math.floor(total_neg) - ctx.eps0
+    d, k = ctx.d, ctx.k
+    r_q = sum(k * ki % d for ki in ctx.weights) // d - ctx.eps0
+    s_q = sum((d - k) * ki % d for ki in ctx.weights) // d - ctx.eps0
     return (r_q, s_q)
+
+
+def _good_residues(d: int, r: Sequence[int]) -> bool:
+    """Goodness of mu_i = r_i / d, for integers 0 < r_i < d: the one
+    definition that is_good and density_verdict share.
+
+    The window 1 < sum(mu) < n-1 reads d < sum(r) < (n-1) d, and the order
+    of e^{2*pi*i*(mu_i + mu_j)}, the reduced denominator of (r_i + r_j)/d,
+    is d // gcd(r_i + r_j, d).
+    """
+    n = len(r)
+    if d < sum(r) < (n - 1) * d:
+        return True
+    for i, j in itertools.combinations(range(n), 2):
+        if d // math.gcd(r[i] + r[j], d) <= 5:
+            continue
+        for l in range(n):
+            if l in (i, j):
+                continue
+            if d // math.gcd(r[i] + r[l], d) > 2 or d // math.gcd(r[j] + r[l], d) > 2:
+                return True
+    return False
 
 
 def is_good(mu: Sequence[Fraction]) -> bool:
@@ -43,23 +65,15 @@ def is_good(mu: Sequence[Fraction]) -> bool:
     True when 1 < sum(mu) < n-1, or when the sum is outside that window but
     some triple {i, j, l} has a pair of order > 5 and a cross pair of
     order > 2 (the order of e^{2*pi*i*t} is the reduced denominator of t).
+    Entries are read with Fraction(x) and cleared to the residue form
+    mu_i = r_i / D over the lcm D of their denominators, which
+    _good_residues decides.
     """
     mu = [Fraction(x) for x in mu]
     if any(not 0 < x < 1 for x in mu):
         raise OutOfRange(f"weights must lie strictly between 0 and 1: {mu}")
-    n = len(mu)
-    total = sum(mu)
-    if 1 < total < n - 1:
-        return True
-    for i, j in itertools.combinations(range(n), 2):
-        if (mu[i] + mu[j]).denominator <= 5:
-            continue
-        for l in range(n):
-            if l in (i, j):
-                continue
-            if (mu[i] + mu[l]).denominator > 2 or (mu[j] + mu[l]).denominator > 2:
-                return True
-    return False
+    D = math.lcm(*(x.denominator for x in mu))
+    return _good_residues(D, [x.numerator * (D // x.denominator) for x in mu])
 
 
 @dataclass
@@ -84,6 +98,13 @@ def density_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     Fires when the fractional weight sequence at every unit exponent k is
     good, and the dimension condition holds: n - 1 - eps0 >= 3, or it equals
     2 together with a pair k_i + k_j coprime to d.
+
+    At k the weights are mu_i = r_i / d with residues r_i = k*k_i mod d,
+    all non-zero since 0 < k_i < d and k is a unit.  At d - k the residues
+    are d - r_i, so mu(d-k) = 1 - mu(k): the window is symmetric and
+    (1-a) + (1-b) has the order of a + b, hence good(d-k) == good(k), and
+    _good_residues runs once per pair {k, d-k}.  ``per_k`` records every
+    unit, ascending, with the sum S/d of its residues as a reduced fraction.
     """
     kappa = normalize_weights(d, tuple(kappa_raw))
     n = len(kappa)
@@ -93,10 +114,12 @@ def density_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     per_k: dict[str, dict] = {}
     all_good = True
     for k in units(d):
-        mu = [Fraction(k * ki, d) % 1 for ki in kappa]
-        good = is_good(mu)
+        residues = [k * ki % d for ki in kappa]
+        good = _good_residues(d, residues) if k < d - k else per_k[str(d - k)]["good"]
+        total = sum(residues)
         all_good = all_good and good
-        per_k[str(k)] = {"good": good, "sum": str(sum(mu))}
+        g = math.gcd(total, d)
+        per_k[str(k)] = {"good": good, "sum": str(total // d) if g == d else f"{total // g}/{d // g}"}
 
     pair = next(
         (
@@ -191,10 +214,9 @@ def arithmeticity_verdict(d: int, kappa_raw: Sequence[int]) -> Verdict:
     kappa = normalize_weights(d, tuple(kappa_raw))
     n = len(kappa)
     eps0 = eps0_of(d, kappa)
-    total = Fraction(sum(kappa), d)
 
     size_ok = n + 1 - eps0 >= 5
-    small_d_ok = d not in (3, 4, 6) or 2 < total < n - 2
+    small_d_ok = d not in (3, 4, 6) or 2 * d < sum(kappa) < (n - 2) * d
     diagnostics: dict = {
         "size_condition": size_ok,
         "small_d_condition": small_d_ok,

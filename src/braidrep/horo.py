@@ -74,6 +74,7 @@ class FlagContext:
     mu: CycloNum
     orbits: dict = field(default_factory=dict, repr=False)  # part -> _Orbit, built on demand
     actions: dict = field(default_factory=dict, repr=False)  # letter -> (lambda, C^-1), built on demand
+    flags: dict = field(default_factory=dict, repr=False)  # word -> flag matrix of its image, built on demand
 
     @property
     def middle_size(self) -> int:
@@ -152,6 +153,15 @@ def flag_matrix(fc: FlagContext, m_quot: CycloMatrix) -> CycloMatrix:
     return fc.P_inv @ m_quot @ fc.P
 
 
+def word_flag_matrix(fc: FlagContext, word: BraidWord) -> CycloMatrix:
+    """F(word), the flag matrix of the word's quotient image, built once per
+    flag context: the battery and the orbits read those of the one-letter
+    words and of the witnesses more than once."""
+    if word not in fc.flags:
+        fc.flags[word] = flag_matrix(fc, evaluate_on_quotient(fc, word))
+    return fc.flags[word]
+
+
 def _blocks(fc: FlagContext, f: CycloMatrix):
     s = fc.middle_size
     lam = f.entry(0, 0)
@@ -217,7 +227,11 @@ def _pairing_scalar(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
 
 def translation_part(fc: FlagContext, m_quot: CycloMatrix) -> Vector:
     """The first-row middle block of a unipotent element; additive on products."""
-    f = flag_matrix(fc, m_quot)
+    return _translation(fc, flag_matrix(fc, m_quot))
+
+
+def _translation(fc: FlagContext, f: CycloMatrix) -> Vector:
+    """translation_part on the flag matrix f of the operator."""
     if not _unipotent(fc, f):
         raise NotUnipotentElement("operator is not in the unipotent group")
     return _blocks(fc, f)[2]
@@ -235,11 +249,12 @@ def _letter_action(fc: FlagContext, letter: Letter) -> tuple[CycloNum, CycloMatr
     these blocks of F(a^-1) are the inverses of those of F(a): the inverse
     letter's closed form takes the place of any inversion, and a^-1 acts by
     the corner of F(a^-1) and the middle block of F(a).  Both are built once
-    per flag context.  Raises NotParabolicElement unless F(a) preserves the flag.
+    per flag context, from the memo of word_flag_matrix.  Raises
+    NotParabolicElement unless F(a) preserves the flag.
     """
     if letter not in fc.actions:
         gen, exp = letter
-        f, f_inv = (flag_matrix(fc, evaluate_on_quotient(fc, BraidWord(((gen, e),)))) for e in (exp, -exp))
+        f, f_inv = (word_flag_matrix(fc, BraidWord(((gen, e),))) for e in (exp, -exp))
         if not _parabolic(fc, f):
             raise NotParabolicElement(f"letter {BraidWord((letter,))} does not preserve the flag")
         (lam, *_, middle), (lam_inv, *_, middle_inv) = _blocks(fc, f), _blocks(fc, f_inv)
@@ -358,7 +373,8 @@ def check_maxlen(maxlen: int) -> None:
 # -- orbit machinery ------------------------------------------------------------
 
 def part_witness(fc: FlagContext, part: str) -> Vector:
-    return translation_part(fc, evaluate_on_quotient(fc, witness(fc, part)))
+    """Translation part of the part's witness, read from its memoized flag matrix."""
+    return _translation(fc, word_flag_matrix(fc, witness(fc, part)))
 
 
 class _Orbit:

@@ -320,16 +320,16 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     # parabolic membership of both puncture groups
     all_gens = horo.part_pairs(fc, horo.LOWER) + horo.part_pairs(fc, horo.UPPER)
     for i, j in all_gens:
-        mat = quotient_matrix(ctx, pair_twist(ctx, i, j))
-        rep.check(horo.in_parabolic(fc, mat), "puncture-group generators preserve the flag", f"{tag} A({i},{j})")
+        f = horo.word_flag_matrix(fc, BraidWord.A(i, j))
+        rep.check(horo._parabolic(fc, f), "puncture-group generators preserve the flag", f"{tag} A({i},{j})")
 
     chis, mats = {}, {}
     for part in parts:
         sl = horo.part_slice(fc, part)
-        mat = horo.evaluate_on_quotient(fc, words[part])
-        mats[part] = mat
-        rep.check(horo.in_unipotent(fc, mat), "witness is unipotent with forced constraints", f"{tag} {part}")
-        nu = horo.translation_part(fc, mat)
+        mats[part] = horo.evaluate_on_quotient(fc, words[part])
+        f = horo.word_flag_matrix(fc, words[part])
+        rep.check(horo._unipotent(fc, f), "witness is unipotent with forced constraints", f"{tag} {part}")
+        nu = horo.part_witness(fc, part)
         chis[part] = nu
         rep.check(any(nu[sl]), "witness translation part is non-zero on its block", f"{tag} {part}")
         other = slice(sl.stop, None) if sl.start == 0 else slice(0, sl.start)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidrep import criteria
 from braidrep.criteria import (
+    Verdict,
     _divisible_subsets,
     arithmeticity_verdict,
     density_verdict,
@@ -16,10 +19,10 @@ from braidrep.criteria import (
     is_good,
     signature,
 )
-from braidrep.cyclo import units
+from braidrep.cyclo import euler_phi, units
 from braidrep.errors import OutOfRange, PreconditionFailed
 from braidrep.linalg import inertia
-from braidrep.rep import make_context, normalize_weights, quotient_gram
+from braidrep.rep import eps0_of, make_context, normalize_weights, quotient_gram
 from braidrep.suites import sample_context
 
 F = Fraction
@@ -75,6 +78,123 @@ def test_is_good_complement_symmetry():
         denom = rng.randint(2, 15)
         mu = [F(rng.randint(1, denom - 1), denom) for _ in range(n)]
         assert is_good(mu) == is_good([1 - v for v in mu])
+
+
+def brute_force_is_good(mu):
+    """is_good by Fraction sums and their reduced denominators: the oracle."""
+    mu = [Fraction(x) for x in mu]
+    if any(not 0 < x < 1 for x in mu):
+        raise OutOfRange(f"weights must lie strictly between 0 and 1: {mu}")
+    n = len(mu)
+    total = sum(mu)
+    if 1 < total < n - 1:
+        return True
+    for i, j in itertools.combinations(range(n), 2):
+        if (mu[i] + mu[j]).denominator <= 5:
+            continue
+        for l in range(n):
+            if l in (i, j):
+                continue
+            if (mu[i] + mu[l]).denominator > 2 or (mu[j] + mu[l]).denominator > 2:
+                return True
+    return False
+
+
+@st.composite
+def mixed_weights(draw):
+    """0..8 entries in (0, 1) over denominators 2..40 each, as Fraction or str."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        q = draw(st.integers(2, 40))
+        x = F(draw(st.integers(1, q - 1)), q)
+        out.append(draw(st.sampled_from((x, str(x)))))
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mixed_weights())
+def test_is_good_matches_fraction_oracle(mu):
+    assert is_good(mu) == brute_force_is_good(mu)
+
+
+def test_is_good_reads_what_fraction_reads():
+    mu = ["1/2", 0.25, "0.5", F(1, 3)]
+    assert is_good(mu) == brute_force_is_good([F(1, 2), F(1, 4), F(1, 2), F(1, 3)])
+    assert is_good(["1/7"] * 4) and not is_good(["1/4"] * 3)
+
+
+@pytest.mark.parametrize("bad", [0, 1, -1, F(-1, 3), "0", "1", "-2/7", F(7, 5), 1.0])
+def test_is_good_out_of_range(bad):
+    with pytest.raises(OutOfRange):
+        is_good([F(1, 2), bad, F(1, 3)])
+
+
+def brute_force_density(d, kappa_raw):
+    """density_verdict by Fraction weights and brute_force_is_good: the oracle."""
+    kappa = normalize_weights(d, tuple(kappa_raw))
+    n = len(kappa)
+    eps0 = eps0_of(d, kappa)
+    dim = n - 1 - eps0
+
+    per_k: dict[str, dict] = {}
+    all_good = True
+    for k in units(d):
+        mu = [Fraction(k * ki, d) % 1 for ki in kappa]
+        good = brute_force_is_good(mu)
+        all_good = all_good and good
+        per_k[str(k)] = {"good": good, "sum": str(sum(mu))}
+
+    pair = next(
+        (
+            [i + 1, j + 1]
+            for i, j in itertools.combinations(range(n), 2)
+            if math.gcd(kappa[i] + kappa[j], d) == 1
+        ),
+        None,
+    )
+    dim_ok = dim >= 3 or (dim == 2 and pair is not None)
+    diagnostics = {
+        "per_k": per_k,
+        "dimension": dim,
+        "dimension_condition": dim_ok,
+        "coprime_pair": pair,
+    }
+    if all_good and dim_ok:
+        return Verdict("maximal", None, diagnostics).to_json()
+    return Verdict("unknown", None, diagnostics).to_json()
+
+
+@st.composite
+def connected_covers(draw):
+    """(d, kappa) with d 3..60, prime and composite, n 3..12 and gcd(d, kappa) = 1."""
+    d = draw(st.integers(3, 60))
+    kappa = draw(st.lists(st.integers(1, d - 1), min_size=3, max_size=12)
+                 .filter(lambda ks: math.gcd(d, *ks) == 1))
+    return d, kappa
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(connected_covers())
+def test_density_matches_brute_force(case):
+    d, kappa = case
+    # the JSON text too: key order is part of the document
+    got = density_verdict(d, kappa).to_json()
+    expected = brute_force_density(d, kappa)
+    assert got == expected and json.dumps(got) == json.dumps(expected)
+
+
+def test_density_matches_brute_force_at_a_large_prime():
+    assert density_verdict(10007, (1, 1, 1, 1, 1)).to_json() == brute_force_density(10007, (1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 12, 30, 31, 60, 105])
+def test_density_decides_each_complement_pair_once(d, monkeypatch):
+    calls = []
+    kernel = criteria._good_residues
+    monkeypatch.setattr(criteria, "_good_residues", lambda d, r: calls.append(tuple(r)) or kernel(d, r))
+    v = density_verdict(d, (1, 1, 2, d - 1))
+    assert len(calls) == euler_phi(d) // 2
+    assert list(v.diagnostics["per_k"]) == [str(k) for k in units(d)]
 
 
 def test_density_verdicts():

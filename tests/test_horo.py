@@ -238,6 +238,16 @@ def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
     orbit_rank(fc, LOWER)                        # the orbit reads the same table
     # two witness translation parts, and F(a), F(a^-1) of each lower generator
     assert len(calls) == 2 + 2 * len(part_pairs(fc, LOWER))
+    # one n = 8 battery builds F(a), F(a^-1) of each of its 13 generators
+    # once, shared by the check that they preserve the flag; each witness's
+    # once, shared by its checks and its orbit; then one per conjugation
+    # trial, the additivity product and three of the commutator
+    calls.clear()
+    fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
+    report, _ = horo_report(fc)
+    assert report["failed"] == 0
+    gens = part_pairs(fc, LOWER) + part_pairs(fc, UPPER)
+    assert len(calls) == 2 * len(gens) + 2 + 20 + 1 + 3 == 52
 
 
 def test_lower_group_acts_trivially_on_upper_block(flag):

@@ -8,11 +8,14 @@ through ``braidrep.cli.main`` in one fresh interpreter (``perfbench/worker.py``
 of that side), and the exit code, stdout and stderr of every command are
 compared.  The commands are ``verify --suite all --seed E``, human and
 ``--json``, for E = 0..15; every command whose output
-``perfbench/references.json`` records; every workload's commands for passes
-0..15 of seed 0; the horo documents pinned in ``tests/test_cli.py``, and
-those and the ``horo`` workload's cases at every ``--maxlen`` (at n = 8 the
-short budgets end before full rank and exit 1); ``gram``,
-human and ``--json``, and ``rep --json`` of every one-letter word A(i,j),
+``perfbench/references.json`` records, among them ``arithmeticity --json``
+and ``density --json`` of every input of ``workloads.criteria_pool()``, and
+the same two commands without ``--json``; ``density --json`` of kappa
+1,1,1,1,1 at d = 10007 (prime) and d = 10010 (composite); every workload's
+commands for passes 0..15 of seed 0; the horo documents pinned in
+``tests/test_cli.py``, and those and the ``horo`` workload's cases at every
+``--maxlen`` (at n = 8 the short budgets end before full rank and exit 1);
+``gram``, human and ``--json``, and ``rep --json`` of every one-letter word A(i,j),
 T(r) and FT(s,r), each also with ^-1, in the contexts of
 ``LETTER_CONTEXTS``, with human output too at the composite d; and
 ``rep`` of ``LONG_WORD``, human and ``--json``, which takes the exact
@@ -43,6 +46,7 @@ MAXLENS = range(9)  # every horo --maxlen, 0..horo.MAX_ORBIT_LEN
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
 N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3"]  # the ROADMAP's n = 12 case
 LANTERN_SEEDS = range(4)
+LARGE_DENSITY = [["density", "--d", d, "--kappa", "1,1,1,1,1", "--json"] for d in ("10007", "10010")]
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
 # kappa and an eps0 = 1 kappa whose words are pushed to the quotient
 LETTER_CONTEXTS = (("29", "1,2,3,4,5,6,7", "3", False), ("29", "1,2,3,4,5,6,8", "3", True),
@@ -77,6 +81,9 @@ def commands() -> list[list[str]]:
         verify = ["verify", "--suite", "all", "--seed", str(seed)]
         argvs += [verify, verify + ["--json"]]
     argvs += workloads.reference_argvs()
+    argvs += [[cmd, "--d", str(d), "--kappa", ",".join(map(str, kappa))]
+              for d, kappa in workloads.criteria_pool() for cmd in ("arithmeticity", "density")]
+    argvs += LARGE_DENSITY
     for w in workloads.WORKLOADS.values():
         for p in SEEDS:
             argvs += w.commands(0, p)
