@@ -167,6 +167,31 @@ def _raw_add(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> 
     return _raw_normalize([x * ma + y * mb for x, y in zip(na, nb)], lcm)
 
 
+def _raw_rotation_sum(d: int, base: tuple[tuple[int, ...], int] | None,
+                      terms: list[tuple[tuple[tuple[int, ...], int], int]]) -> tuple[tuple[int, ...], int]:
+    """base + sum of (zeta^e - 1) * x over terms (x, e), 0 <= e < d, with
+    base None for zero: one spread over Z[x]/(x^d - 1) on the lcm of the
+    denominators, in which each x is added rotated by e and subtracted
+    unrotated, reduced modulo Phi_d once."""
+    phi = _field_data(d)[0]
+    den = base[1] if base else 1
+    for (_, x_den), _ in terms:
+        if den % x_den:
+            den = den // math.gcd(den, x_den) * x_den
+    spread = [0] * (phi + d - 1)
+    if base:
+        f = den // base[1]
+        spread[:phi] = [f * c for c in base[0]]
+    for (num, x_den), e in terms:
+        f = den // x_den
+        for i, c in enumerate(num):
+            if c:
+                c *= f
+                spread[i + e] += c
+                spread[i] -= c
+    return _raw_normalize(_raw_reduce(d, spread), den)
+
+
 def _raw_galois(d: int, a: tuple[tuple[int, ...], int], t: int) -> tuple[tuple[int, ...], int]:
     """Image under zeta -> zeta^t, for a unit t already reduced mod d."""
     num, den = a
@@ -371,6 +396,8 @@ class CycloNum:
         """Image under the automorphism zeta -> zeta^t; t must be coprime to d."""
         if math.gcd(t, self.d) != 1:
             raise NotCoprime(f"gcd({t}, {self.d}) != 1")
+        if not any(self.num[1:]):  # Q is fixed
+            return self
         num, den = _raw_galois(self.d, (self.num, self.den), t % self.d)
         return CycloNum(self.d, num, den)
 
@@ -461,8 +488,15 @@ def order_of_power(d: int, s: int) -> int:
 # -- serialization ---------------------------------------------------------
 
 def to_strings(z: CycloNum) -> list[str]:
-    """Canonical JSON form: phi(d) reduced fraction strings, low degree first."""
-    return [str(c) for c in (z.num if z.den == 1 else z.coeffs)]
+    """Canonical JSON form: phi(d) reduced fraction strings, low degree first,
+    each str(Fraction(c, den)), reduced by one gcd(c, den)."""
+    if z.den == 1:
+        return [str(c) for c in z.num]
+    out = []
+    for c in z.num:
+        g = math.gcd(c, z.den)
+        out.append(str(c // g) if g == z.den else f"{c // g}/{z.den // g}")
+    return out
 
 
 def from_strings(d: int, items: list[str]) -> CycloNum:

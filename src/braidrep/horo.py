@@ -153,12 +153,13 @@ def flag_matrix(fc: FlagContext, m_quot: CycloMatrix) -> CycloMatrix:
     return fc.P_inv @ m_quot @ fc.P
 
 
-def word_flag_matrix(fc: FlagContext, word: BraidWord) -> CycloMatrix:
+def word_flag_matrix(fc: FlagContext, word: BraidWord, image: CycloMatrix | None = None) -> CycloMatrix:
     """F(word), the flag matrix of the word's quotient image, built once per
     flag context: the battery and the orbits read those of the one-letter
-    words and of the witnesses more than once."""
+    words and of the witnesses more than once.  A caller that already holds
+    the quotient image passes it as image, and the word is not evaluated."""
     if word not in fc.flags:
-        fc.flags[word] = flag_matrix(fc, evaluate_on_quotient(fc, word))
+        fc.flags[word] = flag_matrix(fc, evaluate_on_quotient(fc, word) if image is None else image)
     return fc.flags[word]
 
 
@@ -509,10 +510,11 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     ell = phi // 2
     target = phi * fc.middle_size
 
-    basis: list[Vector] = []
+    bases: dict[str, list[Vector]] = {}
     for part in (LOWER, UPPER):
         orb = _orbit(fc, part)
-        basis += orb.basis[: orb.rank(MAX_ORBIT_LEN, full_rank(fc, part))]
+        bases[part] = orb.basis[: orb.rank(MAX_ORBIT_LEN, full_rank(fc, part))]
+    basis = bases[LOWER] + bases[UPPER]
     if len(basis) < target:
         raise NoNonzeroPairing(
             f"orbits span rank {len(basis)} < {target}; enlarge the orbit sample"
@@ -531,13 +533,17 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
         raise NoNonzeroPairing("all pairings among the basis vectors vanish")
     i, j, a_q = pivot
 
-    columns = [realify(b) for b in basis]
+    # the multiples of basis[i] vanish off its part's block, as does that
+    # part's basis, which spans the block: the unique solution over the
+    # whole basis is 0 on the other part, so the block alone is solved
+    part = LOWER if i < len(bases[LOWER]) else UPPER
+    sl = part_slice(fc, part)
+    columns = [realify(b[sl]) for b in bases[part]]
     out: list[Vector] = []
     exponents = upper_half_exponents(d, ctx.k)
     for s in range(ell):
         lam = zeta(d, s) + zeta(d, (d - s) % d) if s else CycloNum.one(d) * 2
-        scaled = tuple(lam * e for e in basis[i])
-        coords = solve_rational(columns, realify(scaled))
+        coords = solve_rational(columns, realify(tuple(lam * e for e in basis[i][sl])))
         if coords is None:
             raise Singular("orbit basis does not span a multiple of its own vector")
         denom = math.lcm(*(c.denominator for c in coords))

@@ -402,10 +402,10 @@ def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:
 def _rref(rows: list[list], ncols: int) -> tuple[list[int], list, int]:
     """Gauss-Jordan in place on the first ncols columns of CycloNum rows.
 
-    Uses only bool, *, - and 1 / x; later columns ride along as right-hand
-    sides.  Afterwards row r < len(pivots) is 1 at column pivots[r], which
-    is 0 in every other row, and the later rows vanish on the first ncols
-    columns.  Returns (pivot columns, pivot values before normalization,
+    Uses only bool, *, - and 1 / x, and keeps an entry whose pivot-row
+    entry is 0; later columns ride along as right-hand sides.  Afterwards
+    row r < len(pivots) is 1 at column pivots[r], which is 0 in every other
+    row, and the later rows vanish on the first ncols columns.  Returns (pivot columns, pivot values before normalization,
     row swaps); a full-rank square matrix has det (-1)^swaps * prod(values).
     """
     pivots, values, swaps = [], [], 0
@@ -424,7 +424,7 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[int], list, int]:
         for i in range(n):
             f = rows[i][j]
             if i != r and f:
-                rows[i][j:] = [x - f * y for x, y in zip(rows[i][j:], prow)]
+                rows[i][j:] = [x - f * y if y else x for x, y in zip(rows[i][j:], prow)]
         pivots.append(j)
         values.append(value)
         r += 1

@@ -21,17 +21,19 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclo import CycloNum, zeta
+from .cyclo import CycloNum, _raw_rotation_sum, zeta
 from .errors import (
     DegenerateBlock,
     DisconnectedCover,
     ExponentDivisible,
     IndexOutOfRange,
     InvalidParameter,
+    ModulusMismatch,
     NotCoprime,
     NotDegenerate,
     NotPrimitive,
     RadicalNotFixed,
+    ShapeMismatch,
     Singular,
 )
 from .linalg import CycloMatrix, SparseLetter, Term, Vector, sesquilinear, sparse_matrix, word_product
@@ -180,16 +182,25 @@ class RepContext:
         return CycloMatrix.from_rows(d, rows)
 
     @cached_property
+    def _radical_exponents(self) -> tuple[int, ...]:
+        """e_b = -k (k_1+...+k_{b+1}) mod d: coordinate b of radical_vector is zeta^{e_b} - 1."""
+        return tuple(-self.k * self.prefix_sums[i] % self.d for i in range(1, self.n))
+
+    @cached_property
     def _radical(self) -> Vector:
         """The coordinates qbar^{k_1+...+k_i} - 1 of radical_vector."""
         one = CycloNum.one(self.d)
-        return tuple(self.qpow(-self.prefix_sums[i]) - one for i in range(1, self.n))
+        return tuple(zeta(self.d, e) - one for e in self._radical_exponents)
+
+    @cached_property
+    def _rewrite_scale(self) -> CycloNum:
+        """c = -1 / w_{n-2}, from the one field inverse of the quotient."""
+        return -self._radical[-1].inv()
 
     @cached_property
     def _last_basis_rewrite(self) -> Vector:
         """Quotient coordinates of the class of g_{n-1} via the radical relation."""
-        c = -self._radical[-1].inv()
-        return tuple(c * x for x in self._radical[:-1])
+        return tuple(self._rewrite_scale * x for x in self._radical[:-1])
 
     def qpow(self, e: int) -> CycloNum:
         """q^e as a field element (e may be negative)."""
@@ -410,19 +421,41 @@ def quotient_gram(ctx: RepContext) -> CycloMatrix:
 
 
 def quotient_matrix(ctx: RepContext, m: CycloMatrix) -> CycloMatrix:
-    """Push an operator that fixes the radical down to the n-2 quotient."""
+    """Push an operator that fixes the radical down to the n-2 quotient.
+
+    Every radical coordinate is w_b = zeta^{e_b} - 1, so (M w)_a and the
+    image entries are sums of rotations by zeta^e - 1, each one spread of
+    cyclo._raw_rotation_sum.  With c = -1 / w_{n-2}, the class of g_{n-1}
+    is sum_a c w_a g_a, so entry (a, b) of the image is
+    M[a][b] + (zeta^{e_a} - 1) t_b with t_b = c M[n-2][b]: n - 2 field
+    products and no matmul.  Raises what m.apply(w) != w raises:
+    ShapeMismatch, then ModulusMismatch, then RadicalNotFixed.
+    """
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
-    w = ctx._radical
-    if m.apply(w) != w:
+    d, size, cols = ctx.d, ctx.n - 2, m.cols
+    if cols != size + 1:
+        raise ShapeMismatch(f"vector length {size + 1} != cols {cols}")
+    if m.d != d:
+        raise ModulusMismatch(f"entry modulus {d} != {m.d}")
+    exps = ctx._radical_exponents
+    raw = [(x.num, x.den) if x else None for x in m.entries]
+    if m.rows != cols or any(
+        _raw_rotation_sum(d, None, [(x, e) for x, e in zip(raw[a * cols : (a + 1) * cols], exps) if x and e])
+        != (w.num, w.den)
+        for a, w in enumerate(ctx._radical)
+    ):
         raise RadicalNotFixed("operator moves the radical vector")
-    rewrite = ctx._last_basis_rewrite
-    size = ctx.n - 2
-    cols = [m.col(b) for b in range(size)]
-    return CycloMatrix.from_rows(ctx.d, [
-        [col[a] + col[size] * rewrite[a] if col[size] else col[a] for col in cols]
-        for a in range(size)
-    ])
+    c = ctx._rewrite_scale
+    ts = [c * x if x else None for x in m.row(size)[:size]]
+    entries = []
+    for a in range(size):
+        e = exps[a]
+        for b, t in enumerate(ts):
+            x = m.entries[a * cols + b]
+            entries.append(CycloNum(d, *_raw_rotation_sum(d, raw[a * cols + b], [((t.num, t.den), e)]))
+                           if e and t else x)
+    return CycloMatrix(d, size, size, tuple(entries))
 
 
 # -- two-dimensional lantern block ------------------------------------------------

@@ -327,7 +327,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     for part in parts:
         sl = horo.part_slice(fc, part)
         mats[part] = horo.evaluate_on_quotient(fc, words[part])
-        f = horo.word_flag_matrix(fc, words[part])
+        f = horo.word_flag_matrix(fc, words[part], mats[part])
         rep.check(horo._unipotent(fc, f), "witness is unipotent with forced constraints", f"{tag} {part}")
         nu = horo.part_witness(fc, part)
         chis[part] = nu
@@ -384,12 +384,12 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     omega_samples = []
     if len(parts) == 2:
         x, y = chis[horo.LOWER], chis[horo.UPPER]
-        comm = horo.evaluate_on_quotient(fc, commutator(words[horo.LOWER], words[horo.UPPER]))
+        comm = horo.word_flag_matrix(fc, commutator(words[horo.LOWER], words[horo.UPPER]))
         val = horo.commutator_pairing(fc, x, y)
-        rep.check(horo.in_unipotent(fc, comm), "commutator of unipotents is unipotent", tag)
-        rep.check(not any(horo.translation_part(fc, comm)),
+        rep.check(horo._unipotent(fc, comm), "commutator of unipotents is unipotent", tag)
+        rep.check(not any(horo._translation(fc, comm)),
                   "commutator of unipotents is central", tag)
-        rep.check(horo.corner_entry(fc, comm) == val,
+        rep.check(horo._blocks(fc, comm)[4] == val,
                   "commutator corner equals the pairing", tag)
         omega_samples.append(val)
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrep.cyclo import (
     CycloNum,
@@ -215,6 +217,49 @@ def test_galois():
             assert z.galois(s).galois(t) == z.galois((s * t) % d)
 
 
+GALOIS_DEGREES = (5, 7, 13, 19, 8, 12, 15, 30)  # prime, then composite
+
+
+@st.composite
+def elements(draw, d, big=2**70):
+    """An element of K_d with big numerators and a common denominator."""
+    phi = euler_phi(d)
+    den = draw(st.integers(1, 60))
+    return from_coeffs(d, [Fraction(draw(st.integers(-big, big)), den) for _ in range(phi)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(GALOIS_DEGREES).flatmap(
+    lambda d: st.tuples(st.just(d), elements(d), elements(d),
+                        st.fractions(max_denominator=10**6).filter(lambda r: abs(r) < 10**12),
+                        st.sampled_from(tuple(units(d))))))
+def test_galois_is_a_ring_homomorphism_fixing_q(case):
+    """sigma_t respects + and *, sends 1 to 1, agrees with zeta -> zeta^t at
+    the numeric embedding and fixes every rational, returning the rational
+    element itself."""
+    d, z, w, r, t = case
+    assert (z * w).galois(t) == z.galois(t) * w.galois(t)
+    assert (z + w).galois(t) == z.galois(t) + w.galois(t)
+    assert (z - w).galois(t) == z.galois(t) - w.galois(t)
+    root = zeta(d).embed() ** t
+    value = sum(c * root**i for i, c in enumerate(z.coeffs))
+    assert abs(complex(z.galois(t).embed()) - complex(value)) <= 1e-9 * float(1 + sum(map(abs, z.coeffs)))
+    q = from_rational(d, r)
+    assert q.galois(t) is q
+    assert q.conj() is q
+    assert (z * q).galois(t) == z.galois(t) * q
+    assert CycloNum.one(d).galois(t) == 1
+
+
+def test_galois_of_a_rational_checks_the_exponent():
+    q = from_rational(12, Fraction(-5, 3))
+    with pytest.raises(NotCoprime):
+        q.galois(4)
+    with pytest.raises(NotCoprime):
+        CycloNum.zero(7).galois(14)
+    assert q.galois(5) is q
+
+
 def test_is_real():
     z5 = zeta(5)
     assert (z5 + z5.conj()).is_real()
@@ -265,3 +310,25 @@ def test_serialization_roundtrip():
         strings = to_strings(z)
         assert len(strings) == phi
         assert from_strings(d, strings) == z
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((3, 5, 12, 25)).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.integers(-10**30, 10**30) | st.sampled_from((0, 1, -1)),
+                                             min_size=euler_phi(d), max_size=euler_phi(d)),
+                        st.integers(1, 10**20) | st.sampled_from((1, 2, 6, 360)))))
+def test_to_strings_reads_what_fraction_reads(case):
+    """Each string is str(Fraction(c, den)), zero and negative coefficients
+    included, whether or not den divides c."""
+    d, num, den = case
+    z = CycloNum(d, tuple(num), den)
+    assert to_strings(z) == [str(Fraction(c, den)) for c in num]
+    canonical = from_coeffs(d, [Fraction(c, den) for c in num])
+    assert to_strings(canonical) == [str(Fraction(c, den)) for c in num]
+
+
+def test_to_strings_examples():
+    assert to_strings(from_coeffs(5, [Fraction(0), Fraction(-3, 4), Fraction(1, 2), Fraction(2)])) == \
+        ["0", "-3/4", "1/2", "2"]
+    assert to_strings(CycloNum(3, (-6, 0), 4)) == ["-3/2", "0"]
+    assert to_strings(CycloNum(3, (4, -8), 4)) == ["1", "-2"]

@@ -39,7 +39,7 @@ from braidrep.horo import (
     witness_parts,
     witness_upper,
 )
-from braidrep.linalg import CycloMatrix, RationalSpan, rank_over_rationals
+from braidrep.linalg import CycloMatrix, RationalSpan, rank_over_rationals, realify, solve_rational
 from braidrep.rep import (
     BraidWord,
     commutator,
@@ -241,13 +241,18 @@ def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
     # one n = 8 battery builds F(a), F(a^-1) of each of its 13 generators
     # once, shared by the check that they preserve the flag; each witness's
     # once, shared by its checks and its orbit; then one per conjugation
-    # trial, the additivity product and three of the commutator
+    # trial, the additivity product and one of the commutator; each witness
+    # word is evaluated once
     calls.clear()
+    evaluated = []
+    real_evaluate = horo.evaluate_on_quotient
+    monkeypatch.setattr(horo, "evaluate_on_quotient", lambda fc, word: evaluated.append(word) or real_evaluate(fc, word))
     fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
     report, _ = horo_report(fc)
     assert report["failed"] == 0
     gens = part_pairs(fc, LOWER) + part_pairs(fc, UPPER)
-    assert len(calls) == 2 * len(gens) + 2 + 20 + 1 + 3 == 52
+    assert len(calls) == 2 * len(gens) + 2 + 20 + 1 + 1 == 50
+    assert [evaluated.count(witness(fc, part)) for part in (LOWER, UPPER)] == [1, 1]
 
 
 def test_lower_group_acts_trivially_on_upper_block(flag):
@@ -489,6 +494,41 @@ def test_center_lattice_unsolvable_is_named(monkeypatch):
 
 
 N8 = (11, (1, 1, 9, 1, 1, 1, 1, 7), 3)
+# the kappas of the horo benchmark workload (d = 11, m = 3) and the horo
+# document pinned in tests/test_cli.py that has both witnesses (the other
+# two have one, and center_lattice_vectors raises BadM for them)
+CENTER_CASES = [(11, (1, 1, 9, 1, 1, 1, 1, 7), 3), (11, (1, 1, 9, 1, 1, 1, 2, 6), 3),
+                (11, (1, 1, 9, 1, 2, 1, 1, 6), 3), (11, (1, 1, 9, 1, 1, 1, 1, 1, 6), 3)]
+
+
+@pytest.mark.parametrize("d,kappa,m", CASES + CENTER_CASES, ids=lambda c: str(c))
+def test_center_block_solve_matches_the_full_solve(d, kappa, m, monkeypatch):
+    """center_lattice_vectors solves on the pivot's part block alone; the
+    solve over the whole two-part basis gives the same coordinates there
+    and 0 on the other part."""
+    fc = make_flag(make_context(d, kappa, 1), m)
+    solves = []
+
+    def recording(columns, target):
+        solves.append((columns, target, solve_rational(columns, target)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(horo, "solve_rational", recording)
+    center_lattice_vectors(fc)
+    bases = {part: horo._orbit(fc, part).basis for part in (LOWER, UPPER)}
+    assert all(len(bases[part]) == horo.full_rank(fc, part) for part in (LOWER, UPPER))
+    full = [realify(b) for b in bases[LOWER] + bases[UPPER]]
+    phi = euler_phi(d)
+    assert len(solves) == phi // 2
+    for columns, target, coords in solves:
+        part = next(p for p in (LOWER, UPPER)
+                    if columns == [realify(b[horo.part_slice(fc, p)]) for b in bases[p]])
+        sl = horo.part_slice(fc, part)
+        assert len(columns) == phi * (sl.stop - sl.start) < len(full)
+        assert any(target)  # a multiple of the pivot vector, which lies in this block
+        padded = [0] * (phi * sl.start) + target + [0] * (phi * (fc.middle_size - sl.stop))
+        zeros = [0] * len(bases[UPPER if part == LOWER else LOWER])
+        assert solve_rational(full, padded) == (coords + zeros if part == LOWER else zeros + coords)
 
 
 @pytest.mark.parametrize("d,kappa,m", CASES + [N8], ids=lambda c: str(c))

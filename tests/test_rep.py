@@ -8,13 +8,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from braidrep.cyclo import CycloNum, order_of_power, units, zeta
+from fractions import Fraction
+
+from braidrep.cyclo import CycloNum, euler_phi, from_coeffs, order_of_power, units, zeta
 from braidrep.errors import (
     DegenerateBlock,
     DisconnectedCover,
     ExponentDivisible,
     IndexOutOfRange,
     InvalidParameter,
+    ModulusMismatch,
     NotCoprime,
     NotDegenerate,
     NotPrimitive,
@@ -22,7 +25,7 @@ from braidrep.errors import (
     ShapeMismatch,
     Singular,
 )
-from braidrep.linalg import CycloMatrix
+from braidrep.linalg import CycloMatrix, matrix_to_json
 from braidrep.rep import (
     BraidWord,
     block_twist,
@@ -315,21 +318,27 @@ def _schoolbook(ctx, letters):
                             CycloMatrix.identity(ctx.d, ctx.n - 1))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(composite_contexts, st.data())
-def test_evaluate_word_matches_the_schoolbook_fold(ctx, data):
-    """Random words over A, T and FT with both exponents evaluate to the
-    schoolbook fold of their letter matrices, at composite d."""
-    n, letters = ctx.n, []
-    for _ in range(data.draw(st.integers(0, 12))):
+def _draw_word(data, n, length):
+    """A word of at most length letters A, T and FT, each exponent +-1."""
+    letters = []
+    for _ in range(data.draw(st.integers(0, length))):
         kind, exp = data.draw(st.sampled_from(("A", "T", "FT"))), data.draw(st.sampled_from((1, -1)))
         if kind == "T":
             letters.append((("T", data.draw(st.integers(2, n - 1))), exp))
         else:
             i = data.draw(st.integers(1, n - 1))
             letters.append(((kind, i, data.draw(st.integers(i + 1, n))), exp))
-    assert evaluate_word(ctx, BraidWord(tuple(letters))) == _schoolbook(ctx, letters)
+    return BraidWord(tuple(letters))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(composite_contexts, st.data())
+def test_evaluate_word_matches_the_schoolbook_fold(ctx, data):
+    """Random words over A, T and FT with both exponents evaluate to the
+    schoolbook fold of their letter matrices, at composite d."""
+    word = _draw_word(data, ctx.n, 12)
+    assert evaluate_word(ctx, word) == _schoolbook(ctx, word.letters)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
@@ -458,6 +467,122 @@ def test_quotient():
     assert quotient_gram(ctx).rank() == 2
     with pytest.raises(RadicalNotFixed):
         quotient_matrix(ctx, ident.scale(zeta(4)))
+
+
+def _quotient_by_matmul(ctx, m):
+    """The former formula, kept as an oracle: the radical check as the
+    matmul m.apply(w), then col[a] + col[n-2] * rewrite[a] per entry."""
+    if ctx.eps0 != 1:
+        raise NotDegenerate("quotient requires eps0 = 1")
+    w = radical_vector(ctx)
+    if m.apply(w) != w:
+        raise RadicalNotFixed("operator moves the radical vector")
+    rewrite = ctx._last_basis_rewrite
+    size = ctx.n - 2
+    cols = [m.col(b) for b in range(size)]
+    return CycloMatrix.from_rows(ctx.d, [
+        [col[a] + col[size] * rewrite[a] if col[size] else col[a] for col in cols]
+        for a in range(size)
+    ])
+
+
+def _raised(f, *args):
+    """(type, message) of what f(*args) raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return None
+
+
+QUOTIENT_DEGREES = (4, 6, 12, 19, 25, 30)
+quotient_contexts = st.sampled_from(QUOTIENT_DEGREES).flatmap(lambda d: contexts((d, d), (3, 7))).filter(
+    lambda ctx: ctx.eps0 == 1)
+
+
+def _draw_element(data, d, big):
+    den = data.draw(st.sampled_from((1, 1, 2, 3, 7, 360, 10**15 + 37)))
+    hi = data.draw(st.sampled_from((1, 5, big)))
+    return from_coeffs(d, [Fraction(data.draw(st.integers(-hi, hi)), den) for _ in range(euler_phi(d))])
+
+
+def _radical_fixing(ctx, data, big=2**90):
+    """The image of a random word times I + u v^T with v^T w = 0, so that it
+    fixes w: entries with denominators and big integers."""
+    d, size = ctx.d, ctx.n - 1
+    w = radical_vector(ctx)
+    u = [_draw_element(data, d, big) for _ in range(size)]
+    v = [_draw_element(data, d, big) for _ in range(size - 1)]
+    v.append(-sum((x * y for x, y in zip(v, w)), CycloNum.zero(d)) / w[-1])
+    shear = CycloMatrix.identity(d, size) + CycloMatrix.from_rows(d, [[a * b for b in v] for a in u])
+    return evaluate_word(ctx, _draw_word(data, ctx.n, 8)) @ shear
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(quotient_contexts, st.data())
+def test_quotient_matches_the_matmul_formula(ctx, data):
+    """Random words alone, and times shears with denominators and big
+    integers that fix w, push down to what the matmul formula gives, byte
+    for byte; moving one entry of a column where w is non-zero raises
+    RadicalNotFixed from both."""
+    word_image = evaluate_word(ctx, _draw_word(data, ctx.n, 16))
+    for m in (word_image, _radical_fixing(ctx, data)):
+        assert m.apply(radical_vector(ctx)) == radical_vector(ctx)
+        mq = quotient_matrix(ctx, m)
+        assert mq == _quotient_by_matmul(ctx, m)
+        assert matrix_to_json(mq) == matrix_to_json(_quotient_by_matmul(ctx, m))
+    b = data.draw(st.sampled_from([b for b, x in enumerate(radical_vector(ctx)) if x]))
+    a = data.draw(st.integers(0, ctx.n - 2))
+    entries = list(m.entries)
+    entries[a * m.cols + b] += _draw_element(data, ctx.d, 2**90) or 1
+    moved = CycloMatrix(ctx.d, m.rows, m.cols, tuple(entries))
+    assert _raised(quotient_matrix, ctx, moved) == _raised(_quotient_by_matmul, ctx, moved) == \
+        (RadicalNotFixed, "operator moves the radical vector")
+
+
+def test_quotient_raises_what_the_matmul_formula_raises():
+    """NotDegenerate first, then ShapeMismatch (wrong column count), then
+    ModulusMismatch, then RadicalNotFixed (a wrong row count included),
+    with the messages of m.apply(w) != w."""
+    ctx = make_context(12, (7, 5, 4, 4, 4), 5)
+    good = pair_twist(ctx, 1, 3)
+    cases = [
+        CycloMatrix.identity(12, 3),
+        CycloMatrix.identity(12, 5),
+        CycloMatrix.identity(5, 4),
+        CycloMatrix.identity(5, 3),
+        CycloMatrix.zeros(12, 3, 4),
+        CycloMatrix.zeros(12, 5, 4),
+        CycloMatrix.zeros(12, 0, 4),
+        CycloMatrix.zeros(12, 4, 3),
+        good.scale(zeta(12)),
+        good,
+    ]
+    seen = [_raised(quotient_matrix, ctx, m) for m in cases]
+    assert seen == [_raised(_quotient_by_matmul, ctx, m) for m in cases]
+    assert [s and s[0] for s in seen] == [ShapeMismatch, ShapeMismatch, ModulusMismatch, ShapeMismatch,
+                                          RadicalNotFixed, RadicalNotFixed, RadicalNotFixed, ShapeMismatch,
+                                          RadicalNotFixed, None]
+    flat = make_context(12, (7, 5, 4, 4, 5), 5)
+    assert _raised(quotient_matrix, flat, CycloMatrix.identity(5, 2)) == \
+        (NotDegenerate, "quotient requires eps0 = 1")
+
+
+def test_quotient_forms_one_field_product_per_column(monkeypatch):
+    """No matmul and at most n - 2 CycloNum products per call: c = -1 / w_{n-2}
+    times each entry of the last row; the radical check and the entries are
+    integer spreads."""
+    ctx = make_context(25, (1, 2, 3, 4, 5, 6, 4), 2)
+    m = evaluate_word(ctx, parse_word("A(1,7) A(2,7) A(3,7)^-1 A(4,7) A(5,7)"))
+    products = []
+    mul = CycloNum.__mul__
+    monkeypatch.setattr(CycloNum, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    monkeypatch.setattr(CycloMatrix, "__matmul__", lambda x, y: pytest.fail("matmul"))
+    mq = quotient_matrix(ctx, m)
+    assert len(products) == sum(1 for x in m.row(ctx.n - 2)[: ctx.n - 2] if x) == ctx.n - 2
+    monkeypatch.undo()
+    assert mq == _quotient_by_matmul(ctx, m)
 
 
 def test_quotient_dimension_and_descended_form():

@@ -19,7 +19,8 @@ commands for passes 0..15 of seed 0; the horo documents pinned in
 T(r) and FT(s,r), each also with ^-1, in the contexts of
 ``LETTER_CONTEXTS``, with human output too at the composite d; and
 ``rep`` of ``LONG_WORD``, human and ``--json``, which takes the exact
-fallback of the word product; ``horo`` of the n = 12 case, human and
+fallback of the word product, and ``rep --quotient`` of the same word at an
+eps0 = 1 kappa (``LONG_QUOTIENT``), human and ``--json``; ``horo`` of the n = 12 case, human and
 ``--json``; and ``verify --suite lantern --size 3`` for seeds 0..3.
 Prints a summary line and exits 1 on any mismatch.
 """
@@ -66,6 +67,7 @@ def _long_word(length: int = 320, n: int = 7) -> str:
 
 
 LONG_WORD = ["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,7", "--k", "2", "--word", _long_word()]
+LONG_QUOTIENT = ["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,4", "--k", "2", "--word", _long_word(), "--quotient"]
 
 
 def one_letter_words(n: int) -> list[str]:
@@ -97,7 +99,8 @@ def commands() -> list[list[str]]:
         for word in one_letter_words(len(kappa.split(","))):
             rep = ["rep", *flags, "--word", word] + ["--quotient"] * quotient
             argvs += [rep + ["--json"]] + [rep] * (d == "12")
-    argvs += [LONG_WORD, LONG_WORD + ["--json"], N12_HORO, N12_HORO + ["--json"]]
+    argvs += [LONG_WORD, LONG_WORD + ["--json"], LONG_QUOTIENT, LONG_QUOTIENT + ["--json"]]
+    argvs += [N12_HORO, N12_HORO + ["--json"]]
     argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
