@@ -3,8 +3,9 @@
 Matrices are immutable, row-major, with every entry sharing one modulus d.
 Products are formed by the schoolbook ``CycloMatrix.__matmul__``, except
 that :func:`word_product`, the fold of a braid word's sparse letters, rolls
-int64 arrays over Z[x]/(x^d - 1) under a checked overflow bound.  Every
-exact elimination over K_d runs through the one Gauss-Jordan routine
+an array over Z[x]/(x^d - 1), in int64 under a checked overflow bound and
+in Python ints from the first step that could overflow.  Every exact
+elimination over K_d runs through the one Gauss-Jordan routine
 :func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
 cleared of denominators and reduced fraction-free over the integers by the
 one routine :func:`_reduce` (cf. Bareiss, Math. Comp. 22, 1968).  All but
@@ -306,15 +307,14 @@ def sparse_matrix(d: int, size: int, terms: Iterable[Term]) -> CycloMatrix:
 
 
 class SparseLetter:
-    """A :func:`sparse_matrix` prepared for :func:`word_product`: its terms
-    sorted by target column, the distinct targets and the index of the first
-    term of each, the flat index in a (rows, size * d) array of each term's
-    source column rolled by zeta^t, the signs, and lam, the most terms of one
-    target column, which bounds the l1-norm of every column."""
+    """A letter's terms prepared for :func:`word_product`, sorted by target
+    column: the distinct targets and the index of the first term of each,
+    the flat index in a (rows, size * d) array of each term's source column
+    rolled by zeta^t, the signs, and lam, the most terms of one target
+    column, which bounds the l1-norm of every column."""
 
     def __init__(self, d: int, terms: Iterable[Term]) -> None:
-        self.terms = tuple(sorted(terms))
-        cols, rows, signs, powers = zip(*self.terms)
+        cols, rows, signs, powers = zip(*sorted(terms))
         starts = [i for i, c in enumerate(cols) if i == 0 or c != cols[i - 1]]
         self.lam = max(b - a for a, b in zip(starts, starts[1:] + [len(cols)]))
         self.targets, self.starts = np.array([cols[i] for i in starts]), np.array(starts)
@@ -338,52 +338,46 @@ def _cyclic_reduction(d: int) -> tuple[np.ndarray, int]:
     return np.array(rows, dtype=np.int64), 1 + max(sum(abs(row[i]) for row in rows) for i in range(phi))
 
 
-def _integral_matrix(d: int, size: int, nums: Iterable[list[int]]) -> CycloMatrix:
-    """The size x size matrix of reduced integer coefficient rows; den == 1
-    makes every entry canonical."""
-    return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
-
-
-def _exact(d: int, arr: np.ndarray) -> CycloMatrix:
-    """The matrix of a (size, size * d) array over Z[x]/(x^d - 1), reduced
-    modulo Phi_d in Python ints."""
-    return _integral_matrix(d, arr.shape[0], (_raw_reduce(d, c) for c in arr.reshape(-1, d).tolist()))
+def _checked(arr: np.ndarray, bound: int, factor: int) -> tuple[np.ndarray, int]:
+    """arr and a bound on max|arr|, with arr promoted from int64 to Python
+    ints when max|arr| * factor reaches 2^63.  The carried bound is
+    replaced by max|arr| only when it would fail the check."""
+    if bound * factor >= _INT64_LIMIT and arr.dtype != object:
+        bound = _max_abs(arr)
+        if bound * factor >= _INT64_LIMIT:
+            arr = arr.astype(object)
+    return arr, bound
 
 
 def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMatrix:
     """The exact product of sparse letters, folded left to right (the
     identity for none).
 
-    The running product M is an int64 array over Z[x]/(x^d - 1), in which
+    The running product M is an array over Z[x]/(x^d - 1), in which
     multiplying by zeta^t rolls the coefficient axis by t.  A letter is one
     gather of the rolled source columns of its terms, times their signs,
     and one np.add.reduceat that sums the terms of each target column.  M
     is reduced modulo Phi_d once, by rows 0..d-1 of the table of x^j mod
-    Phi_d.  Before each letter max|M| * lam < 2^63, and before the
-    reduction max|M| * rho_d < 2^63, cap every partial sum (the a-priori
-    bound of FFLAS, Dumas-Gautier-Pernet, ISSAC 2002).  At the first step
-    that fails, M is reduced exactly in Python ints and the rest of the
-    fold runs through ``CycloMatrix.__matmul__``.
+    Phi_d.  M starts in int64.  Before each letter max|M| * lam < 2^63, and
+    before the reduction max|M| * rho_d < 2^63, cap every partial sum (the
+    a-priori bound of FFLAS, Dumas-Gautier-Pernet, ISSAC 2002).  At the
+    first check that fails, M is converted to Python ints (object dtype)
+    and the same gathers, sums and reduction run on it exactly.
     """
     arr = np.zeros((size, size * d), dtype=np.int64)
     arr[range(size), range(0, size * d, d)] = 1
-    bound = 1  # at least max|M|; recomputed only when it would fail a check
-    for pos, letter in enumerate(letters):
-        if bound * letter.lam >= _INT64_LIMIT:
-            bound = _max_abs(arr)
-            if bound * letter.lam >= _INT64_LIMIT:
-                running = _exact(d, arr)
-                for rest in letters[pos:]:
-                    running = running @ sparse_matrix(d, size, rest.terms)
-                return running
+    bound = 1  # at least max|M| while M is int64
+    for letter in letters:
+        arr, bound = _checked(arr, bound, letter.lam)
         sums = np.add.reduceat(arr[:, letter.gather] * letter.sign, letter.starts, axis=1)
         arr.reshape(size, size, d)[:, letter.targets] = sums
         bound *= letter.lam
     high, rho = _cyclic_reduction(d)
-    if bound * rho >= _INT64_LIMIT and _max_abs(arr) * rho >= _INT64_LIMIT:
-        return _exact(d, arr)
+    arr = _checked(arr, bound, rho)[0]
     flat, phi = arr.reshape(-1, d), high.shape[1]
-    return _integral_matrix(d, size, (flat[:, :phi] + flat[:, phi:] @ high).tolist())
+    nums = (flat[:, :phi] + flat[:, phi:] @ high).tolist()
+    # reduced integer rows with den == 1 are canonical entries
+    return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
 
 
 def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:

@@ -365,7 +365,8 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     q-power terms of pair_twist, prefix_twist or block_twist, so nothing is
     eliminated.  Bad letters raise before anything is built; the terms are
     cached per context, and linalg.word_product applies them as rolls of an
-    int64 array.
+    int64 array, which it converts to Python ints in place should the word
+    outgrow int64.
     """
     cache: dict[Letter, SparseLetter] = ctx._letter_cache  # type: ignore[attr-defined]
     missing = [letter for letter in dict.fromkeys(word.letters) if letter not in cache]
@@ -472,15 +473,15 @@ class LanternBlock:
     eigenvalue: CycloNum
 
 
-def _restrict(ctx: RepContext, m: CycloMatrix, basis: tuple[Vector, Vector]) -> CycloMatrix:
-    """2x2 matrix of m on an invariant 2-dim space, columns = image coordinates."""
-    u1, u2 = basis
-    cols = []
-    span = CycloMatrix(ctx.d, len(u1), 2, tuple(x for pair in zip(u1, u2) for x in pair))
-    for u in basis:
-        img = m.apply(u)
-        cols.append(span.solve(img))
-    return CycloMatrix.from_rows(ctx.d, [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+def _restrict(m: CycloMatrix, basis: tuple[Vector, Vector], r: int) -> CycloMatrix:
+    """2x2 matrix of m on the block spanned by basis, columns = image
+    coordinates: u1 is 1 at index r-3 and 0 at r-2, u2 the reverse, so the
+    coordinates are an image's entries there.  Singular if an image leaves it."""
+    images = [m.apply(u) for u in basis]
+    for img in images:
+        if img != tuple(img[r - 3] * x + img[r - 2] * y for x, y in zip(*basis)):
+            raise Singular("inconsistent system")
+    return CycloMatrix.from_rows(m.d, [[img[i] for img in images] for i in (r - 3, r - 2)])
 
 
 def lantern_block(ctx: RepContext, r: int) -> LanternBlock:
@@ -513,11 +514,11 @@ def lantern_block(ctx: RepContext, r: int) -> LanternBlock:
             g_proj[c_idx] = g_proj[c_idx] - c_val
     basis = (tuple(g_proj), ctx.basis_vector(r - 1))
 
-    a_block = _restrict(ctx, prefix_twist(ctx, r - 1), basis)
-    b_block = _restrict(ctx, pair_twist(ctx, r - 1, r), basis)
+    a_block = _restrict(prefix_twist(ctx, r - 1), basis, r)
+    b_block = _restrict(pair_twist(ctx, r - 1, r), basis, r)
     # the closed-form inverse letters, so A B C = q^{k_1+...+k_r} is a check
     b_inv_a_inv = pair_twist(ctx, r - 1, r, -1) @ prefix_twist(ctx, r - 1, -1)
-    c_block = _restrict(ctx, b_inv_a_inv, basis).scale(ctx.qpow(ctx.prefix_sums[r]))
+    c_block = _restrict(b_inv_a_inv, basis, r).scale(ctx.qpow(ctx.prefix_sums[r]))
     eigenvector = (CycloNum.one(d), ctx.qpow(-ctx.weights[r - 2]))
     eigenvalue = ctx.qpow(ctx.prefix_sums[r - 2] + ctx.weights[r - 1])
     return LanternBlock(a_block, b_block, c_block, basis, eigenvector, eigenvalue)

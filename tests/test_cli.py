@@ -209,7 +209,8 @@ def test_horo_json_is_pinned(capsys):
 def _rep_argvs():
     """12 seeded 16-letter words at d 19/23/25, n=7, every other one on an
     eps0 = 1 context pushed to the quotient, then one 240-letter word at
-    d=25 whose running product outgrows the int64 bound of linalg.word_product."""
+    d=25 whose running product outgrows the int64 bound of linalg.word_product
+    at letter 170."""
     rng = random.Random(2026)
     n, argvs = 7, []
 

@@ -82,6 +82,17 @@ def test_cyclotomic_properties(d):
     assert rem == []
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 400) | st.sampled_from((105, 385, 1365, 1785, 2047, 2048)))
+def test_cyclotomic_poly_matches_sympy(d):
+    """Phi_d is sympy's, over every d up to 400 and the first d whose
+    coefficients reach 2, 3, 4 and 5 in absolute value (105, 385, 1365,
+    1785), up to the largest supported degree."""
+    x = sympy.symbols("x")
+    expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+    assert cyclotomic_poly(d) == tuple(int(c) for c in reversed(expected))
+
+
 def test_field_relations():
     z3 = zeta(3)
     assert (z3 + z3**2 + 1).is_zero()

@@ -1,8 +1,12 @@
 import functools
+import importlib.util
+import json
 import operator
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +14,7 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from braidrep import horo, linalg
+from braidrep import cli, horo, linalg, rep
 from braidrep.cyclo import CycloNum, _raw_add, _raw_mul, euler_phi, from_coeffs, from_rational, zeta
 from braidrep.errors import (
     AmbiguousSign,
@@ -445,28 +449,30 @@ def test_vector_products_match_the_loops_they_replaced(operands):
         horo._row_action(fc, lam, square, xs + (lam,))
 
 
-# -- linalg.word_product: sparse letters rolled on int64 arrays -----------------
+# -- linalg.word_product: sparse letters rolled on int64, then on Python ints ----
 
-def _counting(counts, name, fn):
-    def counted(*args):
-        counts[name] += 1
-        return fn(*args)
-    return counted
+def promotions(fn, *args):
+    """fn(*args) and the steps of linalg.word_product at which its array left
+    int64 for Python ints: step i < len(letters) is the check before letter
+    i, step len(letters) the check before the reduction.  Steps count on
+    across products, and the list is empty when no product promoted."""
+    steps, checked = [], linalg._checked
 
+    def spy(arr, bound, factor):
+        out = checked(arr, bound, factor)
+        steps.append(arr.dtype != object and out[0].dtype == object)
+        return out
 
-def counted(fn, *args):
-    """fn(*args) with a count of each fallback step linalg.word_product took:
-    exact reductions in Python ints and schoolbook matmuls after one."""
-    counts = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_exact", _counting(counts, "exact", linalg._exact))
-        mp.setattr(CycloMatrix, "__matmul__", _counting(counts, "schoolbook", CycloMatrix.__matmul__))
+        mp.setattr(linalg, "_checked", spy)
         result = fn(*args)
-    return result, counts
+    assert steps, "no word product ran"
+    return result, [i for i, promoted in enumerate(steps) if promoted]
 
 
-def _letter(d, terms):
-    return linalg.SparseLetter(d, terms)
+def _product(d, size, terms):
+    """word_product of letters given by their term lists."""
+    return linalg.word_product(d, size, [linalg.SparseLetter(d, t) for t in terms])
 
 
 def _reference(d, size, terms):
@@ -480,9 +486,30 @@ def _reference(d, size, terms):
     return CycloMatrix.from_rows(d, rows)
 
 
-def _fold(d, size, letters):
-    return functools.reduce(operator.matmul, [_reference(d, size, x.terms) for x in letters],
+def _fold(d, size, terms):
+    return functools.reduce(operator.matmul, [_reference(d, size, t) for t in terms],
                             CycloMatrix.identity(d, size))
+
+
+def _first_over_the_bound(d, size, terms):
+    """The step at which the product must promote: the first letter i with
+    max|M| * lam_i >= 2^63 for M the product of letters 0..i-1 over
+    Z[x]/(x^d - 1), else len(terms) if max|M| * rho_d >= 2^63 for the whole
+    product, else None.  M is rolled here in Python ints, column by column."""
+    cols = [[[int(r == c and j == 0) for j in range(d)] for r in range(size)] for c in range(size)]
+    for i, letter in enumerate(terms + [None]):
+        top = max(abs(x) for col in cols for entry in col for x in entry)
+        if letter is None:
+            return i if top * linalg._cyclic_reduction(d)[1] >= 2**63 else None
+        if top * max(Counter(c for c, _, _, _ in letter).values()) >= 2**63:
+            return i
+        new = {c: [[0] * d for _ in range(size)] for c, _, _, _ in letter}
+        for c, r, sign, t in letter:
+            for a in range(size):
+                for j in range(d):
+                    new[c][a][j] += sign * cols[r][a][(j - t) % d]
+        for c, col in new.items():
+            cols[c] = col
 
 
 @st.composite
@@ -498,106 +525,144 @@ def sparse_letters(draw, d, size):
 def letter_chains(draw):
     """0..8 sparse letters of one size 1..4 over d in {3, 4, 5, 7, 12, 25}."""
     d, size = draw(st.sampled_from((3, 4, 5, 7, 12, 25))), draw(st.integers(1, 4))
-    return d, size, [_letter(d, draw(sparse_letters(d, size))) for _ in range(draw(st.integers(0, 8)))]
+    return d, size, [draw(sparse_letters(d, size)) for _ in range(draw(st.integers(0, 8)))]
 
 
 @PROPERTY
 @given(letter_chains())
 def test_product_of_integral_factors_runs_on_arrays(chain):
-    d, size, letters = chain
-    assert all(linalg.sparse_matrix(d, size, x.terms) == _reference(d, size, x.terms) for x in letters)
-    result, counts = counted(linalg.word_product, d, size, letters)
-    assert result == _fold(d, size, letters)
-    assert counts == Counter()
+    d, size, terms = chain
+    assert all(linalg.sparse_matrix(d, size, t) == _reference(d, size, t) for t in terms)
+    result, steps = promotions(_product, d, size, terms)
+    assert result == _fold(d, size, terms)
+    assert steps == []
 
 
 def _value_letters(value):
-    """Letters at size 2 whose product holds value at (0, 0), its largest
+    """Term lists at size 2 whose product holds value at (0, 0), its largest
     coefficient: col1 += col0, then per bit col0 *= 2 and col0 += col1."""
     double, add = [(0, 0, 1, 0), (0, 0, 1, 0)], [(0, 0, 1, 0), (0, 1, 1, 0)]
     terms = [[(1, 1, 1, 0), (1, 0, 1, 0)]]
     for bit in bin(value)[3:]:
         terms += [double, add] if bit == "1" else [double]
-    return [_letter(5, t) for t in terms]
+    return terms
 
 
 def test_product_bound_decides_the_branch():
-    """max|M| * lam one unit below 2^63 applies the letter on the array, one
-    unit above takes the exact path; likewise max|M| * rho_d before the
-    reduction.  Every branch gives the exact product."""
-    d, triple = 5, _letter(5, [(0, 0, 1, 0), (0, 0, 1, 0), (0, 1, 1, 0)])
-    b = (2**63 - 1) // triple.lam
-    assert b * triple.lam < 2**63 <= (b + 1) * triple.lam
-    for value, schoolbook in ((b, 0), (b + 1, 1)):
-        letters = _value_letters(value) + [triple]
-        result, counts = counted(linalg.word_product, d, 2, letters)
+    """max|M| * lam one unit below 2^63 applies the letter in int64, one
+    unit above promotes the array before that letter; likewise max|M| *
+    rho_d before the reduction.  Every branch gives the exact product."""
+    d, triple = 5, [(0, 0, 1, 0), (0, 0, 1, 0), (0, 1, 1, 0)]
+    b = (2**63 - 1) // 3
+    assert b * 3 < 2**63 <= (b + 1) * 3
+    for value in (b, b + 1):
+        terms = _value_letters(value) + [triple]
+        result, steps = promotions(_product, d, 2, terms)
         assert result.entry(0, 0) == from_rational(d, 2 * value + 1)
-        assert result == _fold(d, 2, letters)
-        # the array that held 2 * value + 1 needs the exact reduction either way
-        assert counts == Counter(exact=1, schoolbook=schoolbook)
+        assert result == _fold(d, 2, terms)
+        # below the bound the array that holds 2 * value + 1 promotes before the reduction
+        assert steps == [len(terms) if value == b else len(terms) - 1]
+        assert steps == [_first_over_the_bound(d, 2, terms)]
     rho = linalg._cyclic_reduction(d)[1]
     b = (2**63 - 1) // rho
-    for value, exact in ((b, 0), (b + 1, 1)):
-        result, counts = counted(linalg.word_product, d, 2, _value_letters(value))
+    assert b * rho < 2**63 <= (b + 1) * rho
+    for value in (b, b + 1):
+        terms = _value_letters(value)
+        result, steps = promotions(_product, d, 2, terms)
         assert result.entry(0, 0) == from_rational(d, value)
-        assert counts == Counter(exact=exact)
+        assert result == _fold(d, 2, terms)
+        assert steps == ([] if value == b else [len(terms)])
 
 
 @PROPERTY
 @given(st.data())
-def test_product_switches_to_schoolbook_at_the_first_letter_over_the_bound(data):
+def test_product_promotes_at_the_first_letter_over_the_bound(data):
     """After a prefix with max|M| = 2^62, letters of lam 1 that keep that
-    column stay on the array, the first letter of lam 2 fails the bound, and
-    the rest of the fold is schoolbook."""
+    column stay in int64, the first letter of lam 2 fails the bound and
+    promotes the array, and the rest of the fold runs on Python ints."""
     d, size = 5, 2
     prefix = _value_letters(2**62)
-    single = [_letter(d, [(1, data.draw(st.integers(0, 1)), data.draw(st.sampled_from((1, -1))),
-                           data.draw(st.integers(0, d - 1)))])
+    single = [[(1, data.draw(st.integers(0, 1)), data.draw(st.sampled_from((1, -1))),
+                data.draw(st.integers(0, d - 1)))]
               for _ in range(data.draw(st.integers(0, 3)))]
-    double = _letter(d, [(0, 0, 1, 0), (0, 1, -1, 3)])
-    rest = [_letter(d, data.draw(sparse_letters(d, size))) for _ in range(data.draw(st.integers(0, 3)))]
-    letters = prefix + single + [double] + rest
-    result, counts = counted(linalg.word_product, d, size, letters)
-    assert result == _fold(d, size, letters)
-    assert counts == Counter(exact=1, schoolbook=1 + len(rest))
+    double = [(0, 0, 1, 0), (0, 1, -1, 3)]
+    rest = [data.draw(sparse_letters(d, size)) for _ in range(data.draw(st.integers(0, 3)))]
+    terms = prefix + single + [double] + rest
+    result, steps = promotions(_product, d, size, terms)
+    assert result == _fold(d, size, terms)
+    assert steps == [len(prefix) + len(single)] == [_first_over_the_bound(d, size, terms)]
 
 
 def test_product_wider_than_the_old_window_runs_on_arrays():
     """No window limit: at d = 101, size 3 (past the 2^16 entries that gated
-    the dense int64 product) the letters still roll on the array."""
+    the dense int64 product) the letters still roll in int64."""
     d = 101
-    letters = [_letter(d, [(0, 0, 1, e), (1, 1, 1, 2 * e), (1, 2, -1, 0)]) for e in (1, 5, 7)]
-    result, counts = counted(linalg.word_product, d, 3, letters)
-    assert result == _fold(d, 3, letters)
-    assert counts == Counter()
+    terms = [[(0, 0, 1, e), (1, 1, 1, 2 * e), (1, 2, -1, 0)] for e in (1, 5, 7)]
+    result, steps = promotions(_product, d, 3, terms)
+    assert result == _fold(d, 3, terms)
+    assert steps == []
 
 
 def test_product_beyond_int64_is_rejected_by_the_bound_and_exact():
-    """Coefficients >= 2^63 arise only on the exact path and stay exact."""
+    """Coefficients >= 2^63 arise only after the promotion and stay exact."""
     d = 5
-    letters = _value_letters(2**70 + 3) + [_letter(d, [(1, 0, 1, 2), (1, 1, -1, 1)])]
-    result, counts = counted(linalg.word_product, d, 2, letters)
-    assert result == _fold(d, 2, letters)
+    terms = _value_letters(2**70 + 3) + [[(1, 0, 1, 2), (1, 1, -1, 1)]]
+    result, steps = promotions(_product, d, 2, terms)
+    assert result == _fold(d, 2, terms)
     assert result.entry(0, 0) == from_rational(d, 2**70 + 3)
     assert max(abs(c) for e in result.entries for c in e.num) >= 2**63
-    assert counts["exact"] == 1 and counts["schoolbook"] > 0
+    assert all(type(c) is int for e in result.entries for c in e.num)
+    assert len(steps) == 1 and steps == [_first_over_the_bound(d, 2, terms)]
 
 
-def test_long_word_falls_back_partway():
-    """A 320-letter word at d=25 outgrows the int64 bound: evaluate_word rolls
-    its letters on the array, reduces exactly once and ends on the schoolbook
-    product, exactly."""
+def _long_word(length):
     rng = random.Random(25)
-    ctx = make_context(25, (1, 2, 3, 4, 5, 6, 7), 2)
     letters = []
-    for _ in range(320):
+    for _ in range(length):
         kind, i = rng.randrange(3), rng.randint(1, 5)
         gen = ("A", i, rng.randint(i + 1, 7)) if kind == 0 else ("T", i + 1) if kind == 1 else ("FT", i, i + 2)
         letters.append((gen, rng.choice((1, -1))))
+    return letters
+
+
+def test_long_word_promotes_partway():
+    """A 320-letter word at d=25 outgrows the int64 bound: evaluate_word rolls
+    its letters in int64, promotes once, at the first letter over the
+    bound, and ends on Python ints, exactly."""
+    ctx = make_context(25, (1, 2, 3, 4, 5, 6, 7), 2)
+    letters = _long_word(320)
     mats = [evaluate_word(ctx, BraidWord((letter,))) for letter in letters]
-    result, counts = counted(evaluate_word, ctx, BraidWord(tuple(letters)))
+    result, steps = promotions(evaluate_word, ctx, BraidWord(tuple(letters)))
     assert result == functools.reduce(operator.matmul, mats)
-    assert counts["exact"] == 1 and 0 < counts["schoolbook"] < len(mats)
+    terms = [rep._letter_terms(ctx, letter) for letter in letters]
+    assert len(steps) == 1 and 0 < steps[0] < len(letters)
+    assert steps == [_first_over_the_bound(ctx.d, ctx.n - 1, terms)]
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's seeded command lists."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_words_never_promote(capsys):
+    """The 96 words of the words workload at seed 7, one horo pass and one
+    verify pass run every product in int64."""
+    workloads = _perfbench_workloads()
+    argvs = [argv for p in range(16) for argv in workloads.words_commands(7, p)]
+    assert len(argvs) == 96
+    argvs += workloads.horo_commands(7, 0) + workloads.verify_commands(7, 0)
+
+    def run():
+        return [cli.main(argv) for argv in argvs]
+
+    codes, steps = promotions(run)
+    capsys.readouterr()
+    assert codes == [0] * len(argvs)
+    assert steps == []
 
 
 def test_unipotency_and_order():
@@ -654,3 +719,23 @@ def test_matrix_json_roundtrip():
     doc = matrix_to_json(m)
     assert doc["rows"] == 2 and doc["cols"] == 3 and len(doc["entries"]) == 6
     assert matrix_from_json(doc) == m
+
+
+@st.composite
+def json_matrices(draw):
+    """A matrix of 1..3 x 1..3 entries over a prime or composite d; each
+    entry has a denominator 1..10^6, often != 1, and numerators of either
+    sign up to 2^80."""
+    d = draw(st.sampled_from((3, 5, 7, 23, 4, 12, 15, 25)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeff = st.builds(Fraction, st.integers(-2**80, 2**80) | st.sampled_from((0, 1, -1, 2**64 + 1)),
+                      st.integers(1, 10**6))
+    entries = [from_coeffs(d, draw(st.lists(coeff, min_size=euler_phi(d), max_size=euler_phi(d))))
+               for _ in range(rows * cols)]
+    return CycloMatrix(d, rows, cols, tuple(entries))
+
+
+@PROPERTY
+@given(json_matrices())
+def test_matrix_json_round_trip_property(m):
+    assert matrix_from_json(json.loads(json.dumps(matrix_to_json(m)))) == m

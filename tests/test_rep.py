@@ -669,6 +669,45 @@ def test_lantern_block_sampled():
         done += 1
 
 
+def _restrict_by_solve(m, basis):
+    """The restriction by elimination: each image solved against the basis."""
+    u1, u2 = basis
+    span = CycloMatrix(m.d, len(u1), 2, tuple(x for pair in zip(u1, u2) for x in pair))
+    cols = [span.solve(m.apply(u)) for u in basis]
+    return CycloMatrix.from_rows(m.d, [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+
+
+def test_restriction_reads_the_block_coordinates():
+    """The restriction read from an image's entries at r-3 and r-2 equals
+    the one solved against the basis, for the three matrices lantern_block
+    restricts; a shear that moves g_{r-1} off the block raises Singular
+    from both."""
+    rng = random.Random(41)
+    done = leaks = 0
+    while done < 60:
+        ctx = sample_context(rng)
+        r = rng.randint(3, ctx.n)
+        if ctx.prefix_sums[r - 2] % ctx.d == 0 or ctx.prefix_sums[r] % ctx.d == 0:
+            continue
+        basis = lantern_block(ctx, r).basis
+        inverse = pair_twist(ctx, r - 1, r, -1) @ prefix_twist(ctx, r - 1, -1)
+        for m in (prefix_twist(ctx, r - 1), pair_twist(ctx, r - 1, r), inverse):
+            assert rep._restrict(m, basis, r) == _restrict_by_solve(m, basis)
+        size = ctx.n - 1
+        row = next((i for i in range(size) if i not in (r - 3, r - 2)), None)
+        if row is not None:
+            one, zero = CycloNum.one(ctx.d), CycloNum.zero(ctx.d)
+            leak = CycloMatrix.from_rows(ctx.d, [[one if i == j or (i, j) == (row, r - 2) else zero
+                                                  for j in range(size)] for i in range(size)])
+            with pytest.raises(Singular, match="inconsistent system"):
+                rep._restrict(leak, basis, r)
+            with pytest.raises(Singular, match="inconsistent system"):
+                _restrict_by_solve(leak, basis)
+            leaks += 1
+        done += 1
+    assert leaks > 20
+
+
 # -- Galois transport and the scalar relation -----------------------------------------
 
 def test_galois_transport():

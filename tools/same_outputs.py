@@ -18,9 +18,12 @@ commands for passes 0..15 of seed 0; the horo documents pinned in
 ``gram``, human and ``--json``, and ``rep --json`` of every one-letter word A(i,j),
 T(r) and FT(s,r), each also with ^-1, in the contexts of
 ``LETTER_CONTEXTS``, with human output too at the composite d; and
-``rep`` of ``LONG_WORD``, human and ``--json``, which takes the exact
-fallback of the word product, and ``rep --quotient`` of the same word at an
-eps0 = 1 kappa (``LONG_QUOTIENT``), human and ``--json``; ``horo`` of the n = 12 case, human and
+``rep`` of ``LONG_WORD``, human and ``--json``, whose word product leaves
+int64 for Python ints partway, and ``rep --quotient`` of the same word at an
+eps0 = 1 kappa (``LONG_QUOTIENT``), human and ``--json``; ``rep --json`` of
+its 160-, 200- and 240-letter prefixes at d = 25 and d = 23, and of the
+200-letter prefix with ``--quotient`` at d = 23 (``CROSSING_WORDS``), all
+of which cross the int64 bound; ``horo`` of the n = 12 case, human and
 ``--json``; and ``verify --suite lantern --size 3`` for seeds 0..3.
 Prints a summary line and exits 1 on any mismatch.
 """
@@ -56,7 +59,7 @@ LETTER_CONTEXTS = (("29", "1,2,3,4,5,6,7", "3", False), ("29", "1,2,3,4,5,6,8", 
 
 def _long_word(length: int = 320, n: int = 7) -> str:
     """A seeded word over every letter kind and both exponents whose int64
-    running product at d = 25 outgrows the overflow bound."""
+    running product at d = 25 outgrows the overflow bound at its 150th letter."""
     rng = random.Random(25)
     letters = []
     for _ in range(length):
@@ -68,6 +71,12 @@ def _long_word(length: int = 320, n: int = 7) -> str:
 
 LONG_WORD = ["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,7", "--k", "2", "--word", _long_word()]
 LONG_QUOTIENT = ["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,4", "--k", "2", "--word", _long_word(), "--quotient"]
+# shorter prefixes of the same word, which cross the bound at other letters,
+# at d = 25 and d = 23, and one pushed to the eps0 = 1 quotient at d = 23
+CROSSING_WORDS = [["rep", "--d", d, "--kappa", "1,2,3,4,5,6,7", "--k", "2", "--word", _long_word(length), "--json"]
+                  for d in ("25", "23") for length in (160, 200, 240)]
+CROSSING_WORDS.append(["rep", "--d", "23", "--kappa", "1,2,3,4,5,6,2", "--k", "2", "--word", _long_word(200),
+                       "--quotient", "--json"])
 
 
 def one_letter_words(n: int) -> list[str]:
@@ -100,6 +109,7 @@ def commands() -> list[list[str]]:
             rep = ["rep", *flags, "--word", word] + ["--quotient"] * quotient
             argvs += [rep + ["--json"]] + [rep] * (d == "12")
     argvs += [LONG_WORD, LONG_WORD + ["--json"], LONG_QUOTIENT, LONG_QUOTIENT + ["--json"]]
+    argvs += CROSSING_WORDS
     argvs += [N12_HORO, N12_HORO + ["--json"]]
     argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
