@@ -19,6 +19,7 @@ from .rep import (
     block_twist,
     block_twist_word,
     commutator,
+    evaluate_quotient,
     evaluate_word,
     galois_transport,
     lantern_block,
@@ -76,6 +77,7 @@ __all__ = [
     "density_verdict",
     "eigenspace_dimension",
     "euler_phi",
+    "evaluate_quotient",
     "evaluate_word",
     "find_signature_window",
     "galois_transport",

@@ -17,11 +17,11 @@ from .cyclo import to_strings
 from .errors import BraidRepError
 from .linalg import matrix_to_json
 from .rep import (
+    evaluate_quotient,
     evaluate_word,
     make_context,
     parse_word,
     quotient_gram,
-    quotient_matrix,
     radical_vector,
     word_det,
 )
@@ -69,14 +69,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    """Evaluate --word, optionally push it to the quotient, and print it with
-    the determinant of the full matrix, the closed form q^E of word_det."""
+    """Evaluate --word, or its image on the quotient, and print it with the
+    determinant of the full matrix, the closed form q^E of word_det."""
     ctx = make_context(args.d, _parse_kappa(args.kappa), args.k)
     word = parse_word(args.word)
-    matrix = evaluate_word(ctx, word)
+    matrix = (evaluate_quotient if args.quotient else evaluate_word)(ctx, word)
     det = word_det(ctx, word)
-    if args.quotient:
-        matrix = quotient_matrix(ctx, matrix)
     if args.json:
         _print_json({
             "word": str(word),
@@ -153,6 +151,60 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if total_fail == 0 else 1
 
 
+def _context_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
+    p.add_argument("--d", type=int, required=True, help="cyclic cover degree (>= 3)")
+    p.add_argument("--kappa", type=str, required=True, help="comma-separated weights k_1,...,k_n")
+    if with_k:
+        p.add_argument("--k", type=int, default=1, help="eigenvalue exponent, coprime to d (default 1)")
+    p.add_argument("--json", action="store_true", help="emit JSON on stdout")
+
+
+def _rep_flags(p: argparse.ArgumentParser) -> None:
+    _context_flags(p)
+    p.add_argument("--word", type=str, default="", help='e.g. "A(1,2) T(3)^-1 FT(2,5)"')
+    p.add_argument("--quotient", action="store_true", help="push to the eps0=1 quotient")
+
+
+def _criterion_flags(p: argparse.ArgumentParser) -> None:
+    _context_flags(p, with_k=False)
+
+
+def _horo_flags(p: argparse.ArgumentParser) -> None:
+    _context_flags(p)
+    p.add_argument("--m", type=int, required=True, help="flag index with d | k_1+...+k_m")
+    p.add_argument("--maxlen", type=int, default=6,
+                   help=f"orbit word-length budget, 0..{horo.MAX_ORBIT_LEN} (default 6)")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", choices=list(suites.SUITE_NAMES) + ["all"], default="all")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=int, default=1, help="sample-size multiplier")
+    p.add_argument("--json", action="store_true",
+                   help="emit every suite report and the totals as one JSON document")
+
+
+# name -> (help, flags, handler), in the order of the usage line
+COMMANDS = {
+    "gram": ("Gram matrix, eps0, dimension and signature", _context_flags, cmd_gram),
+    "rep": ("evaluate a braid word to its exact matrix", _rep_flags, cmd_rep),
+    "density": ("maximal Zariski closure criterion", _criterion_flags, cmd_density),
+    "arithmeticity": ("arithmetic lattice criterion", _criterion_flags, cmd_arithmeticity),
+    "horo": ("horospherical battery for one flag index", _horo_flags, cmd_horo),
+    "verify": ("run the seeded verification suites", _verify_flags, cmd_verify),
+}
+
+
+class _Fallback(Exception):
+    """A one-command parser met an error, which the full parser reports."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _Fallback(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no state
@@ -163,52 +215,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "Gram matrices, twist operators, density and arithmeticity criteria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_context_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
-        p.add_argument("--d", type=int, required=True, help="cyclic cover degree (>= 3)")
-        p.add_argument("--kappa", type=str, required=True, help="comma-separated weights k_1,...,k_n")
-        if with_k:
-            p.add_argument("--k", type=int, default=1, help="eigenvalue exponent, coprime to d (default 1)")
-        p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-
-    p = sub.add_parser("gram", help="Gram matrix, eps0, dimension and signature")
-    add_context_flags(p)
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("rep", help="evaluate a braid word to its exact matrix")
-    add_context_flags(p)
-    p.add_argument("--word", type=str, default="", help='e.g. "A(1,2) T(3)^-1 FT(2,5)"')
-    p.add_argument("--quotient", action="store_true", help="push to the eps0=1 quotient")
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("density", help="maximal Zariski closure criterion")
-    add_context_flags(p, with_k=False)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("arithmeticity", help="arithmetic lattice criterion")
-    add_context_flags(p, with_k=False)
-    p.set_defaults(func=cmd_arithmeticity)
-
-    p = sub.add_parser("horo", help="horospherical battery for one flag index")
-    add_context_flags(p)
-    p.add_argument("--m", type=int, required=True, help="flag index with d | k_1+...+k_m")
-    p.add_argument("--maxlen", type=int, default=6,
-                   help=f"orbit word-length budget, 0..{horo.MAX_ORBIT_LEN} (default 6)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_horo)
-
-    p = sub.add_parser("verify", help="run the seeded verification suites")
-    p.add_argument("--suite", choices=list(suites.SUITE_NAMES) + ["all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=1, help="sample-size multiplier")
-    p.add_argument("--json", action="store_true",
-                   help="emit every suite report and the totals as one JSON document")
-    p.set_defaults(func=cmd_verify)
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The full parser's subparser for name, built alone: it parses the
+    arguments after the command as that subparser does, prints the same
+    help, and raises _Fallback instead of reporting an error."""
+    _, add_flags, handler = COMMANDS[name]
+    parser = _OneCommandParser(prog=f"braidrep {name}")
+    add_flags(parser)
+    parser.set_defaults(func=handler, command=name)
+    return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The full parser's reading of argv.  A command line that starts with
+    a subcommand goes to that subcommand's parser alone, which skips most
+    of the parser set-up of a fresh process; -h or --help before a
+    subcommand, a missing or unknown one, and every error go to the full
+    parser, which prints its usage and exits 2."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return _command_parser(argv[0]).parse_args(argv[1:])
+        except _Fallback:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except BraidRepError as exc:

@@ -167,29 +167,16 @@ def _raw_add(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> 
     return _raw_normalize([x * ma + y * mb for x, y in zip(na, nb)], lcm)
 
 
-def _raw_rotation_sum(d: int, base: tuple[tuple[int, ...], int] | None,
-                      terms: list[tuple[tuple[tuple[int, ...], int], int]]) -> tuple[tuple[int, ...], int]:
-    """base + sum of (zeta^e - 1) * x over terms (x, e), 0 <= e < d, with
-    base None for zero: one spread over Z[x]/(x^d - 1) on the lcm of the
-    denominators, in which each x is added rotated by e and subtracted
-    unrotated, reduced modulo Phi_d once."""
-    phi = _field_data(d)[0]
-    den = base[1] if base else 1
-    for (_, x_den), _ in terms:
-        if den % x_den:
-            den = den // math.gcd(den, x_den) * x_den
-    spread = [0] * (phi + d - 1)
-    if base:
-        f = den // base[1]
-        spread[:phi] = [f * c for c in base[0]]
-    for (num, x_den), e in terms:
-        f = den // x_den
-        for i, c in enumerate(num):
-            if c:
-                c *= f
-                spread[i + e] += c
-                spread[i] -= c
-    return _raw_normalize(_raw_reduce(d, spread), den)
+@functools.lru_cache(maxsize=None)
+def spread_inverse(d: int, e: int) -> tuple[int, ...]:
+    """d / (zeta^e - 1) for d not dividing e, as the spread sum_j j zeta^{je},
+    0 <= j < d, over Z[x]/(x^d - 1): its d coefficients, unreduced.  To
+    check, multiply out: (zeta^e - 1) sum_j j zeta^{je} = d - sum_j zeta^{je},
+    and the last sum vanishes because zeta^e != 1."""
+    spread = [0] * d
+    for j in range(d):
+        spread[j * e % d] += j
+    return tuple(spread)
 
 
 def _raw_galois(d: int, a: tuple[tuple[int, ...], int], t: int) -> tuple[tuple[int, ...], int]:

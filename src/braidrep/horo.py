@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cyclo import CycloNum, euler_phi, units, zeta
 from .errors import (
@@ -38,21 +39,28 @@ from .errors import (
 )
 from .linalg import (
     CycloMatrix,
+    LeftFactor,
     RationalSpan,
+    SparseLetter,
     Vector,
+    factored_product,
+    integral_array,
     rank_over_rationals,
     realify,
     solve_rational,
+    word_array,
 )
 from .rep import (
     MAX_ORBIT_LEN,
     BraidWord,
     Letter,
     RepContext,
+    _fixed,
+    _radical_terms,
+    _sparse_letters,
     commutator,
-    evaluate_word,
+    evaluate_quotient,
     quotient_gram,
-    quotient_matrix,
 )
 
 LOWER = "lower"
@@ -66,7 +74,6 @@ class FlagContext:
     w: Vector                      # isotropic line generator, quotient coordinates
     flag_basis: tuple[Vector, ...]
     P: CycloMatrix                 # columns = flag basis in quotient coordinates
-    P_inv: CycloMatrix
     gram_quot: CycloMatrix         # descended Gram on g_1, ..., g_{n-2}
     gram_flag: CycloMatrix         # P* gram_quot P, arrow shaped
     G_W: CycloMatrix               # middle (n-4) block of gram_flag
@@ -90,9 +97,80 @@ class FlagContext:
         """Middle coordinates carried by g_{m+2} .. g_{n-1}."""
         return slice(self.m - 2, self.ctx.n - 4)
 
+    @cached_property
+    def _factors(self) -> tuple[SparseLetter, LeftFactor, SparseLetter]:
+        """(R, L, R_q): F = P^-1 Q(M) P is L M R for an ambient M that
+        fixes the radical r, and L (Q P) for a quotient matrix Q, with
+        Q P = Q R_q / d; see flag_matrix.
+
+        The flag basis lifts to the ambient vectors w (the radical's
+        coordinates below m - 1), g_a for its unit columns and g_{n-1} for
+        the class of g_{n-1}; R is that lift with r as a last column.  The
+        lifts and r are a basis, and the flag coordinates of an ambient u
+        come from its entries at m - 2 and m, where no unit sits: with alpha
+        = u_{m-2} / r_{m-2} and beta = u_m / r_m, w has alpha - beta, a unit
+        g_a has u_a - alpha r_a below m and u_a - beta r_a above, and r, the
+        dropped coordinate, beta.  L is that map times d, each division a
+        spread.  R_q is d P, its column of g_{n-1}, d c w', the division of
+        -w' by w_{n-2}.
+        """
+        ctx, m, n = self.ctx, self.m, self.ctx.n
+        d, exps = ctx.d, ctx._radical_exponents
+        units = [None, *range(m - 2), *range(m + 1, n - 1), m - 1]  # ambient index of each flag column
+        w_terms = [(0, b, s, t) for b in range(m - 1) if exps[b] for s, t in ((1, exps[b]), (-1, 0))]
+        right = w_terms + [(j, a, 1, 0) for j, a in enumerate(units) if j] + _radical_terms(ctx, n - 2)
+        alpha, beta = n - 1, n  # the rows u_{m-2} / r_{m-2} and u_m / r_m, times d
+        left = [(0, alpha, 1, 0), (0, beta, -1, 0)]
+        for j, a in enumerate(units[1:], 1):
+            y = alpha if a < m else beta
+            left += [(j, a, d, 0)] + [(j, y, s, t) for s, t in ((-1, exps[a]), (1, 0)) if exps[a]]
+        quotient, division = [(c, r, d * s, t) for c, r, s, t in w_terms], []
+        for j, a in enumerate(units[1:], 1):
+            if a < n - 2:
+                quotient.append((j, a, d, 0))
+            else:  # d c w' = -w' d / w_{n-2}: the terms give -w', the division the rest
+                quotient += [(j, b, -s, t) for b, e in enumerate(exps[:-1]) if e for s, t in ((1, e), (-1, 0))]
+                division.append((j, exps[n - 2]))
+        return (SparseLetter(d, right), LeftFactor(d, n - 1, [(m - 2, exps[m - 2]), (m, exps[m])], left),
+                SparseLetter(d, quotient, division))
+
+
+def _tridiagonal_inverse(t: CycloMatrix) -> CycloMatrix:
+    """Inverse of a tridiagonal matrix, with diagonal a, superdiagonal b and
+    subdiagonal c, from its leading minors theta_i and trailing minors
+    phi_j (Usmani, Linear Algebra Appl. 212/213, 1994): for i <= j the
+    entry (i, j) is (-1)^{i+j} b_i ... b_{j-1} theta_i phi_{j+1} / theta_k,
+    and (j, i) the same with c for b; one field inverse, of the
+    determinant theta_k.  Raises Singular when it vanishes."""
+    k, d = t.rows, t.d
+    one = CycloNum.one(d)
+    a = [t.entry(i, i) for i in range(k)]
+    bc = [t.entry(i, i + 1) * t.entry(i + 1, i) for i in range(k - 1)]
+    theta, phi = [one, a[0]], [one, a[-1]]  # phi built backwards: phi[i] is the minor from row k - i
+    for i in range(1, k):
+        theta.append(a[i] * theta[i] - bc[i - 1] * theta[i - 1])
+        phi.append(a[k - 1 - i] * phi[i] - bc[k - 1 - i] * phi[i - 1])
+    if not theta[k]:
+        raise Singular(f"rank < {k}")
+    scale = theta[k].inv()
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        upper = lower = theta[i] * scale
+        rows[i][i] = upper * phi[k - 1 - i]
+        for j in range(i + 1, k):
+            upper = -upper * t.entry(j - 1, j)
+            lower = -lower * t.entry(j, j - 1)
+            rows[i][j] = upper * phi[k - 1 - j]
+            rows[j][i] = lower * phi[k - 1 - j]
+    return CycloMatrix.from_rows(d, rows)
+
 
 def make_flag(ctx: RepContext, m: int) -> FlagContext:
-    """Build the flag data for index m; validates every structural invariant."""
+    """Build the flag data for index m; validates every structural invariant
+    and eliminates nothing: the Gram matrix is a closed form, G_W is block
+    diagonal with one tridiagonal block per part, each inverted with one
+    field inverse, and flag matrices come from the factors of
+    FlagContext._factors, not from an inverse of P."""
     if ctx.eps0 != 1:
         raise NotDegenerate("flag requires eps0 = 1")
     n = ctx.n
@@ -121,9 +199,10 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
     flag.append(unit(m - 1))
     if len(flag) != size:
         raise ConstraintViolation(f"flag has {len(flag)} vectors, expected {size}")
+    if not (ctx._radical[m - 2] and ctx._radical[m]):
+        raise Singular("flag coordinates divide by a vanishing radical coordinate")
 
     P = CycloMatrix(d, size, size, tuple(flag[col][row] for row in range(size) for col in range(size)))
-    P_inv = P.inverse()
     gram_quot = quotient_gram(ctx)
     gram_flag = P.conj_transpose() @ gram_quot @ P
 
@@ -140,26 +219,47 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
     if gram_flag.entry(0, s + 1) != -mu or gram_flag.entry(s + 1, 0) != mu:
         raise ConstraintViolation("pairing of g_m against w is not -mu")
     G_W = gram_flag.submatrix(range(1, s + 1), range(1, s + 1))
-    G_W_inv = G_W.inverse()
+    # g_1 .. g_{m-2} and g_{m+2} .. g_{n-1}: G is tridiagonal, and the two runs are not adjacent
+    blocks = [range(0, m - 2), range(m - 2, s)]
+    block_of = [i for i, b in enumerate(blocks) for _ in b]
+    if any(G_W.entry(i, j) for i in range(s) for j in range(s) if block_of[i] != block_of[j] or abs(i - j) > 1):
+        raise ConstraintViolation("middle block of the flag Gram matrix is not tridiagonal per part")
+    G_W_inv = CycloMatrix.zeros(d, s, s).to_lists()
+    for b in filter(None, blocks):
+        inv = _tridiagonal_inverse(G_W.submatrix(b, b))
+        for i in b:
+            G_W_inv[i][b.start : b.stop] = inv.row(i - b.start)
+    G_W_inv = CycloMatrix.from_rows(d, G_W_inv)
     if G_W.conj_transpose() != -G_W:
         raise ConstraintViolation("middle block of the flag Gram matrix is not anti-Hermitian")
-    return FlagContext(ctx, m, w, tuple(flag), P, P_inv, gram_quot, gram_flag, G_W, G_W_inv, mu)
+    return FlagContext(ctx, m, w, tuple(flag), P, gram_quot, gram_flag, G_W, G_W_inv, mu)
 
 
 def flag_matrix(fc: FlagContext, m_quot: CycloMatrix) -> CycloMatrix:
-    """Quotient operator rewritten in flag coordinates."""
+    """Quotient operator rewritten in flag coordinates, P^-1 m_quot P.
+
+    m_quot is written once over its common denominator, lifted to the
+    ambient space with a zero last row, and runs the code of
+    word_flag_matrix: the right factor R_q = d P, then the left factor L of
+    FlagContext._factors, reduced modulo Phi_d once."""
     if m_quot.rows != fc.ctx.n - 2 or m_quot.cols != fc.ctx.n - 2:
         raise ShapeMismatch("operator is not a quotient-space matrix")
-    return fc.P_inv @ m_quot @ fc.P
+    arr, bound, den = integral_array(m_quot, lift=1)
+    _, left, right = fc._factors
+    return factored_product(fc.ctx.d, arr, bound, den * fc.ctx.d, right, left)
 
 
-def word_flag_matrix(fc: FlagContext, word: BraidWord, image: CycloMatrix | None = None) -> CycloMatrix:
-    """F(word), the flag matrix of the word's quotient image, built once per
-    flag context: the battery and the orbits read those of the one-letter
-    words and of the witnesses more than once.  A caller that already holds
-    the quotient image passes it as image, and the word is not evaluated."""
+def word_flag_matrix(fc: FlagContext, word: BraidWord) -> CycloMatrix:
+    """F(word), the flag matrix of the word's quotient image, straight from
+    the unreduced array of the word's fold: L M R of FlagContext._factors,
+    with M w = w checked; built once per flag context, since the battery
+    and the orbits read those of the one-letter words and of the witnesses
+    more than once."""
     if word not in fc.flags:
-        fc.flags[word] = flag_matrix(fc, evaluate_on_quotient(fc, word) if image is None else image)
+        ctx = fc.ctx
+        arr, bound = word_array(ctx.d, ctx.n - 1, _sparse_letters(ctx, word))
+        right, left, _ = fc._factors
+        fc.flags[word] = factored_product(ctx.d, arr, bound, 1, right, left, fixed=_fixed(ctx))
     return fc.flags[word]
 
 
@@ -211,8 +311,7 @@ def _unipotent(fc: FlagContext, f: CycloMatrix) -> bool:
         return False
     if middle != CycloMatrix.identity(fc.ctx.d, s):
         return False
-    expected_prime = tuple(v * fc.mu for v in fc.G_W_inv.apply(tuple(e.conj() for e in x)))
-    if x_prime != expected_prime:
+    if fc.G_W.apply(x_prime) != tuple(fc.mu * e.conj() for e in x):
         raise ConstraintViolation("last-column block differs from mu * G_W^-1 conj(x)")
     u = _pairing_scalar(fc, x, x)
     if corner - corner.conj() != fc.mu * u:
@@ -333,7 +432,7 @@ def witness(fc: FlagContext, part: str) -> BraidWord:
 
 
 def evaluate_on_quotient(fc: FlagContext, word: BraidWord) -> CycloMatrix:
-    return quotient_matrix(fc.ctx, evaluate_word(fc.ctx, word))
+    return evaluate_quotient(fc.ctx, word)
 
 
 # -- flag parts -------------------------------------------------------------------

@@ -4,7 +4,10 @@ Matrices are immutable, row-major, with every entry sharing one modulus d.
 Products are formed by the schoolbook ``CycloMatrix.__matmul__``, except
 that :func:`word_product`, the fold of a braid word's sparse letters, rolls
 an array over Z[x]/(x^d - 1), in int64 under a checked overflow bound and
-in Python ints from the first step that could overflow.  Every exact
+in Python ints from the first step that could overflow, and
+:func:`factored_product`, which multiplies such an array, or a given matrix
+written over its common denominator, by fixed right and left factors
+before the one reduction modulo Phi_d.  Every exact
 elimination over K_d runs through the one Gauss-Jordan routine
 :func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
 cleared of denominators and reduced fraction-free over the integers by the
@@ -23,11 +26,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclo import CycloNum, _field_data, _raw_add, _raw_mul, _raw_reduce, from_strings, to_strings
+from .cyclo import (
+    CycloNum,
+    _field_data,
+    _raw_add,
+    _raw_mul,
+    _raw_reduce,
+    euler_phi,
+    from_strings,
+    to_strings,
+)
 from .errors import (
     AmbiguousSign,
     ModulusMismatch,
     NotAntiHermitian,
+    RadicalNotFixed,
     ShapeMismatch,
     Singular,
 )
@@ -284,18 +297,18 @@ class CycloMatrix:
 # -- word products by monomial rolls -------------------------------------------
 
 _INT64_LIMIT = 1 << 63
-Term = tuple[int, int, int, int]  # (target column, source row, sign +-1, power t of zeta)
+Term = tuple[int, int, int, int]  # (target, source, integer coefficient, power t of zeta)
 
 
 def sparse_matrix(d: int, size: int, terms: Iterable[Term]) -> CycloMatrix:
     """The size x size matrix that is the identity outside the target columns
-    of terms and whose entry (source, target) there is the sum of sign *
-    zeta^t over its terms (target, source, sign, t), 0 <= t < d: each entry
+    of terms and whose entry (source, target) there is the sum of coef *
+    zeta^t over its terms (target, source, coef, t), 0 <= t < d: each entry
     counts its powers of zeta, sums the rows of the table of x^t mod Phi_d
     that they select, and is wrapped once, with den = 1."""
     spreads: dict[tuple[int, int], list[int]] = {}
-    for c, r, sign, t in terms:
-        spreads.setdefault((r, c), [0] * d)[t] += sign
+    for c, r, coef, t in terms:
+        spreads.setdefault((r, c), [0] * d)[t] += coef
     one, zero = CycloNum.one(d), CycloNum.zero(d)
     entries = [zero] * (size * size)
     entries[:: size + 1] = [one] * size
@@ -306,21 +319,84 @@ def sparse_matrix(d: int, size: int, terms: Iterable[Term]) -> CycloMatrix:
     return CycloMatrix(d, size, size, tuple(entries))
 
 
-class SparseLetter:
-    """A letter's terms prepared for :func:`word_product`, sorted by target
-    column: the distinct targets and the index of the first term of each,
-    the flat index in a (rows, size * d) array of each term's source column
-    rolled by zeta^t, the signs, and lam, the most terms of one target
-    column, which bounds the l1-norm of every column."""
+def _groups(keys: Sequence[int]) -> list[int]:
+    """The index of the first of each run of equal keys."""
+    return [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
 
-    def __init__(self, d: int, terms: Iterable[Term]) -> None:
-        cols, rows, signs, powers = zip(*sorted(terms))
-        starts = [i for i, c in enumerate(cols) if i == 0 or c != cols[i - 1]]
-        self.lam = max(b - a for a, b in zip(starts, starts[1:] + [len(cols)]))
+
+class SparseLetter:
+    """A right factor's terms prepared for the fold, sorted by target
+    column: the distinct targets and the index of the first term of each,
+    the flat index in a (rows, cols * d) array of each term's source column
+    rolled by zeta^t, the coefficients, the divisions (c, e), each
+    multiplying target column c by d / (x^e - 1) once its terms are summed
+    (see :func:`_divide`), and lam, which bounds the growth of max|M|: the
+    largest l1-norm of the coefficients of one target column, times
+    2 d (L - 1) for a divided column, L the order of zeta^e.  A braid
+    letter's coefficients are signs and it divides nothing, so its lam
+    counts terms."""
+
+    def __init__(self, d: int, terms: Iterable[Term], divisions: Sequence[tuple[int, int]] = ()) -> None:
+        cols, rows, coefs, powers = zip(*sorted(terms))
+        starts = _groups(cols)
+        self.d = d
+        self.divisions = [(c, _cycles(d, e % d)) for c, e in divisions]
+        weights = {c: 2 * d * (len(ramp) - 1) for c, (_, _, ramp) in self.divisions}
+        self.lam = max(sum(map(abs, coefs[a:b])) * weights.get(cols[a], 1)
+                       for a, b in zip(starts, starts[1:] + [len(cols)]))
         self.targets, self.starts = np.array([cols[i] for i in starts]), np.array(starts)
         # x^t * f has coefficient f[(j - t) mod d] at x^j
         self.gather = (np.arange(d) - np.array(powers)[:, None]) % d + np.array(rows)[:, None] * d
-        self.sign = np.array(signs, dtype=np.int64)[:, None]
+        self.sign = np.array(coefs, dtype=np.int64)[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _cycles(d: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits of t -> t - e on Z/d, g = gcd(e, d) of them of length
+    L = d / g: the positions c - i e in orbit order (orbit c, step i), the
+    inverse permutation, and the ramp i * g as an (L, 1) column."""
+    g = math.gcd(e, d)
+    order = [(c - i * e) % d for c in range(g) for i in range(d // g)]
+    inverse = [0] * d
+    for i, t in enumerate(order):
+        inverse[t] = i
+    return np.array(order), np.array(inverse), (np.arange(d // g) * g)[:, None]
+
+
+def _divide(d: int, u: np.ndarray, cycles: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """A representative y of d / (x^e - 1) * u modulo Phi_d, for u of shape
+    (d, cols) over Z[x]/(x^d - 1) and d not dividing e: along each orbit
+    t_i = c - i e, y(t_i) = d * (u(t_0) + ... + u(t_{i-1})) - i g C, C the
+    orbit's sum.  Then (x^e - 1) y = d u - N u, with N = sum_j x^{je} a
+    multiple of (x^d - 1) / (x^g - 1), which Phi_d divides as g < d; so
+    max|y| <= 2 d (L - 1) max|u|."""
+    order, inverse, ramp = cycles
+    v = u[order].reshape(-1, len(ramp), u.shape[1])
+    y = d * (np.cumsum(v, axis=1) - v) - ramp * v.sum(axis=1, keepdims=True)
+    return y.reshape(u.shape)[inverse]
+
+
+class LeftFactor:
+    """A left factor times d, prepared for :func:`factored_product`.
+
+    Its source rows are the size rows u_0, ..., u_{size-1} of the array it
+    multiplies and, after them, one row y = d / (x^e - 1) * u_s per
+    division (s, e) (see :func:`_divide`); target row i is the sum of coef *
+    x^t times source row j over its terms (i, j, coef, t), every target
+    from 0 on having some.  weight bounds max|out| / max|M|: the largest
+    l1-norm of one target row's coefficients, a y row weighing 2 d (L - 1),
+    L the order of zeta^e."""
+
+    def __init__(self, d: int, size: int, divisions: Sequence[tuple[int, int]], terms: Iterable[Term]) -> None:
+        rows, sources, coefs, powers = zip(*sorted(terms))
+        self.divisions = [(s, _cycles(d, e % d)) for s, e in divisions]
+        weights = [1] * size + [2 * d * (len(ramp) - 1) for _, (_, _, ramp) in self.divisions]
+        starts = _groups(rows)
+        self.weight = max(sum(abs(coefs[i]) * weights[sources[i]] for i in range(a, b))
+                          for a, b in zip(starts, starts[1:] + [len(rows)]))
+        self.starts = np.array(starts)
+        self.gather = (np.arange(d) - np.array(powers)[:, None]) % d + np.array(sources)[:, None] * d
+        self.coef = np.array(coefs, dtype=np.int64)[:, None, None]
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -349,6 +425,53 @@ def _checked(arr: np.ndarray, bound: int, factor: int) -> tuple[np.ndarray, int]
     return arr, bound
 
 
+def _roll(arr: np.ndarray, bound: int, letter: SparseLetter) -> tuple[np.ndarray, int]:
+    """M times the letter, in place on the (rows, cols * d) array of M: one
+    gather of the rolled source columns of its terms, times their
+    coefficients, one np.add.reduceat that sums the terms of each target
+    column, and its divisions.  Checked first: max|M| * lam < 2^63."""
+    arr, bound = _checked(arr, bound, letter.lam)
+    sums = np.add.reduceat(arr[:, letter.gather] * letter.sign, letter.starts, axis=1)
+    cols = arr.reshape(arr.shape[0], -1, letter.d)
+    cols[:, letter.targets] = sums
+    for c, cycles in letter.divisions:
+        cols[:, c] = _divide(letter.d, cols[:, c].T, cycles).T
+    return arr, bound * letter.lam
+
+
+def _reduced(d: int, polys: np.ndarray, bound: int) -> np.ndarray:
+    """Rows of polys, shape (k, d) over Z[x]/(x^d - 1), reduced modulo Phi_d
+    by rows 0..d-1 of the table of x^j mod Phi_d, shape (k, phi).  Checked
+    first: max|polys| * rho_d < 2^63."""
+    high, rho = _cyclic_reduction(d)
+    polys = _checked(polys, bound, rho)[0]
+    return polys[:, : high.shape[1]] + polys[:, high.shape[1]:] @ high
+
+
+def _entries(d: int, nums: np.ndarray, den: int) -> tuple[CycloNum, ...]:
+    """Canonical entries nums / den, row by row, each divided by its one
+    math.gcd with den, and every zero the one object CycloNum.zero(d)."""
+    zero, out = CycloNum.zero(d), []
+    for c in nums.tolist():
+        if not any(c):
+            out.append(zero)
+            continue
+        g = math.gcd(den, *c)
+        out.append(CycloNum(d, tuple(x // g for x in c) if g > 1 else tuple(c), den // g))
+    return tuple(out)
+
+
+def word_array(d: int, size: int, letters: Sequence[SparseLetter]) -> tuple[np.ndarray, int]:
+    """The unreduced fold of :func:`word_product`: the (size, size * d)
+    array of the product over Z[x]/(x^d - 1), and a bound on max|M|."""
+    arr = np.zeros((size, size * d), dtype=np.int64)
+    arr[range(size), range(0, size * d, d)] = 1
+    bound = 1  # at least max|M| while M is int64
+    for letter in letters:
+        arr, bound = _roll(arr, bound, letter)
+    return arr, bound
+
+
 def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMatrix:
     """The exact product of sparse letters, folded left to right (the
     identity for none).
@@ -364,20 +487,46 @@ def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMat
     first check that fails, M is converted to Python ints (object dtype)
     and the same gathers, sums and reduction run on it exactly.
     """
-    arr = np.zeros((size, size * d), dtype=np.int64)
-    arr[range(size), range(0, size * d, d)] = 1
-    bound = 1  # at least max|M| while M is int64
-    for letter in letters:
-        arr, bound = _checked(arr, bound, letter.lam)
-        sums = np.add.reduceat(arr[:, letter.gather] * letter.sign, letter.starts, axis=1)
-        arr.reshape(size, size, d)[:, letter.targets] = sums
-        bound *= letter.lam
-    high, rho = _cyclic_reduction(d)
-    arr = _checked(arr, bound, rho)[0]
-    flat, phi = arr.reshape(-1, d), high.shape[1]
-    nums = (flat[:, :phi] + flat[:, phi:] @ high).tolist()
+    arr, bound = word_array(d, size, letters)
+    nums = _reduced(d, arr.reshape(-1, d), bound).tolist()
     # reduced integer rows with den == 1 are canonical entries
     return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
+
+
+def integral_array(m: CycloMatrix, lift: int = 0) -> tuple[np.ndarray, int, int]:
+    """A given matrix written once over its common denominator den, in the
+    layout of :func:`word_array`, with lift zero rows appended: (den * m,
+    max|den * m|, den), in int64 when that fits, else in Python ints."""
+    d, phi = m.d, euler_phi(m.d)
+    den = math.lcm(*(e.den for e in m.entries))
+    pad = (0,) * (d - phi)
+    values = [c * (den // e.den) for e in m.entries for c in e.num + pad] + [0] * (lift * m.cols * d)
+    bound = max(map(abs, values), default=0)
+    arr = np.array(values, dtype=np.int64 if bound < _INT64_LIMIT else object)
+    return arr.reshape(m.rows + lift, m.cols * d), bound, den
+
+
+def factored_product(d: int, arr: np.ndarray, bound: int, den: int, right: SparseLetter,
+                     left: LeftFactor, fixed: Sequence[tuple[int, ...]] | None = None) -> CycloMatrix:
+    """left * M * right / (den * d), with M = arr / den and left given times
+    d, through the fold's own checked steps on arr: the right factor rolls
+    like a letter; when fixed is given, the last column of M * right must
+    be fixed modulo Phi_d (RadicalNotFixed otherwise) and is dropped; then
+    the left factor acts on the rows, checked by its weight; and the
+    result is reduced modulo Phi_d once and normalized entry by entry."""
+    arr, bound = _roll(arr, bound, right)
+    u = arr.reshape(arr.shape[0], -1, d)
+    if fixed is not None:
+        if _reduced(d, u[:, -1], bound).tolist() != [[den * c for c in f] for f in fixed]:
+            raise RadicalNotFixed("operator moves the radical vector")
+        u = u[:, :-1]
+    u, bound = _checked(u, bound, left.weight)
+    u = u.transpose(0, 2, 1)  # (rows, d, cols): rows roll along axis 1
+    ext = np.concatenate([u, *(_divide(d, u[s], cycles)[None] for s, cycles in left.divisions)])
+    out = np.add.reduceat(ext.reshape(-1, u.shape[2])[left.gather] * left.coef, left.starts, axis=0)
+    rows, _, cols = out.shape
+    nums = _reduced(d, out.transpose(0, 2, 1).reshape(-1, d), bound * left.weight)
+    return CycloMatrix(d, rows, cols, _entries(d, nums, den * d))
 
 
 def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclo import CycloNum, _raw_rotation_sum, zeta
+from .cyclo import CycloNum, _raw_normalize, _raw_reduce, spread_inverse, zeta
 from .errors import (
     DegenerateBlock,
     DisconnectedCover,
@@ -36,7 +36,19 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import CycloMatrix, SparseLetter, Term, Vector, sesquilinear, sparse_matrix, word_product
+from .linalg import (
+    CycloMatrix,
+    LeftFactor,
+    SparseLetter,
+    Term,
+    Vector,
+    factored_product,
+    integral_array,
+    sesquilinear,
+    sparse_matrix,
+    word_array,
+    word_product,
+)
 
 # -- braid words -------------------------------------------------------------
 
@@ -169,16 +181,36 @@ class RepContext:
 
     @cached_property
     def gram(self) -> CycloMatrix:
-        """The (n-1) x (n-1) anti-Hermitian J-Gram on g_1, ..., g_{n-1}."""
-        d, size, kappa, mu, qp = self.d, self.n - 1, self.weights, self.mu, self.qpow
-        one, zero = CycloNum.one(d), CycloNum.zero(d)
+        """The (n-1) x (n-1) anti-Hermitian J-Gram on g_1, ..., g_{n-1}, in
+        closed form, with no field inverse.
+
+        With 1 / (1 - omega) = -(1/d) sum_j j omega^j for omega^d = 1 != omega
+        (cyclo.spread_inverse) and (1 - q^{a+b}) / ((1 - q^a)(1 - q^b)) =
+        1 / (1 - q^a) + 1 / (1 - q^b) - 1, every entry is mu times a spread
+        over Z[x]/(x^d - 1) with denominator d, mu = 2 - zeta^k - zeta^-k
+        applied as three rotations, reduced modulo Phi_d once: the diagonal
+        mu (1 - q^{k_i + k_j}) / ((1 - q^{k_i})(1 - q^{k_j})), which is 0
+        when d | k_i + k_j, and mu / (1 - q^{-k_j}) and -mu / (1 - q^{k_j})
+        beside it.
+        """
+        d, k, size, kappa = self.d, self.k, self.n - 1, self.weights
+        zero = CycloNum.zero(d)
+
+        def entry(*exponents: int, extra: int = 0) -> CycloNum:
+            # mu / d * (extra + sum of the spreads d / (zeta^e - 1) = -d / (1 - zeta^e))
+            spread = [extra] + [0] * (d - 1)
+            for e in exponents:
+                spread = [x + y for x, y in zip(spread, spread_inverse(d, e))]
+            mu_spread = [2 * spread[t] - spread[(t - k) % d] - spread[(t + k) % d] for t in range(d)]
+            return CycloNum(d, *_raw_normalize(_raw_reduce(d, mu_spread), d))
+
         rows = [[zero] * size for _ in range(size)]
         for a in range(size):
             ki, kj = kappa[a], kappa[a + 1]
-            rows[a][a] = mu * (one - qp(ki + kj)) / ((one - qp(ki)) * (one - qp(kj)))
+            rows[a][a] = -entry(k * ki, k * kj, extra=d)
             if a + 1 < size:
-                rows[a][a + 1] = mu / (one - qp(-kj))
-                rows[a + 1][a] = -(mu / (one - qp(kj)))
+                rows[a][a + 1] = -entry(-k * kj)
+                rows[a + 1][a] = entry(k * kj)
         return CycloMatrix.from_rows(d, rows)
 
     @cached_property
@@ -193,14 +225,25 @@ class RepContext:
         return tuple(zeta(self.d, e) - one for e in self._radical_exponents)
 
     @cached_property
-    def _rewrite_scale(self) -> CycloNum:
-        """c = -1 / w_{n-2}, from the one field inverse of the quotient."""
-        return -self._radical[-1].inv()
+    def _last_basis_rewrite(self) -> Vector:
+        """Quotient coordinates of the class of g_{n-1} via the radical
+        relation: c w_a with c = -1 / w_{n-2} = -spread_inverse / d."""
+        d = self.d
+        spread = [-x for x in spread_inverse(d, self._radical_exponents[-1])]
+        c = CycloNum(d, *_raw_normalize(_raw_reduce(d, spread), d))
+        return tuple(c * x for x in self._radical[:-1])
 
     @cached_property
-    def _last_basis_rewrite(self) -> Vector:
-        """Quotient coordinates of the class of g_{n-1} via the radical relation."""
-        return tuple(self._rewrite_scale * x for x in self._radical[:-1])
+    def _quotient_factors(self) -> tuple[SparseLetter, LeftFactor]:
+        """The factors of quotient images, see quotient_matrix: the right
+        factor puts M w in column n-2, and the left factor, times d, maps an
+        ambient column u to d u_a - (zeta^{e_a} - 1) d u_{n-2} / w_{n-2},
+        a < n-2, its one division by w_{n-2} = zeta^{e_{n-2}} - 1 a spread."""
+        size, exps = self.n - 2, self._radical_exponents
+        terms = [(a, a, self.d, 0) for a in range(size)]
+        terms += [(a, size + 1, s, t) for a in range(size) if exps[a] for s, t in ((-1, exps[a]), (1, 0))]
+        return (SparseLetter(self.d, _radical_terms(self, size)),
+                LeftFactor(self.d, size + 1, [(size, exps[size])], terms))
 
     def qpow(self, e: int) -> CycloNum:
         """q^e as a field element (e may be negative)."""
@@ -358,6 +401,23 @@ def prefix_twist(ctx: RepContext, r: int, exp: int = 1) -> CycloMatrix:
     return _letter_matrix(ctx, (("T", r), exp))
 
 
+def _sparse_letters(ctx: RepContext, word: BraidWord) -> list[SparseLetter]:
+    """The word's letters prepared for linalg.word_product, cached per
+    context; bad letters raise before anything is built."""
+    cache: dict[Letter, SparseLetter] = ctx._letter_cache  # type: ignore[attr-defined]
+    missing = [letter for letter in dict.fromkeys(word.letters) if letter not in cache]
+    for letter in missing:
+        _check_letter(ctx.n, letter)
+    for letter in missing:
+        cache[letter] = SparseLetter(ctx.d, _letter_terms(ctx, letter))
+    return [cache[letter] for letter in word.letters]
+
+
+def _radical_terms(ctx: RepContext, col: int) -> list[Term]:
+    """Terms that put the radical vector, w_b = zeta^{e_b} - 1, in column col."""
+    return [(col, b, s, t) for b, e in enumerate(ctx._radical_exponents) if e for s, t in ((1, e), (-1, 0))]
+
+
 def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     """Evaluate a braid word to its exact operator matrix, left to right.
 
@@ -368,13 +428,18 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     int64 array, which it converts to Python ints in place should the word
     outgrow int64.
     """
-    cache: dict[Letter, SparseLetter] = ctx._letter_cache  # type: ignore[attr-defined]
-    missing = [letter for letter in dict.fromkeys(word.letters) if letter not in cache]
-    for letter in missing:
-        _check_letter(ctx.n, letter)
-    for letter in missing:
-        cache[letter] = SparseLetter(ctx.d, _letter_terms(ctx, letter))
-    return word_product(ctx.d, ctx.n - 1, [cache[letter] for letter in word.letters])
+    return word_product(ctx.d, ctx.n - 1, _sparse_letters(ctx, word))
+
+
+def evaluate_quotient(ctx: RepContext, word: BraidWord) -> CycloMatrix:
+    """quotient_matrix(ctx, evaluate_word(ctx, word)), straight from the
+    unreduced array of the word's fold: bad letters raise first, then
+    NotDegenerate, and the array is reduced modulo Phi_d once."""
+    letters = _sparse_letters(ctx, word)
+    if ctx.eps0 != 1:
+        raise NotDegenerate("quotient requires eps0 = 1")
+    arr, bound = word_array(ctx.d, ctx.n - 1, letters)
+    return factored_product(ctx.d, arr, bound, 1, *ctx._quotient_factors, fixed=_fixed(ctx))
 
 
 def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
@@ -421,42 +486,34 @@ def quotient_gram(ctx: RepContext) -> CycloMatrix:
     return ctx.gram.submatrix(idx, idx)
 
 
+def _fixed(ctx: RepContext) -> list[tuple[int, ...]]:
+    """The numerators of the radical vector, whose entries have den 1."""
+    return [x.num for x in ctx._radical]
+
+
 def quotient_matrix(ctx: RepContext, m: CycloMatrix) -> CycloMatrix:
     """Push an operator that fixes the radical down to the n-2 quotient.
 
-    Every radical coordinate is w_b = zeta^{e_b} - 1, so (M w)_a and the
-    image entries are sums of rotations by zeta^e - 1, each one spread of
-    cyclo._raw_rotation_sum.  With c = -1 / w_{n-2}, the class of g_{n-1}
-    is sum_a c w_a g_a, so entry (a, b) of the image is
-    M[a][b] + (zeta^{e_a} - 1) t_b with t_b = c M[n-2][b]: n - 2 field
-    products and no matmul.  Raises what m.apply(w) != w raises:
-    ShapeMismatch, then ModulusMismatch, then RadicalNotFixed.
+    With c = -1 / w_{n-2}, the class of g_{n-1} is sum_a c w_a g_a, so
+    entry (a, b) of the image is M[a][b] + c w_a M[n-2][b]: the image is
+    L M R, R the inclusion of the first n-2 columns and L = [I | c w]
+    (RepContext._quotient_factors).  m is written once over its common
+    denominator and runs the code of evaluate_quotient: a right factor that
+    also forms M w, checked against w, and the left factor, whose division
+    by w_{n-2} = zeta^{e_{n-2}} - 1 is a spread; no field product.  Raises
+    what m.apply(w) != w raises: ShapeMismatch, then ModulusMismatch, then
+    RadicalNotFixed.
     """
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
-    d, size, cols = ctx.d, ctx.n - 2, m.cols
-    if cols != size + 1:
-        raise ShapeMismatch(f"vector length {size + 1} != cols {cols}")
-    if m.d != d:
-        raise ModulusMismatch(f"entry modulus {d} != {m.d}")
-    exps = ctx._radical_exponents
-    raw = [(x.num, x.den) if x else None for x in m.entries]
-    if m.rows != cols or any(
-        _raw_rotation_sum(d, None, [(x, e) for x, e in zip(raw[a * cols : (a + 1) * cols], exps) if x and e])
-        != (w.num, w.den)
-        for a, w in enumerate(ctx._radical)
-    ):
+    cols = ctx.n - 1
+    if m.cols != cols:
+        raise ShapeMismatch(f"vector length {cols} != cols {m.cols}")
+    if m.d != ctx.d:
+        raise ModulusMismatch(f"entry modulus {ctx.d} != {m.d}")
+    if m.rows != cols:
         raise RadicalNotFixed("operator moves the radical vector")
-    c = ctx._rewrite_scale
-    ts = [c * x if x else None for x in m.row(size)[:size]]
-    entries = []
-    for a in range(size):
-        e = exps[a]
-        for b, t in enumerate(ts):
-            x = m.entries[a * cols + b]
-            entries.append(CycloNum(d, *_raw_rotation_sum(d, raw[a * cols + b], [((t.num, t.den), e)]))
-                           if e and t else x)
-    return CycloMatrix(d, size, size, tuple(entries))
+    return factored_product(ctx.d, *integral_array(m), *ctx._quotient_factors, fixed=_fixed(ctx))
 
 
 # -- two-dimensional lantern block ------------------------------------------------

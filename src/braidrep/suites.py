@@ -28,7 +28,6 @@ from .rep import (
     pair_twist,
     prefix_twist,
     quotient_gram,
-    quotient_matrix,
     radical_vector,
     scalar_relation_holds,
     transported_context,
@@ -327,7 +326,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     for part in parts:
         sl = horo.part_slice(fc, part)
         mats[part] = horo.evaluate_on_quotient(fc, words[part])
-        f = horo.word_flag_matrix(fc, words[part], mats[part])
+        f = horo.word_flag_matrix(fc, words[part])
         rep.check(horo._unipotent(fc, f), "witness is unipotent with forced constraints", f"{tag} {part}")
         nu = horo.part_witness(fc, part)
         chis[part] = nu
@@ -373,9 +372,9 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
         except NotParabolicElement:
             rep.check(False, "random puncture-group word preserves the flag", f"{tag} {word}")
             continue
-        conj = horo.evaluate_on_quotient(fc, word * words[parts[0]] * word.inverse())
+        conj = horo.word_flag_matrix(fc, word * words[parts[0]] * word.inverse())
         rep.check(
-            horo.translation_part(fc, conj) == moved,
+            horo._translation(fc, conj) == moved,
             "conjugation acts by lambda x C^-1 on translation parts",
             f"{tag} {word}",
         )

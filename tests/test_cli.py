@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidrep import horo, suites
+from braidrep import cli, horo, suites
 from braidrep.cli import build_parser, main
 from braidrep.cyclo import CycloNum, _field_data, units
 from braidrep.linalg import CycloMatrix, matrix_from_json
@@ -434,3 +434,59 @@ def test_parser_is_built_once_and_reused(capsys):
     assert consecutive == fresh
     assert [code for code, _, _ in consecutive] == [0, 0, 2, 0, 2, 2, 0, 0]
     assert consecutive[0] == consecutive[-1]
+
+
+# every way the full parser exits: help at the top and per subcommand, a
+# missing or unknown command, and usage errors at either level
+PARSER_EXITS = [
+    [], ["-h"], ["--help"], ["bogus"], ["--d", "5"], ["-x"],
+    *[[c, flag] for c in ("gram", "rep", "density", "arithmeticity", "horo", "verify") for flag in ("-h", "--help")],
+    ["gram"], ["gram", "--d", "x", "--kappa", "1,1,1"], ["gram", "--d", "5"],
+    ["rep", "--d", "5", "--kappa", "1,1,3", "--bogus"], ["rep", "--d", "5", "--kappa", "1,1,3", "extra"],
+    ["rep", "--d", "5", "--kappa"], ["density", "--d", "7", "--kappa", "1,2,4", "--seed", "2"],
+    ["arithmeticity", "--kappa", "1,2"], ["horo", "--d", "5", "--kappa", "1,1,3"],
+    ["horo", "--d", "5", "--kappa", "1,1,3", "--m", "x"], ["verify", "--suite", "bogus"],
+    ["verify", "--size"], ["verify", "--seed", "1", "gram"], ["gram", "-h", "--d", "x"],
+]
+# sha256 over repr((argv, exit code, stdout, stderr)) of the full parser on
+# PARSER_EXITS at COLUMNS=80, as printed before the one-command parsers
+PARSER_EXITS_SHA256 = "9bcdf7e76338d46df0d13fa76a5f19f60d013533509156fbba0be17891606bb2"
+PARSER_RUNS = [
+    ["gram", "--d", "5", "--kappa", "1,1,1,1,1", "--k", "2", "--json"],
+    ["rep", "--d", "5", "--kappa", "1,1,3", "--word", "A(1,2) T(2)^-1", "--quotient", "--json"],
+    ["rep", "--kappa=1,1,3", "--d=5"], ["density", "--d", "7", "--kappa", "1,2,4"],
+    ["arithmeticity", "--json", "--d", "6", "--kappa", "1,1,1,1,1,1"],
+    ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,7", "--m", "3", "--maxlen", "4", "--seed", "3"],
+    ["verify", "--suite", "horo", "--size", "2"], ["verify"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    """(namespace as a dict, or the exit code), stdout, stderr of parse(argv)."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_one_command_parsers_print_what_the_full_parser_prints(capsys, monkeypatch):
+    """main builds only the parser of the subcommand that argv[0] names; its
+    help, its usage errors and their exit codes are the full parser's, byte
+    for byte, and the full parser prints what it printed before."""
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in PARSER_EXITS:
+        full = _parsed(capsys, build_parser().parse_args, argv)
+        assert isinstance(full[0], int)
+        assert _parsed(capsys, cli.parse_args, argv) == full, argv
+        assert _run_any(capsys, argv) == full, argv
+        digest.update(repr((argv, *full)).encode())
+    assert digest.hexdigest() == PARSER_EXITS_SHA256
+    build_parser.cache_clear()
+    for argv in PARSER_RUNS:
+        one = _parsed(capsys, cli.parse_args, argv)
+        assert build_parser.cache_info().misses == 0, argv
+        assert one == _parsed(capsys, build_parser().parse_args, argv), argv
+        build_parser.cache_clear()

@@ -1,11 +1,15 @@
+import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from braidrep.cyclo import CycloNum, euler_phi, from_coeffs, units
-from braidrep import horo
+from braidrep import horo, linalg
 from braidrep.errors import (
     BadM,
     ConstraintViolation,
@@ -25,6 +29,7 @@ from braidrep.horo import (
     conjugation_action,
     corner_entry,
     evaluate_on_quotient,
+    flag_matrix,
     in_parabolic,
     in_unipotent,
     make_flag,
@@ -38,11 +43,13 @@ from braidrep.horo import (
     witness_lower,
     witness_parts,
     witness_upper,
+    word_flag_matrix,
 )
-from braidrep.linalg import CycloMatrix, RationalSpan, rank_over_rationals, realify, solve_rational
+from braidrep.linalg import CycloMatrix, RationalSpan, matrix_to_json, rank_over_rationals, realify, solve_rational
 from braidrep.rep import (
     BraidWord,
     commutator,
+    evaluate_word,
     make_context,
     pair_twist,
     quotient_gram,
@@ -217,14 +224,16 @@ def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
     fc = make_flag(flag.ctx, flag.m)
     unipotent = evaluate_on_quotient(fc, witness_lower(fc))
     nu = translation_part(fc, unipotent)
+    # flag_matrix (a given matrix) and word_flag_matrix (a word's fold) both
+    # build a flag matrix through one factored_product
     calls = []
-    real = horo.flag_matrix
+    real = horo.factored_product
 
-    def counting(fc, m_quot):
-        calls.append(m_quot)
-        return real(fc, m_quot)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(horo, "flag_matrix", counting)
+    monkeypatch.setattr(horo, "factored_product", counting)
     assert translation_part(fc, unipotent) == nu
     assert len(calls) == 1
     a = BraidWord.A(1, 2)
@@ -564,7 +573,8 @@ def test_battery_adds_no_orbit_vector_after_full_rank():
 
 def test_battery_inverts_no_braid_image(monkeypatch):
     # inverses of braid images come from inverse words and the letter-action
-    # table; what is left inverts the flag basis and G_W
+    # table, flag matrices from the factors of the flag context, and G_W^-1
+    # from its tridiagonal blocks: nothing is inverted by elimination
     callers = []
     real = CycloMatrix.inverse
 
@@ -576,4 +586,162 @@ def test_battery_inverts_no_braid_image(monkeypatch):
     fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
     report, _ = horo_report(fc)
     assert report["failed"] == 0
-    assert set(callers) == {"make_flag"}
+    assert callers == []
+
+
+# -- flag matrices by factors, against P^-1 M P ------------------------------------
+
+PINNED_FLAGS = [(11, (1, 1, 9, 1, 1, 1, 1, 1, 6), 3), (5, (1, 1, 3, 2, 3), 3), (5, (2, 3, 1, 1, 1, 2), 2)]
+
+
+def _by_inverse(fc, m_quot):
+    """The former flag_matrix, kept as the oracle: P^-1 m P with P inverted
+    by elimination."""
+    return fc.P.inverse() @ m_quot @ fc.P
+
+
+def _quotient_element(draw, d, big):
+    den = draw(st.sampled_from((1, 2, 3, 360, 10**15 + 37)))
+    hi = draw(st.sampled_from((1, 7, big)))
+    return from_coeffs(d, [Fraction(draw(st.integers(-hi, hi)), den) for _ in range(euler_phi(d))])
+
+
+def _draw_letters(draw, n, length):
+    letters = []
+    for _ in range(draw(st.integers(0, length))):
+        kind, exp = draw(st.sampled_from(("A", "T", "FT"))), draw(st.sampled_from((1, -1)))
+        if kind == "T":
+            letters.append((("T", draw(st.integers(2, n - 1))), exp))
+        else:
+            i = draw(st.integers(1, n - 1))
+            letters.append(((kind, i, draw(st.integers(i + 1, n))), exp))
+    return BraidWord(tuple(letters))
+
+
+def _check_against_the_inverse(fc, words, given):
+    """word_flag_matrix and flag_matrix equal P^-1 M P, byte for byte in
+    JSON; G_W_inv is G_W's inverse."""
+    s = fc.middle_size
+    assert fc.G_W @ fc.G_W_inv == CycloMatrix.identity(fc.ctx.d, s)
+    assert fc.G_W_inv == (fc.G_W.inverse() if s else fc.G_W)
+    for word in words:
+        m_quot = evaluate_on_quotient(fc, word)
+        assert m_quot == quotient_matrix(fc.ctx, evaluate_word(fc.ctx, word))
+        expected = _by_inverse(fc, m_quot)
+        assert word_flag_matrix(fc, word) == flag_matrix(fc, m_quot) == expected, str(word)
+        assert matrix_to_json(word_flag_matrix(fc, word)) == matrix_to_json(expected)
+    for m_quot in given:
+        assert flag_matrix(fc, m_quot) == _by_inverse(fc, m_quot)
+
+
+@pytest.mark.parametrize("d,kappa,m", CASES + CENTER_CASES + PINNED_FLAGS, ids=lambda c: str(c))
+def test_flag_matrices_match_the_inverse_on_pinned_cases(d, kappa, m):
+    """The CASES, the horo workload kappas and the pinned horo documents:
+    every letter and its inverse, both witnesses, their commutator, and a
+    seeded word."""
+    fc = make_flag(make_context(d, kappa, 1), m)
+    n = fc.ctx.n
+    words = [BraidWord(((("A", i, j), e),)) for i, j in itertools.combinations(range(1, n + 1), 2) for e in (1, -1)]
+    words += [BraidWord(((("T", r), 1),)) for r in range(2, n)]
+    words += [witness(fc, part) for part in witness_parts(fc)]
+    if len(witness_parts(fc)) == 2:
+        words.append(commutator(witness_lower(fc), witness_upper(fc)))
+    rng = random.Random(d * 100 + n)
+    words.append(BraidWord(tuple((("A", i, rng.randint(i + 1, n)), rng.choice((1, -1)))
+                                 for i in (rng.randint(1, n - 1) for _ in range(12)))))
+    # one shared denominator past 2^63 / d^2 with small numerators: int64
+    # numerators over a denominator that numpy cannot hold
+    small = CycloMatrix.from_rows(d, [[from_coeffs(d, [Fraction(rng.randint(-3, 3), 10**18 + 9)
+                                                         for _ in range(euler_phi(d))]) for _ in range(n - 2)]
+                                      for _ in range(n - 2)])
+    _check_against_the_inverse(fc, words, [CycloMatrix.identity(d, n - 2), small])
+
+
+@st.composite
+def flag_contexts(draw):
+    """A flag context at prime or composite d (12, 15, 25 among them), n 4..8
+    and any 2 <= m <= n - 2: m = 2 and m = n - 2 leave g_{n-1} out of the
+    flag or the lower block empty."""
+    d = draw(st.sampled_from((5, 7, 11, 12, 15, 25)))
+    n = draw(st.integers(4, 8))
+    m = draw(st.integers(2, n - 2))
+    kappa = [draw(st.integers(1, d - 1)) for _ in range(n)]
+    kappa[m - 1] = -sum(kappa[: m - 1]) % d
+    kappa[-1] = -sum(kappa[:-1]) % d
+    assume(kappa[m - 1] and kappa[-1] and math.gcd(d, *kappa) == 1)
+    ctx = make_context(d, tuple(kappa), draw(st.sampled_from(tuple(units(d)))))
+    return make_flag(ctx, m)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(flag_contexts(), st.data())
+def test_flag_matrices_match_the_inverse(fc, data):
+    """Random words, and quotient matrices whose entries have denominators up
+    to 10^15 + 37 and numerators up to 2^90, rewrite in flag coordinates as
+    P^-1 M P does."""
+    n, d = fc.ctx.n, fc.ctx.d
+    words = [_draw_letters(data.draw, n, 10) for _ in range(2)]
+    given = [CycloMatrix.from_rows(d, [[_quotient_element(data.draw, d, 2**90) for _ in range(n - 2)]
+                                       for _ in range(n - 2)])]
+    _check_against_the_inverse(fc, words, given)
+
+
+def test_make_flag_eliminates_nothing(monkeypatch):
+    """No _rref and no field inverse outside the one per tridiagonal block of
+    G_W: the Gram matrix is a closed form and P is never inverted."""
+    inverses = []
+    inv = CycloNum.inv
+    monkeypatch.setattr(linalg, "_rref", lambda *args: pytest.fail("elimination"))
+    monkeypatch.setattr(CycloNum, "inv", lambda x: inverses.append(x) or inv(x))
+    for d, kappa, m in CASES + CENTER_CASES + PINNED_FLAGS:
+        fc = make_flag(make_context(d, kappa, 1), m)
+        word_flag_matrix(fc, witness(fc, witness_parts(fc)[0]))
+        flag_matrix(fc, evaluate_on_quotient(fc, BraidWord.A(1, 2)))
+        assert len(inverses) == sum(1 for part in (LOWER, UPPER) if horo.full_rank(fc, part)), (d, kappa, m)
+        inverses.clear()
+
+
+def test_flag_coordinates_check_their_divisors(monkeypatch):
+    """u_{m-2} / r_{m-2} and u_m / r_m divide by radical coordinates that
+    never vanish; were one 0, make_flag would raise Singular by name."""
+    ctx = make_context(5, (1, 1, 3, 2, 2, 1), 1)
+    radical = list(ctx._radical)
+    radical[3] = CycloNum.zero(5)
+    vars(ctx)["_radical"] = tuple(radical)
+    with pytest.raises(Singular):
+        make_flag(ctx, 3)
+
+
+def test_tridiagonal_inverse_matches_elimination():
+    rng = random.Random(5)
+    for d in (5, 12):
+        for k in range(1, 6):
+            rows = [[CycloNum.zero(d)] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(max(0, i - 1), min(k, i + 2)):
+                    rows[i][j] = from_coeffs(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                                 for _ in range(euler_phi(d))])
+            t = CycloMatrix.from_rows(d, rows)
+            try:
+                expected = t.inverse()
+            except Singular:
+                with pytest.raises(Singular):
+                    horo._tridiagonal_inverse(t)
+                continue
+            assert horo._tridiagonal_inverse(t) == expected
+
+
+def test_unipotent_constraints_are_checked(flag):
+    """A flag matrix with the unipotent block pattern whose last column or
+    corner breaks the forced identities raises ConstraintViolation."""
+    fc = flag
+    f = word_flag_matrix(fc, witness(fc, witness_parts(fc)[0]))
+    s = fc.middle_size
+    p, p_inv = fc.P, fc.P.inverse()
+    for row, col in ((1, s + 1), (0, s + 1)):  # a last-column entry, the corner
+        entries = list(f.entries)
+        entries[row * f.cols + col] += CycloNum(fc.ctx.d, (0, 1) + (0,) * (euler_phi(fc.ctx.d) - 2), 1)
+        moved = p @ CycloMatrix(f.d, f.rows, f.cols, tuple(entries)) @ p_inv
+        with pytest.raises(ConstraintViolation):
+            in_unipotent(fc, moved)

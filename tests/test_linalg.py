@@ -34,7 +34,7 @@ from braidrep.linalg import (
     sesquilinear,
     solve_rational,
 )
-from braidrep.rep import BraidWord, evaluate_word, make_context
+from braidrep.rep import BraidWord, evaluate_quotient, evaluate_word, make_context, quotient_matrix
 
 D = 5
 PHI = 4
@@ -491,6 +491,29 @@ def _fold(d, size, terms):
                             CycloMatrix.identity(d, size))
 
 
+def _roll_columns(d, cols, letter):
+    """The columns of M times a letter's terms, M in Python ints over
+    Z[x]/(x^d - 1), column by column."""
+    size = len(cols[0])
+    new = {c: [[0] * d for _ in range(size)] for c, _, _, _ in letter}
+    for c, r, coef, t in letter:
+        for a in range(size):
+            for j in range(d):
+                new[c][a][j] += coef * cols[r][a][(j - t) % d]
+    return [new.get(c, col) for c, col in enumerate(cols)]
+
+
+def _top(cols):
+    return max(abs(x) for col in cols for entry in col for x in entry)
+
+
+def _lam(letter):
+    weights = Counter()
+    for c, _, coef, _ in letter:
+        weights[c] += abs(coef)
+    return max(weights.values())
+
+
 def _first_over_the_bound(d, size, terms):
     """The step at which the product must promote: the first letter i with
     max|M| * lam_i >= 2^63 for M the product of letters 0..i-1 over
@@ -498,18 +521,27 @@ def _first_over_the_bound(d, size, terms):
     product, else None.  M is rolled here in Python ints, column by column."""
     cols = [[[int(r == c and j == 0) for j in range(d)] for r in range(size)] for c in range(size)]
     for i, letter in enumerate(terms + [None]):
-        top = max(abs(x) for col in cols for entry in col for x in entry)
         if letter is None:
-            return i if top * linalg._cyclic_reduction(d)[1] >= 2**63 else None
-        if top * max(Counter(c for c, _, _, _ in letter).values()) >= 2**63:
+            return i if _top(cols) * linalg._cyclic_reduction(d)[1] >= 2**63 else None
+        if _top(cols) * _lam(letter) >= 2**63:
             return i
-        new = {c: [[0] * d for _ in range(size)] for c, _, _, _ in letter}
-        for c, r, sign, t in letter:
-            for a in range(size):
-                for j in range(d):
-                    new[c][a][j] += sign * cols[r][a][(j - t) % d]
-        for c, col in new.items():
-            cols[c] = col
+        cols = _roll_columns(d, cols, letter)
+
+
+def _first_factored_step(d, size, terms, right, weight):
+    """The step at which factored_product of a word must promote: a letter,
+    or len(terms) for the right factor, as in _first_over_the_bound; then
+    len(terms) + 1 if the radical column of M R fails rho_d, len(terms) + 2
+    if the other columns fail the left factor's weight, else None (the
+    final reduction is not pinned here)."""
+    cols = [[[int(r == c and j == 0) for j in range(d)] for r in range(size)] for c in range(size)]
+    for i, letter in enumerate(terms + [right]):
+        if _top(cols) * _lam(letter) >= 2**63:
+            return i
+        cols = _roll_columns(d, cols, letter)
+    if _top(cols[-1:]) * linalg._cyclic_reduction(d)[1] >= 2**63:
+        return len(terms) + 1
+    return len(terms) + 2 if _top(cols[:-1]) * weight >= 2**63 else None
 
 
 @st.composite
@@ -637,6 +669,59 @@ def test_long_word_promotes_partway():
     terms = [rep._letter_terms(ctx, letter) for letter in letters]
     assert len(steps) == 1 and 0 < steps[0] < len(letters)
     assert steps == [_first_over_the_bound(ctx.d, ctx.n - 1, terms)]
+
+
+QUOTIENT_25 = make_context(25, (1, 2, 3, 4, 5, 6, 4), 2)
+FLAG_25 = (25, (1, 2, 22, 4, 5, 6, 10), 2, 3)
+
+
+@pytest.mark.parametrize("length,step", [(138, 140), (200, 151)])
+def test_quotient_word_promotes_at_the_pinned_step(length, step):
+    """rep --quotient of prefixes of the long word at d = 25: the 138-letter
+    prefix promotes at the left factor (step 140, the weight of its spread
+    division), the 200-letter one at its 151st letter; both exactly."""
+    ctx = QUOTIENT_25
+    word = BraidWord(tuple(_long_word(length)))
+    result, steps = promotions(evaluate_quotient, ctx, word)
+    left = ctx._quotient_factors[1]
+    terms = [rep._letter_terms(ctx, letter) for letter in word.letters]
+    assert steps == [step] == [_first_factored_step(ctx.d, ctx.n - 1, terms, rep._radical_terms(ctx, ctx.n - 2),
+                                                    left.weight)]
+    assert result == quotient_matrix(ctx, evaluate_word(ctx, word))
+
+
+@pytest.mark.parametrize("length,step", [(150, 152), (176, 176), (200, 178)])
+def test_flag_word_promotes_at_the_pinned_step(length, step):
+    """word_flag_matrix of prefixes of the long word at d = 25, m = 3: the
+    150-letter prefix promotes at the left factor (step 152), the
+    176-letter one at the right factor (step 176), the 200-letter one at
+    its 178th letter; all exactly."""
+    d, kappa, k, m = FLAG_25
+    fc = horo.make_flag(make_context(d, kappa, k), m)
+    word = BraidWord(tuple(_long_word(length)))
+    result, steps = promotions(horo.word_flag_matrix, fc, word)
+    n, exps = fc.ctx.n, fc.ctx._radical_exponents
+    # the lift of the flag basis (w, g_1, g_4, g_5, g_6, g_3) and the radical
+    right_terms = [(0, b, s, t) for b in range(m - 1) if exps[b] for s, t in ((1, exps[b]), (-1, 0))]
+    right_terms += [(j, a, 1, 0) for j, a in enumerate((0, 3, 4, 5, 2), 1)] + rep._radical_terms(fc.ctx, n - 2)
+    left = fc._factors[1]
+    terms = [rep._letter_terms(fc.ctx, letter) for letter in word.letters]
+    assert steps == [step] == [_first_factored_step(d, fc.ctx.n - 1, terms, right_terms, left.weight)]
+    assert result == horo.flag_matrix(fc, horo.evaluate_on_quotient(fc, word))
+
+
+def test_given_flag_matrix_promotes_before_its_division():
+    """flag_matrix of a given matrix with entries near 2^53 at d = 11: the
+    right factor's lam counts the growth of its division by w_{n-2}, so
+    the array promotes before that step (step 0) and the result is exact."""
+    fc = horo.make_flag(make_context(11, (1, 1, 9, 1, 1, 1, 1, 7), 1), 3)
+    rng = random.Random(53)
+    size = fc.ctx.n - 2
+    m_quot = CycloMatrix.from_rows(11, [[from_coeffs(11, [Fraction(rng.randint(2**52, 2**53)) for _ in range(10)])
+                                         for _ in range(size)] for _ in range(size)])
+    result, steps = promotions(horo.flag_matrix, fc, m_quot)
+    assert steps == [0]
+    assert result == fc.P.inverse() @ m_quot @ fc.P
 
 
 def _perfbench_workloads():

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from braidrep.cyclo import CycloNum, euler_phi, from_coeffs, order_of_power, units, zeta
+from braidrep.cyclo import (
+    CycloNum,
+    _raw_normalize,
+    _raw_reduce,
+    euler_phi,
+    from_coeffs,
+    order_of_power,
+    spread_inverse,
+    units,
+    zeta,
+)
 from braidrep.errors import (
     DegenerateBlock,
     DisconnectedCover,
@@ -31,6 +41,7 @@ from braidrep.rep import (
     block_twist,
     block_twist_word,
     commutator,
+    evaluate_quotient,
     evaluate_word,
     galois_transport,
     lantern_block,
@@ -92,6 +103,69 @@ def test_gram_uniform_weight_values():
 
 
 # -- pair twists -----------------------------------------------------------------
+
+def _gram_by_inverses(ctx):
+    """The former Gram formula, kept as the oracle of the closed form:
+    each entry from field inverses of 1 - q^e."""
+    d, size, kappa, mu, qp = ctx.d, ctx.n - 1, ctx.weights, ctx.mu, ctx.qpow
+    one, zero = CycloNum.one(d), CycloNum.zero(d)
+    rows = [[zero] * size for _ in range(size)]
+    for a in range(size):
+        ki, kj = kappa[a], kappa[a + 1]
+        rows[a][a] = mu * (one - qp(ki + kj)) / ((one - qp(ki)) * (one - qp(kj)))
+        if a + 1 < size:
+            rows[a][a + 1] = mu / (one - qp(-kj))
+            rows[a + 1][a] = -(mu / (one - qp(kj)))
+    return CycloMatrix.from_rows(d, rows)
+
+
+@st.composite
+def gram_contexts(draw):
+    """Prime and composite d, every unit k, and kappa drawn with adjacent
+    pairs d | k_i + k_j."""
+    d = draw(st.sampled_from((3, 5, 7, 11, 13, 4, 6, 8, 9, 12, 15, 25, 30)))
+    kappa = [draw(st.integers(1, d - 1)) for _ in range(draw(st.integers(3, 7)))]
+    for i in range(1, len(kappa)):
+        if draw(st.integers(0, 2)) == 0:
+            kappa[i] = d - kappa[i - 1]
+    if math.gcd(d, *kappa) != 1:
+        kappa[0] = 1
+    return d, tuple(kappa)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gram_contexts())
+def test_gram_closed_form_matches_the_inverse_formula(case):
+    """The closed-form Gram equals the inverse-based formula at every unit k,
+    a zero diagonal entry exactly where d | k_i + k_j, and takes no field
+    inverse; c = -1 / w_{n-2} of the quotient is the spread as well."""
+    d, kappa = case
+    for k in units(d):
+        ctx = make_context(d, kappa, k)
+        gram = ctx.gram
+        assert gram == _gram_by_inverses(ctx)
+        assert [not gram.entry(a, a) for a in range(ctx.n - 1)] == \
+            [(kappa[a] + kappa[a + 1]) % d == 0 for a in range(ctx.n - 1)]
+        if ctx.eps0 == 1:
+            w = radical_vector(ctx)
+            assert ctx._last_basis_rewrite == tuple(-x / w[-1] for x in w[:-1])
+
+
+def test_spread_inverse_is_d_over_zeta_power_minus_one():
+    for d in (3, 4, 9, 12, 25, 30):
+        for e in range(1, d):
+            if e % d:
+                spread = CycloNum(d, *_raw_normalize(_raw_reduce(d, list(spread_inverse(d, e))), 1))
+                assert spread * (zeta(d, e) - 1) == d, (d, e)
+
+
+def test_gram_takes_no_field_inverse(monkeypatch):
+    monkeypatch.setattr(CycloNum, "inv", lambda x: pytest.fail("field inverse"))
+    for d, kappa, k in ((2039, (1, 1, 1), 1), (12, (7, 5, 4, 4, 4), 5), (30, (1, 29, 7, 23), 7)):
+        ctx = make_context(d, kappa, k)
+        assert ctx.gram.conj_transpose() == -ctx.gram
+
 
 def test_pair_twist_is_reflection_on_adjacent_vector():
     ctx = make_context(5, (1, 1, 2, 1), 1)
@@ -366,7 +440,7 @@ def test_derived_data_is_built_once_on_first_use(monkeypatch):
     words = [BraidWord.A(1, 3), BraidWord.A(2, 5, -1) * BraidWord.T(3), BraidWord.FT(2, 5)]
     for word in words * 2:
         quotient_matrix(ctx, evaluate_word(ctx, word))
-    assert len(inverses) == 1  # the radical rewrite, once
+    assert inverses == []  # the radical rewrite is a spread, as is every quotient entry
     assert "gram" not in vars(ctx)
     assert ctx.gram is ctx.gram
 
@@ -471,19 +545,68 @@ def test_quotient():
 
 def _quotient_by_matmul(ctx, m):
     """The former formula, kept as an oracle: the radical check as the
-    matmul m.apply(w), then col[a] + col[n-2] * rewrite[a] per entry."""
+    matmul m.apply(w), then col[a] + col[n-2] * rewrite[a] per entry, with
+    rewrite[a] = -w[a] / w[n-2] from a field inverse."""
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
     w = radical_vector(ctx)
     if m.apply(w) != w:
         raise RadicalNotFixed("operator moves the radical vector")
-    rewrite = ctx._last_basis_rewrite
+    c = -w[-1].inv()
+    rewrite = [c * x for x in w[:-1]]
     size = ctx.n - 2
     cols = [m.col(b) for b in range(size)]
     return CycloMatrix.from_rows(ctx.d, [
         [col[a] + col[size] * rewrite[a] if col[size] else col[a] for col in cols]
         for a in range(size)
     ])
+
+
+def _raw_rotation_sum(d, base, terms):
+    """base + sum of (zeta^e - 1) * x over terms (x, e), on the lcm of the
+    denominators (the former cyclo helper of the rotation-sum quotient)."""
+    phi = euler_phi(d)
+    den = base[1] if base else 1
+    for (_, x_den), _ in terms:
+        den = math.lcm(den, x_den)
+    spread = [0] * (phi + d - 1)
+    if base:
+        spread[:phi] = [den // base[1] * c for c in base[0]]
+    for (num, x_den), e in terms:
+        for i, c in enumerate(num):
+            spread[i + e] += den // x_den * c
+            spread[i] -= den // x_den * c
+    return _raw_normalize(_raw_reduce(d, spread), den)
+
+
+def _quotient_by_rotation_sums(ctx, m):
+    """The rotation-sum quotient_matrix this one replaced, kept as an oracle:
+    the radical check and every entry as an integer spread, and the n - 2
+    field products t_b = c M[n-2][b], c = -1 / w_{n-2} from a field inverse."""
+    if ctx.eps0 != 1:
+        raise NotDegenerate("quotient requires eps0 = 1")
+    d, size, cols = ctx.d, ctx.n - 2, m.cols
+    if cols != size + 1:
+        raise ShapeMismatch(f"vector length {size + 1} != cols {cols}")
+    if m.d != d:
+        raise ModulusMismatch(f"entry modulus {d} != {m.d}")
+    exps = ctx._radical_exponents
+    raw = [(x.num, x.den) if x else None for x in m.entries]
+    if m.rows != cols or any(
+        _raw_rotation_sum(d, None, [(x, e) for x, e in zip(raw[a * cols : (a + 1) * cols], exps) if x and e])
+        != (w.num, w.den)
+        for a, w in enumerate(radical_vector(ctx))
+    ):
+        raise RadicalNotFixed("operator moves the radical vector")
+    c = -radical_vector(ctx)[-1].inv()
+    ts = [c * x if x else None for x in m.row(size)[:size]]
+    entries = []
+    for a in range(size):
+        for b, t in enumerate(ts):
+            x = m.entries[a * cols + b]
+            entries.append(CycloNum(d, *_raw_rotation_sum(d, raw[a * cols + b], [((t.num, t.den), exps[a])]))
+                           if exps[a] and t else x)
+    return CycloMatrix(d, size, size, tuple(entries))
 
 
 def _raised(f, *args):
@@ -526,11 +649,13 @@ def test_quotient_matches_the_matmul_formula(ctx, data):
     integers that fix w, push down to what the matmul formula gives, byte
     for byte; moving one entry of a column where w is non-zero raises
     RadicalNotFixed from both."""
-    word_image = evaluate_word(ctx, _draw_word(data, ctx.n, 16))
+    word = _draw_word(data, ctx.n, 16)
+    word_image = evaluate_word(ctx, word)
+    assert evaluate_quotient(ctx, word) == quotient_matrix(ctx, word_image)
     for m in (word_image, _radical_fixing(ctx, data)):
         assert m.apply(radical_vector(ctx)) == radical_vector(ctx)
         mq = quotient_matrix(ctx, m)
-        assert mq == _quotient_by_matmul(ctx, m)
+        assert mq == _quotient_by_matmul(ctx, m) == _quotient_by_rotation_sums(ctx, m)
         assert matrix_to_json(mq) == matrix_to_json(_quotient_by_matmul(ctx, m))
     b = data.draw(st.sampled_from([b for b, x in enumerate(radical_vector(ctx)) if x]))
     a = data.draw(st.integers(0, ctx.n - 2))
@@ -538,7 +663,7 @@ def test_quotient_matches_the_matmul_formula(ctx, data):
     entries[a * m.cols + b] += _draw_element(data, ctx.d, 2**90) or 1
     moved = CycloMatrix(ctx.d, m.rows, m.cols, tuple(entries))
     assert _raised(quotient_matrix, ctx, moved) == _raised(_quotient_by_matmul, ctx, moved) == \
-        (RadicalNotFixed, "operator moves the radical vector")
+        _raised(_quotient_by_rotation_sums, ctx, moved) == (RadicalNotFixed, "operator moves the radical vector")
 
 
 def test_quotient_raises_what_the_matmul_formula_raises():
@@ -561,6 +686,7 @@ def test_quotient_raises_what_the_matmul_formula_raises():
     ]
     seen = [_raised(quotient_matrix, ctx, m) for m in cases]
     assert seen == [_raised(_quotient_by_matmul, ctx, m) for m in cases]
+    assert seen == [_raised(_quotient_by_rotation_sums, ctx, m) for m in cases]
     assert [s and s[0] for s in seen] == [ShapeMismatch, ShapeMismatch, ModulusMismatch, ShapeMismatch,
                                           RadicalNotFixed, RadicalNotFixed, RadicalNotFixed, ShapeMismatch,
                                           RadicalNotFixed, None]
@@ -569,20 +695,19 @@ def test_quotient_raises_what_the_matmul_formula_raises():
         (NotDegenerate, "quotient requires eps0 = 1")
 
 
-def test_quotient_forms_one_field_product_per_column(monkeypatch):
-    """No matmul and at most n - 2 CycloNum products per call: c = -1 / w_{n-2}
-    times each entry of the last row; the radical check and the entries are
-    integer spreads."""
+def test_quotient_forms_no_field_product(monkeypatch):
+    """No matmul, no CycloNum product and no field inverse, for a given
+    matrix and for a word's fold: the radical check and the entries are
+    integer arrays, and the division by w_{n-2} is a spread."""
     ctx = make_context(25, (1, 2, 3, 4, 5, 6, 4), 2)
-    m = evaluate_word(ctx, parse_word("A(1,7) A(2,7) A(3,7)^-1 A(4,7) A(5,7)"))
-    products = []
-    mul = CycloNum.__mul__
-    monkeypatch.setattr(CycloNum, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    word = parse_word("A(1,7) A(2,7) A(3,7)^-1 A(4,7) A(5,7)")
+    m = evaluate_word(ctx, word)
+    monkeypatch.setattr(CycloNum, "__mul__", lambda x, y: pytest.fail("field product"))
+    monkeypatch.setattr(CycloNum, "inv", lambda x: pytest.fail("field inverse"))
     monkeypatch.setattr(CycloMatrix, "__matmul__", lambda x, y: pytest.fail("matmul"))
-    mq = quotient_matrix(ctx, m)
-    assert len(products) == sum(1 for x in m.row(ctx.n - 2)[: ctx.n - 2] if x) == ctx.n - 2
+    mq, folded = quotient_matrix(ctx, m), evaluate_quotient(ctx, word)
     monkeypatch.undo()
-    assert mq == _quotient_by_matmul(ctx, m)
+    assert mq == folded == _quotient_by_matmul(ctx, m) == _quotient_by_rotation_sums(ctx, m)
 
 
 def test_quotient_dimension_and_descended_form():

@@ -9,7 +9,11 @@ change from the working tree (``src/``, ``perfbench/``, ``BENCHMARK.json``).
 ``T`` is the ``run_seconds`` of that side's ``BENCHMARK.json``.
 Each ``--plan W:A-B`` runs one pair per seed A..B, the sides alternating
 which runs first; each ``--trace W:S`` runs one traced pair (``--trace 1``)
-and records the per-layer metrics of both sides.  Runs go one at a time.
+and records the per-layer metrics of both sides.  Each ``--cli N:ARGS``
+times the plain command ``python -m braidrep ARGS`` in N pairs of fresh
+processes, start-up included, the sides alternating, and records each
+run's seconds, exit code and the sha256 of its stdout.  Runs go one at a
+time.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +78,39 @@ def run(side: Path, workload: str, seed: int, trace: bool) -> dict:
     return rec
 
 
+def run_cli(side: Path, args: list[str]) -> dict:
+    """One fresh ``python -m braidrep`` process of the side, timed from
+    start to exit."""
+    env = {**os.environ, "PYTHONPATH": str(side / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "braidrep", *args], cwd=side, env=env, capture_output=True)
+    seconds = time.perf_counter() - start
+    return {"s": round(seconds, 4), "rc": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+
+
+def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
+    runs, _, command = text.partition(":")
+    args, pairs = shlex.split(command), []
+    for i in range(int(runs)):
+        first = ("parent", "change")[i % 2]
+        rec = {"first": first}
+        for name in (first, "change" if first == "parent" else "parent"):
+            rec[name] = run_cli(sides[name], args)
+            print("cli", i, name, json.dumps(rec[name]), file=sys.stderr, flush=True)
+        pairs.append(rec)
+    par, chg = ([p[side]["s"] for p in pairs] for side in ("parent", "change"))
+    q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
+    return command, {"pairs": pairs, "summary": {
+        "parent_median": round(statistics.median(par), 4),
+        "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
+        "change_median": round(statistics.median(chg), 4),
+        "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
+        "change_lower": sum(c < p for p, c in zip(par, chg)),
+        "same_output": all(p["parent"]["stdout_sha256"] == p["change"]["stdout_sha256"]
+                           and p["parent"]["rc"] == p["change"]["rc"] for p in pairs),
+    }}
+
+
 def pair(sides: dict[str, Path], workload: str, seed: int, first: str, trace: bool) -> dict:
     order = [first, "change" if first == "parent" else "parent"]
     rec = {"seed": seed, "first": first}
@@ -114,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="WORKLOAD:FIRST-LAST, one untraced pair per seed")
     parser.add_argument("--trace", action="append", type=spec, default=[],
                         help="WORKLOAD:SEED, one traced pair per seed")
+    parser.add_argument("--cli", action="append", default=[],
+                        help="RUNS:ARGS, RUNS fresh-process pairs of python -m braidrep ARGS")
     parser.add_argument("--workdir", type=Path, help="where the two checkouts go (default: a temp dir)")
     args = parser.parse_args(argv)
 
@@ -122,12 +164,13 @@ def main(argv: list[str] | None = None) -> int:
                             check=True, capture_output=True, text=True).stdout.strip()
     sides = checkout(parent, workdir)
     doc = {
-        "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        "command": "python3 tools/bench_pairs.py " + shlex.join(argv or sys.argv[1:]),
         "parent_commit": parent,
         "src_sha256": {name: src_digest(path) for name, path in sides.items()},
         "host": f"{platform.machine()}, Python {platform.python_version()}",
         "workloads": {},
         "traced": {},
+        "cli": {},
     }
     flip = 0
     for workload, seeds in args.plan:
@@ -144,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
                 "layers": {k: {"parent": v, "change": rec["change"]["layers"][k]}
                            for k, v in rec["parent"]["layers"].items()},
             }
+    for text in args.cli:
+        command, rec = cli_pairs(sides, text)
+        doc["cli"][command] = rec
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     if args.workdir is None:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -24,7 +24,12 @@ eps0 = 1 kappa (``LONG_QUOTIENT``), human and ``--json``; ``rep --json`` of
 its 160-, 200- and 240-letter prefixes at d = 25 and d = 23, and of the
 200-letter prefix with ``--quotient`` at d = 23 (``CROSSING_WORDS``), all
 of which cross the int64 bound; ``horo`` of the n = 12 case, human and
-``--json``; and ``verify --suite lantern --size 3`` for seeds 0..3.
+``--json``; ``horo`` of ``FLAG_HORO``, human and ``--json``: flags with
+m = 2 (no lower block) and m = n - 2 (no class of g_{n-1} in the flag), at
+composite d = 12, 15 and 25 and at n = 9; ``rep --quotient`` of the 138-
+and 200-letter prefixes of the long word at d = 25 (``QUOTIENT_CROSSING``),
+human and ``--json``, which leave int64 at the quotient's left factor and
+at the 151st letter; and ``verify --suite lantern --size 3`` for seeds 0..3.
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -79,6 +84,15 @@ CROSSING_WORDS.append(["rep", "--d", "23", "--kappa", "1,2,3,4,5,6,2", "--k", "2
                        "--quotient", "--json"])
 
 
+# (d, kappa, m): m = n - 2 at d = 12, 25 and 11 (n = 9), m = 2 at d = 15 and 12,
+# both blocks at d = 25 and 9
+FLAG_HORO = (("12", "1,1,1,1,8,5,7", "5"), ("25", "1,2,3,4,15,6,19", "5"), ("11", "1,1,9,1,1,1,8,1,10", "7"),
+             ("15", "4,11,2,2,2,9", "2"), ("12", "5,7,1,1,5,5", "2"), ("25", "1,2,22,4,5,6,10", "3"),
+             ("9", "1,2,6,1,1,7", "3"))
+QUOTIENT_CROSSING = [["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,4", "--k", "2", "--word", _long_word(length),
+                      "--quotient", *json] for length in (138, 200) for json in ([], ["--json"])]
+
+
 def one_letter_words(n: int) -> list[str]:
     """Every letter A(i,j), T(r), FT(s,r) on n punctures, each also inverted."""
     gens = [f"{kind}({i},{j})" for i, j in itertools.combinations(range(1, n + 1), 2) for kind in ("A", "FT")]
@@ -111,6 +125,8 @@ def commands() -> list[list[str]]:
     argvs += [LONG_WORD, LONG_WORD + ["--json"], LONG_QUOTIENT, LONG_QUOTIENT + ["--json"]]
     argvs += CROSSING_WORDS
     argvs += [N12_HORO, N12_HORO + ["--json"]]
+    argvs += [["horo", "--d", d, "--kappa", k, "--m", m, *json] for d, k, m in FLAG_HORO for json in ([], ["--json"])]
+    argvs += QUOTIENT_CROSSING
     argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
