@@ -211,12 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     between calls, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="braidrep",
+        allow_abbrev=False,
         description="Exact braid-group representations from cyclic covers: "
                     "Gram matrices, twist operators, density and arithmeticity criteria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, handler) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_flags(p)
         p.set_defaults(func=handler)
     return parser
@@ -228,7 +229,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     arguments after the command as that subparser does, prints the same
     help, and raises _Fallback instead of reporting an error."""
     _, add_flags, handler = COMMANDS[name]
-    parser = _OneCommandParser(prog=f"braidrep {name}")
+    parser = _OneCommandParser(prog=f"braidrep {name}", allow_abbrev=False)
     add_flags(parser)
     parser.set_defaults(func=handler, command=name)
     return parser

@@ -43,23 +43,18 @@ from .linalg import (
     RationalSpan,
     SparseLetter,
     Vector,
-    factored_product,
-    integral_array,
     rank_over_rationals,
     realify,
     solve_rational,
-    word_array,
 )
 from .rep import (
     MAX_ORBIT_LEN,
     BraidWord,
     Letter,
     RepContext,
-    _fixed,
+    _factored_word,
     _radical_terms,
-    _sparse_letters,
     commutator,
-    evaluate_quotient,
     quotient_gram,
 )
 
@@ -72,10 +67,8 @@ class FlagContext:
     ctx: RepContext
     m: int
     w: Vector                      # isotropic line generator, quotient coordinates
-    flag_basis: tuple[Vector, ...]
     P: CycloMatrix                 # columns = flag basis in quotient coordinates
-    gram_quot: CycloMatrix         # descended Gram on g_1, ..., g_{n-2}
-    gram_flag: CycloMatrix         # P* gram_quot P, arrow shaped
+    gram_flag: CycloMatrix         # P* G P, G the descended Gram, arrow shaped
     G_W: CycloMatrix               # middle (n-4) block of gram_flag
     G_W_inv: CycloMatrix
     mu: CycloNum
@@ -98,10 +91,9 @@ class FlagContext:
         return slice(self.m - 2, self.ctx.n - 4)
 
     @cached_property
-    def _factors(self) -> tuple[SparseLetter, LeftFactor, SparseLetter]:
-        """(R, L, R_q): F = P^-1 Q(M) P is L M R for an ambient M that
-        fixes the radical r, and L (Q P) for a quotient matrix Q, with
-        Q P = Q R_q / d; see flag_matrix.
+    def _factors(self) -> tuple[SparseLetter, LeftFactor]:
+        """(R, L): F = P^-1 Q(M) P is L M R for an ambient M that fixes the
+        radical r; see word_flag_matrix.
 
         The flag basis lifts to the ambient vectors w (the radical's
         coordinates below m - 1), g_a for its unit columns and g_{n-1} for
@@ -111,8 +103,7 @@ class FlagContext:
         = u_{m-2} / r_{m-2} and beta = u_m / r_m, w has alpha - beta, a unit
         g_a has u_a - alpha r_a below m and u_a - beta r_a above, and r, the
         dropped coordinate, beta.  L is that map times d, each division a
-        spread.  R_q is d P, its column of g_{n-1}, d c w', the division of
-        -w' by w_{n-2}.
+        spread.
         """
         ctx, m, n = self.ctx, self.m, self.ctx.n
         d, exps = ctx.d, ctx._radical_exponents
@@ -124,15 +115,7 @@ class FlagContext:
         for j, a in enumerate(units[1:], 1):
             y = alpha if a < m else beta
             left += [(j, a, d, 0)] + [(j, y, s, t) for s, t in ((-1, exps[a]), (1, 0)) if exps[a]]
-        quotient, division = [(c, r, d * s, t) for c, r, s, t in w_terms], []
-        for j, a in enumerate(units[1:], 1):
-            if a < n - 2:
-                quotient.append((j, a, d, 0))
-            else:  # d c w' = -w' d / w_{n-2}: the terms give -w', the division the rest
-                quotient += [(j, b, -s, t) for b, e in enumerate(exps[:-1]) if e for s, t in ((1, e), (-1, 0))]
-                division.append((j, exps[n - 2]))
-        return (SparseLetter(d, right), LeftFactor(d, n - 1, [(m - 2, exps[m - 2]), (m, exps[m])], left),
-                SparseLetter(d, quotient, division))
+        return SparseLetter(d, right), LeftFactor(d, n - 1, [(m - 2, exps[m - 2]), (m, exps[m])], left)
 
 
 def _tridiagonal_inverse(t: CycloMatrix) -> CycloMatrix:
@@ -203,8 +186,7 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
         raise Singular("flag coordinates divide by a vanishing radical coordinate")
 
     P = CycloMatrix(d, size, size, tuple(flag[col][row] for row in range(size) for col in range(size)))
-    gram_quot = quotient_gram(ctx)
-    gram_flag = P.conj_transpose() @ gram_quot @ P
+    gram_flag = P.conj_transpose() @ quotient_gram(ctx) @ P
 
     s = size - 2
     mu = ctx.mu
@@ -232,34 +214,17 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
     G_W_inv = CycloMatrix.from_rows(d, G_W_inv)
     if G_W.conj_transpose() != -G_W:
         raise ConstraintViolation("middle block of the flag Gram matrix is not anti-Hermitian")
-    return FlagContext(ctx, m, w, tuple(flag), P, gram_quot, gram_flag, G_W, G_W_inv, mu)
-
-
-def flag_matrix(fc: FlagContext, m_quot: CycloMatrix) -> CycloMatrix:
-    """Quotient operator rewritten in flag coordinates, P^-1 m_quot P.
-
-    m_quot is written once over its common denominator, lifted to the
-    ambient space with a zero last row, and runs the code of
-    word_flag_matrix: the right factor R_q = d P, then the left factor L of
-    FlagContext._factors, reduced modulo Phi_d once."""
-    if m_quot.rows != fc.ctx.n - 2 or m_quot.cols != fc.ctx.n - 2:
-        raise ShapeMismatch("operator is not a quotient-space matrix")
-    arr, bound, den = integral_array(m_quot, lift=1)
-    _, left, right = fc._factors
-    return factored_product(fc.ctx.d, arr, bound, den * fc.ctx.d, right, left)
+    return FlagContext(ctx, m, w, P, gram_flag, G_W, G_W_inv, mu)
 
 
 def word_flag_matrix(fc: FlagContext, word: BraidWord) -> CycloMatrix:
-    """F(word), the flag matrix of the word's quotient image, straight from
-    the unreduced array of the word's fold: L M R of FlagContext._factors,
-    with M w = w checked; built once per flag context, since the battery
-    and the orbits read those of the one-letter words and of the witnesses
-    more than once."""
+    """F(word), the flag matrix P^-1 Q P of the word's quotient image Q,
+    straight from the unreduced array of the word's fold: L M R of
+    FlagContext._factors, with M r = r checked; built once per flag
+    context, since the battery and the orbits read those of the one-letter
+    words and of the witnesses more than once."""
     if word not in fc.flags:
-        ctx = fc.ctx
-        arr, bound = word_array(ctx.d, ctx.n - 1, _sparse_letters(ctx, word))
-        right, left, _ = fc._factors
-        fc.flags[word] = factored_product(ctx.d, arr, bound, 1, right, left, fixed=_fixed(ctx))
+        fc.flags[word] = _factored_word(fc.ctx, word, *fc._factors)
     return fc.flags[word]
 
 
@@ -274,42 +239,26 @@ def _blocks(fc: FlagContext, f: CycloMatrix):
     return lam, lam_prime, x, x_prime, corner, middle
 
 
-def in_parabolic(fc: FlagContext, m_quot: CycloMatrix) -> bool:
-    """Does the operator preserve the flag line < line + middle block?"""
-    return _parabolic(fc, flag_matrix(fc, m_quot))
+def in_parabolic(fc: FlagContext, word: BraidWord) -> bool:
+    """Does the word's quotient image preserve the flag line < line + middle block?"""
+    f, s = word_flag_matrix(fc, word), fc.middle_size
+    return not any(f.entry(t, 0) for t in range(1, s + 2)) and not any(f.entry(s + 1, t) for t in range(1, s + 1))
 
 
-def in_unipotent(fc: FlagContext, m_quot: CycloMatrix) -> bool:
-    """Block pattern (1, *, *; 0, I, *; 0, 0, 1) plus the forced constraints.
+def in_unipotent(fc: FlagContext, word: BraidWord) -> bool:
+    """Block pattern (1, *, *; 0, I, *; 0, 0, 1) plus the forced constraints,
+    for the word's quotient image.
 
     Raises ConstraintViolation when the pattern holds but either forced
     identity fails; form preservation makes that an implementation fault.
     """
-    return _unipotent(fc, flag_matrix(fc, m_quot))
-
-
-def _parabolic(fc: FlagContext, f: CycloMatrix) -> bool:
-    """in_parabolic on the flag matrix f of the operator."""
-    s = fc.middle_size
-    for t in range(1, s + 2):
-        if f.entry(t, 0):
-            return False
-    for t in range(1, s + 1):
-        if f.entry(s + 1, t):
-            return False
-    return True
-
-
-def _unipotent(fc: FlagContext, f: CycloMatrix) -> bool:
-    """in_unipotent on the flag matrix f of the operator."""
-    if not _parabolic(fc, f):
+    if not in_parabolic(fc, word):
         return False
-    s = fc.middle_size
     one = CycloNum.one(fc.ctx.d)
-    lam, lam_prime, x, x_prime, corner, middle = _blocks(fc, f)
+    lam, lam_prime, x, x_prime, corner, middle = _blocks(fc, word_flag_matrix(fc, word))
     if lam != one or lam_prime != one:
         return False
-    if middle != CycloMatrix.identity(fc.ctx.d, s):
+    if middle != CycloMatrix.identity(fc.ctx.d, fc.middle_size):
         return False
     if fc.G_W.apply(x_prime) != tuple(fc.mu * e.conj() for e in x):
         raise ConstraintViolation("last-column block differs from mu * G_W^-1 conj(x)")
@@ -325,27 +274,22 @@ def _pairing_scalar(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
     return (CycloMatrix(fc.ctx.d, 1, len(x), tuple(x)) @ fc.G_W_inv @ y_bar).entries[0]
 
 
-def translation_part(fc: FlagContext, m_quot: CycloMatrix) -> Vector:
-    """The first-row middle block of a unipotent element; additive on products."""
-    return _translation(fc, flag_matrix(fc, m_quot))
-
-
-def _translation(fc: FlagContext, f: CycloMatrix) -> Vector:
-    """translation_part on the flag matrix f of the operator."""
-    if not _unipotent(fc, f):
+def translation_part(fc: FlagContext, word: BraidWord) -> Vector:
+    """The first-row middle block of a unipotent word's flag matrix; additive on products."""
+    if not in_unipotent(fc, word):
         raise NotUnipotentElement("operator is not in the unipotent group")
-    return _blocks(fc, f)[2]
+    return _blocks(fc, word_flag_matrix(fc, word))[2]
 
 
-def corner_entry(fc: FlagContext, m_quot: CycloMatrix) -> CycloNum:
-    """Top-right corner of the flag form; real for elements of the center."""
-    return _blocks(fc, flag_matrix(fc, m_quot))[4]
+def corner_entry(fc: FlagContext, word: BraidWord) -> CycloNum:
+    """Top-right corner of the word's flag matrix; real for elements of the center."""
+    return _blocks(fc, word_flag_matrix(fc, word))[4]
 
 
 def _letter_action(fc: FlagContext, letter: Letter) -> tuple[CycloNum, CycloMatrix]:
     """(lambda, C^-1) of a letter a, which acts on translation parts by
     x -> lambda x C^-1: the corner of F(a) and the middle block of F(a^-1),
-    F = flag_matrix.  A parabolic flag matrix is block upper-triangular, so
+    F = word_flag_matrix.  A parabolic flag matrix is block upper-triangular, so
     these blocks of F(a^-1) are the inverses of those of F(a): the inverse
     letter's closed form takes the place of any inversion, and a^-1 acts by
     the corner of F(a^-1) and the middle block of F(a).  Both are built once
@@ -354,10 +298,10 @@ def _letter_action(fc: FlagContext, letter: Letter) -> tuple[CycloNum, CycloMatr
     """
     if letter not in fc.actions:
         gen, exp = letter
-        f, f_inv = (word_flag_matrix(fc, BraidWord(((gen, e),))) for e in (exp, -exp))
-        if not _parabolic(fc, f):
-            raise NotParabolicElement(f"letter {BraidWord((letter,))} does not preserve the flag")
-        (lam, *_, middle), (lam_inv, *_, middle_inv) = _blocks(fc, f), _blocks(fc, f_inv)
+        a, a_inv = (BraidWord(((gen, e),)) for e in (exp, -exp))
+        if not in_parabolic(fc, a):
+            raise NotParabolicElement(f"letter {a} does not preserve the flag")
+        (lam, *_, middle), (lam_inv, *_, middle_inv) = (_blocks(fc, word_flag_matrix(fc, b)) for b in (a, a_inv))
         fc.actions[letter], fc.actions[(gen, -exp)] = (lam, middle_inv), (lam_inv, middle)
     return fc.actions[letter]
 
@@ -431,10 +375,6 @@ def witness(fc: FlagContext, part: str) -> BraidWord:
     return witness_lower(fc) if part == LOWER else witness_upper(fc)
 
 
-def evaluate_on_quotient(fc: FlagContext, word: BraidWord) -> CycloMatrix:
-    return evaluate_quotient(fc.ctx, word)
-
-
 # -- flag parts -------------------------------------------------------------------
 
 def part_slice(fc: FlagContext, part: str) -> slice:
@@ -474,7 +414,7 @@ def check_maxlen(maxlen: int) -> None:
 
 def part_witness(fc: FlagContext, part: str) -> Vector:
     """Translation part of the part's witness, read from its memoized flag matrix."""
-    return _translation(fc, word_flag_matrix(fc, witness(fc, part)))
+    return translation_part(fc, witness(fc, part))
 
 
 class _Orbit:

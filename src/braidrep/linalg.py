@@ -6,8 +6,8 @@ that :func:`word_product`, the fold of a braid word's sparse letters, rolls
 an array over Z[x]/(x^d - 1), in int64 under a checked overflow bound and
 in Python ints from the first step that could overflow, and
 :func:`factored_product`, which multiplies such an array, or a given matrix
-written over its common denominator, by fixed right and left factors
-before the one reduction modulo Phi_d.  Every exact
+written over its common denominator, by fixed right and left factors,
+checks that the radical is fixed, and reduces modulo Phi_d once.  Every exact
 elimination over K_d runs through the one Gauss-Jordan routine
 :func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
 cleared of denominators and reduced fraction-free over the integers by the
@@ -325,25 +325,21 @@ def _groups(keys: Sequence[int]) -> list[int]:
 
 
 class SparseLetter:
-    """A right factor's terms prepared for the fold, sorted by target
-    column: the distinct targets and the index of the first term of each,
-    the flat index in a (rows, cols * d) array of each term's source column
-    rolled by zeta^t, the coefficients, the divisions (c, e), each
-    multiplying target column c by d / (x^e - 1) once its terms are summed
-    (see :func:`_divide`), and lam, which bounds the growth of max|M|: the
-    largest l1-norm of the coefficients of one target column, times
-    2 d (L - 1) for a divided column, L the order of zeta^e.  A braid
-    letter's coefficients are signs and it divides nothing, so its lam
-    counts terms."""
+    """A letter's or a right factor's terms prepared for the fold, sorted
+    by target column: the distinct targets and the index of the first term
+    of each, the flat index in a (rows, cols * d) array of each term's
+    source column rolled by zeta^t, the coefficients, and lam, which bounds
+    the growth of max|M|: the largest l1-norm of the coefficients of one
+    target column.  A braid letter's coefficients are signs, so its lam
+    counts terms.  Nothing here divides: a right factor lifts basis vectors
+    and adds the radical as a column, and every division by zeta^e - 1 is
+    the left factor's (:class:`LeftFactor`)."""
 
-    def __init__(self, d: int, terms: Iterable[Term], divisions: Sequence[tuple[int, int]] = ()) -> None:
+    def __init__(self, d: int, terms: Iterable[Term]) -> None:
         cols, rows, coefs, powers = zip(*sorted(terms))
         starts = _groups(cols)
         self.d = d
-        self.divisions = [(c, _cycles(d, e % d)) for c, e in divisions]
-        weights = {c: 2 * d * (len(ramp) - 1) for c, (_, _, ramp) in self.divisions}
-        self.lam = max(sum(map(abs, coefs[a:b])) * weights.get(cols[a], 1)
-                       for a, b in zip(starts, starts[1:] + [len(cols)]))
+        self.lam = max(sum(map(abs, coefs[a:b])) for a, b in zip(starts, starts[1:] + [len(cols)]))
         self.targets, self.starts = np.array([cols[i] for i in starts]), np.array(starts)
         # x^t * f has coefficient f[(j - t) mod d] at x^j
         self.gather = (np.arange(d) - np.array(powers)[:, None]) % d + np.array(rows)[:, None] * d
@@ -377,7 +373,8 @@ def _divide(d: int, u: np.ndarray, cycles: tuple[np.ndarray, np.ndarray, np.ndar
 
 
 class LeftFactor:
-    """A left factor times d, prepared for :func:`factored_product`.
+    """A left factor times d, prepared for :func:`factored_product`, and the
+    one place where the fold divides by zeta^e - 1.
 
     Its source rows are the size rows u_0, ..., u_{size-1} of the array it
     multiplies and, after them, one row y = d / (x^e - 1) * u_s per
@@ -428,14 +425,11 @@ def _checked(arr: np.ndarray, bound: int, factor: int) -> tuple[np.ndarray, int]
 def _roll(arr: np.ndarray, bound: int, letter: SparseLetter) -> tuple[np.ndarray, int]:
     """M times the letter, in place on the (rows, cols * d) array of M: one
     gather of the rolled source columns of its terms, times their
-    coefficients, one np.add.reduceat that sums the terms of each target
-    column, and its divisions.  Checked first: max|M| * lam < 2^63."""
+    coefficients, and one np.add.reduceat that sums the terms of each
+    target column.  Checked first: max|M| * lam < 2^63."""
     arr, bound = _checked(arr, bound, letter.lam)
     sums = np.add.reduceat(arr[:, letter.gather] * letter.sign, letter.starts, axis=1)
-    cols = arr.reshape(arr.shape[0], -1, letter.d)
-    cols[:, letter.targets] = sums
-    for c, cycles in letter.divisions:
-        cols[:, c] = _divide(letter.d, cols[:, c].T, cycles).T
+    arr.reshape(arr.shape[0], -1, letter.d)[:, letter.targets] = sums
     return arr, bound * letter.lam
 
 
@@ -493,34 +487,32 @@ def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMat
     return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
 
 
-def integral_array(m: CycloMatrix, lift: int = 0) -> tuple[np.ndarray, int, int]:
+def integral_array(m: CycloMatrix) -> tuple[np.ndarray, int, int]:
     """A given matrix written once over its common denominator den, in the
-    layout of :func:`word_array`, with lift zero rows appended: (den * m,
-    max|den * m|, den), in int64 when that fits, else in Python ints."""
+    layout of :func:`word_array`: (den * m, max|den * m|, den), in int64
+    when that fits, else in Python ints."""
     d, phi = m.d, euler_phi(m.d)
     den = math.lcm(*(e.den for e in m.entries))
     pad = (0,) * (d - phi)
-    values = [c * (den // e.den) for e in m.entries for c in e.num + pad] + [0] * (lift * m.cols * d)
+    values = [c * (den // e.den) for e in m.entries for c in e.num + pad]
     bound = max(map(abs, values), default=0)
     arr = np.array(values, dtype=np.int64 if bound < _INT64_LIMIT else object)
-    return arr.reshape(m.rows + lift, m.cols * d), bound, den
+    return arr.reshape(m.rows, m.cols * d), bound, den
 
 
 def factored_product(d: int, arr: np.ndarray, bound: int, den: int, right: SparseLetter,
-                     left: LeftFactor, fixed: Sequence[tuple[int, ...]] | None = None) -> CycloMatrix:
+                     left: LeftFactor, fixed: Sequence[tuple[int, ...]]) -> CycloMatrix:
     """left * M * right / (den * d), with M = arr / den and left given times
     d, through the fold's own checked steps on arr: the right factor rolls
-    like a letter; when fixed is given, the last column of M * right must
-    be fixed modulo Phi_d (RadicalNotFixed otherwise) and is dropped; then
-    the left factor acts on the rows, checked by its weight; and the
-    result is reduced modulo Phi_d once and normalized entry by entry."""
+    like a letter; the last column of M * right must be fixed modulo Phi_d
+    (RadicalNotFixed otherwise) and is dropped; then the left factor acts
+    on the rows, checked by its weight; and the result is reduced modulo
+    Phi_d once and normalized entry by entry."""
     arr, bound = _roll(arr, bound, right)
     u = arr.reshape(arr.shape[0], -1, d)
-    if fixed is not None:
-        if _reduced(d, u[:, -1], bound).tolist() != [[den * c for c in f] for f in fixed]:
-            raise RadicalNotFixed("operator moves the radical vector")
-        u = u[:, :-1]
-    u, bound = _checked(u, bound, left.weight)
+    if _reduced(d, u[:, -1], bound).tolist() != [[den * c for c in f] for f in fixed]:
+        raise RadicalNotFixed("operator moves the radical vector")
+    u, bound = _checked(u[:, :-1], bound, left.weight)
     u = u.transpose(0, 2, 1)  # (rows, d, cols): rows roll along axis 1
     ext = np.concatenate([u, *(_divide(d, u[s], cycles)[None] for s, cycles in left.divisions)])
     out = np.add.reduceat(ext.reshape(-1, u.shape[2])[left.gather] * left.coef, left.starts, axis=0)

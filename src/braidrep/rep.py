@@ -431,15 +431,22 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     return word_product(ctx.d, ctx.n - 1, _sparse_letters(ctx, word))
 
 
-def evaluate_quotient(ctx: RepContext, word: BraidWord) -> CycloMatrix:
-    """quotient_matrix(ctx, evaluate_word(ctx, word)), straight from the
-    unreduced array of the word's fold: bad letters raise first, then
-    NotDegenerate, and the array is reduced modulo Phi_d once."""
+def _factored_word(ctx: RepContext, word: BraidWord, right: SparseLetter, left: LeftFactor) -> CycloMatrix:
+    """left * rho(word) * right, with right's last column the radical,
+    checked fixed, straight from the unreduced array of the word's fold:
+    bad letters raise first, then NotDegenerate, and the array is reduced
+    modulo Phi_d once."""
     letters = _sparse_letters(ctx, word)
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
     arr, bound = word_array(ctx.d, ctx.n - 1, letters)
-    return factored_product(ctx.d, arr, bound, 1, *ctx._quotient_factors, fixed=_fixed(ctx))
+    return factored_product(ctx.d, arr, bound, 1, right, left, _fixed(ctx))
+
+
+def evaluate_quotient(ctx: RepContext, word: BraidWord) -> CycloMatrix:
+    """quotient_matrix(ctx, evaluate_word(ctx, word)), by the factors of
+    RepContext._quotient_factors applied to the word's fold."""
+    return _factored_word(ctx, word, *ctx._quotient_factors)
 
 
 def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
@@ -513,7 +520,7 @@ def quotient_matrix(ctx: RepContext, m: CycloMatrix) -> CycloMatrix:
         raise ModulusMismatch(f"entry modulus {ctx.d} != {m.d}")
     if m.rows != cols:
         raise RadicalNotFixed("operator moves the radical vector")
-    return factored_product(ctx.d, *integral_array(m), *ctx._quotient_factors, fixed=_fixed(ctx))
+    return factored_product(ctx.d, *integral_array(m), *ctx._quotient_factors, _fixed(ctx))
 
 
 # -- two-dimensional lantern block ------------------------------------------------

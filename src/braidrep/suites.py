@@ -22,6 +22,7 @@ from .rep import (
     RepContext,
     block_twist_word,
     commutator,
+    evaluate_quotient,
     evaluate_word,
     lantern_block,
     make_context,
@@ -319,15 +320,14 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     # parabolic membership of both puncture groups
     all_gens = horo.part_pairs(fc, horo.LOWER) + horo.part_pairs(fc, horo.UPPER)
     for i, j in all_gens:
-        f = horo.word_flag_matrix(fc, BraidWord.A(i, j))
-        rep.check(horo._parabolic(fc, f), "puncture-group generators preserve the flag", f"{tag} A({i},{j})")
+        rep.check(horo.in_parabolic(fc, BraidWord.A(i, j)), "puncture-group generators preserve the flag",
+                  f"{tag} A({i},{j})")
 
-    chis, mats = {}, {}
+    chis = {}
     for part in parts:
         sl = horo.part_slice(fc, part)
-        mats[part] = horo.evaluate_on_quotient(fc, words[part])
-        f = horo.word_flag_matrix(fc, words[part])
-        rep.check(horo._unipotent(fc, f), "witness is unipotent with forced constraints", f"{tag} {part}")
+        rep.check(horo.in_unipotent(fc, words[part]), "witness is unipotent with forced constraints",
+                  f"{tag} {part}")
         nu = horo.part_witness(fc, part)
         chis[part] = nu
         rep.check(any(nu[sl]), "witness translation part is non-zero on its block", f"{tag} {part}")
@@ -343,7 +343,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
         def unit(idx: int):
             return tuple(one if t == idx else zero for t in range(n - 2))
 
-        mat = mats[horo.LOWER]
+        mat = evaluate_quotient(ctx, words[horo.LOWER])
         coef = ctx.qpow(-ctx.weights[m - 1]) - one
         expected = tuple(a + coef * b for a, b in zip(unit(m - 3), fc.w))
         rep.check(mat.apply(unit(m - 3)) == expected,
@@ -354,9 +354,8 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
 
     # translation part is additive; conjugation matches the closed action
     if len(parts) == 2:
-        prod = mats[horo.LOWER] @ mats[horo.UPPER]
         rep.check(
-            horo.translation_part(fc, prod)
+            horo.translation_part(fc, words[horo.LOWER] * words[horo.UPPER])
             == tuple(a + b for a, b in zip(chis[horo.LOWER], chis[horo.UPPER])),
             "translation part is additive on products",
             tag,
@@ -372,9 +371,8 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
         except NotParabolicElement:
             rep.check(False, "random puncture-group word preserves the flag", f"{tag} {word}")
             continue
-        conj = horo.word_flag_matrix(fc, word * words[parts[0]] * word.inverse())
         rep.check(
-            horo._translation(fc, conj) == moved,
+            horo.translation_part(fc, word * words[parts[0]] * word.inverse()) == moved,
             "conjugation acts by lambda x C^-1 on translation parts",
             f"{tag} {word}",
         )
@@ -383,12 +381,12 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     omega_samples = []
     if len(parts) == 2:
         x, y = chis[horo.LOWER], chis[horo.UPPER]
-        comm = horo.word_flag_matrix(fc, commutator(words[horo.LOWER], words[horo.UPPER]))
+        comm = commutator(words[horo.LOWER], words[horo.UPPER])
         val = horo.commutator_pairing(fc, x, y)
-        rep.check(horo._unipotent(fc, comm), "commutator of unipotents is unipotent", tag)
-        rep.check(not any(horo._translation(fc, comm)),
+        rep.check(horo.in_unipotent(fc, comm), "commutator of unipotents is unipotent", tag)
+        rep.check(not any(horo.translation_part(fc, comm)),
                   "commutator of unipotents is central", tag)
-        rep.check(horo._blocks(fc, comm)[4] == val,
+        rep.check(horo.corner_entry(fc, comm) == val,
                   "commutator corner equals the pairing", tag)
         omega_samples.append(val)
 

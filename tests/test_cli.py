@@ -461,6 +461,24 @@ PARSER_RUNS = [
 ]
 
 
+# an option abbreviated to a prefix of a longer one: density has no --k,
+# so --k must not be read as --kappa
+ABBREVIATED = [["density", "--d", "7", "--kappa", "1,2,4", "--k", "2"], ["density", "--d", "7", "--k", "1,2,4"]]
+
+
+def test_abbreviated_options_are_usage_errors(capsys):
+    """No parser completes an option from its prefix: each line exits 2 with
+    an argparse usage error, through the one-command parser and the full
+    parser alike, and runs nothing."""
+    for argv in ABBREVIATED:
+        full = _parsed(capsys, build_parser().parse_args, argv)
+        code, out, err = full
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: braidrep") and "error:" in err and "--k" in err, argv
+        assert _parsed(capsys, cli.parse_args, argv) == full, argv
+        assert _run_any(capsys, argv) == full, argv
+
+
 def _parsed(capsys, parse, argv):
     """(namespace as a dict, or the exit code), stdout, stderr of parse(argv)."""
     try:

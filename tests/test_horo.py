@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from braidrep.cyclo import CycloNum, euler_phi, from_coeffs, units
-from braidrep import horo, linalg
+from braidrep import horo, linalg, suites
 from braidrep.errors import (
     BadM,
     ConstraintViolation,
@@ -28,8 +29,6 @@ from braidrep.horo import (
     commutator_pairing,
     conjugation_action,
     corner_entry,
-    evaluate_on_quotient,
-    flag_matrix,
     in_parabolic,
     in_unipotent,
     make_flag,
@@ -49,6 +48,7 @@ from braidrep.linalg import CycloMatrix, RationalSpan, matrix_to_json, rank_over
 from braidrep.rep import (
     BraidWord,
     commutator,
+    evaluate_quotient,
     evaluate_word,
     make_context,
     pair_twist,
@@ -102,7 +102,8 @@ def test_flag_gram_shape(flag):
 
 
 def test_identity_membership(flag):
-    ident = CycloMatrix.identity(flag.ctx.d, flag.ctx.n - 2)
+    ident = BraidWord()
+    assert word_flag_matrix(flag, ident) == CycloMatrix.identity(flag.ctx.d, flag.ctx.n - 2)
     assert in_parabolic(flag, ident)
     assert in_unipotent(flag, ident)
     assert translation_part(flag, ident) == tuple(
@@ -118,9 +119,12 @@ def test_puncture_groups_are_parabolic(flag):
     assert horo.part_pairs(fc, LOWER) == lower and horo.part_pairs(fc, UPPER) == upper
     for i, j in lower + upper:
         mat = quotient_matrix(ctx, pair_twist(ctx, i, j))
-        assert in_parabolic(fc, mat), (i, j)
+        assert word_flag_matrix(fc, BraidWord.A(i, j)) == _by_inverse(fc, mat), (i, j)
+        assert in_parabolic(fc, BraidWord.A(i, j)), (i, j)
     # a pair crossing the flag index does not preserve the flag
-    crossing = quotient_matrix(ctx, pair_twist(ctx, m, m + 1))
+    crossing = BraidWord.A(m, m + 1)
+    assert word_flag_matrix(fc, crossing) == _by_inverse(fc, quotient_matrix(ctx, pair_twist(ctx, m, m + 1)))
+    assert not in_parabolic(fc, crossing)
     assert not in_unipotent(fc, crossing)
 
 
@@ -141,11 +145,11 @@ def test_witnesses_unipotent_with_itemized_images(flag):
     fc = flag
     ctx, m, n, d = fc.ctx, fc.m, fc.ctx.n, fc.ctx.d
     one = CycloNum.one(d)
-    mt = evaluate_on_quotient(fc, witness_lower(fc))
-    mtp = evaluate_on_quotient(fc, witness_upper(fc))
-    assert in_unipotent(fc, mt)
-    assert in_unipotent(fc, mtp)
-    nu, nup = translation_part(fc, mt), translation_part(fc, mtp)
+    wl, wu = witness_lower(fc), witness_upper(fc)
+    mt = evaluate_quotient(ctx, wl)
+    assert in_unipotent(fc, wl)
+    assert in_unipotent(fc, wu)
+    nu, nup = translation_part(fc, wl), translation_part(fc, wu)
     assert any(nu[fc.lower_slice]) and not any(nu[fc.upper_slice])
     assert any(nup[fc.upper_slice]) and not any(nup[fc.lower_slice])
     # itemized images of the lower witness
@@ -158,20 +162,24 @@ def test_witnesses_unipotent_with_itemized_images(flag):
 
 def test_translation_part_additive(flag):
     fc = flag
-    mt = evaluate_on_quotient(fc, witness_lower(fc))
-    mtp = evaluate_on_quotient(fc, witness_upper(fc))
-    nu, nup = translation_part(fc, mt), translation_part(fc, mtp)
-    assert translation_part(fc, mt @ mtp) == tuple(a + b for a, b in zip(nu, nup))
-    assert translation_part(fc, mt @ mt) == tuple(a + a for a in nu)
+    wl, wu = witness_lower(fc), witness_upper(fc)
+    mt, mtp = evaluate_quotient(fc.ctx, wl), evaluate_quotient(fc.ctx, wu)
+    nu, nup = translation_part(fc, wl), translation_part(fc, wu)
+    # the product words' flag matrices are those of the products of the images
+    assert word_flag_matrix(fc, wl * wu) == _by_inverse(fc, mt @ mtp)
+    assert word_flag_matrix(fc, wl * wl) == _by_inverse(fc, mt @ mt)
+    assert translation_part(fc, wl * wu) == tuple(a + b for a, b in zip(nu, nup))
+    assert translation_part(fc, wl * wl) == tuple(a + a for a in nu)
     with pytest.raises(NotUnipotentElement):
-        translation_part(fc, quotient_matrix(fc.ctx, pair_twist(fc.ctx, 1, 2)))
+        translation_part(fc, BraidWord.A(1, 2))
 
 
 def test_conjugation_action(flag):
     fc = flag
     ctx, m, n = fc.ctx, fc.m, fc.ctx.n
-    base = evaluate_on_quotient(fc, witness_lower(fc))
-    nu = translation_part(fc, base)
+    base_word = witness_lower(fc)
+    base = evaluate_quotient(ctx, base_word)
+    nu = translation_part(fc, base_word)
     assert conjugation_action(fc, BraidWord(), nu) == nu
     rng = random.Random(ctx.d)
     gens = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
@@ -181,11 +189,12 @@ def test_conjugation_action(flag):
         for _ in range(rng.randint(1, 3)):
             i, j = rng.choice(gens)
             word = word * BraidWord.A(i, j, rng.choice((1, -1)))
-        a_mat = evaluate_on_quotient(fc, word)
-        conj = a_mat @ base @ a_mat.inverse()
+        a_mat = evaluate_quotient(ctx, word)
+        conj = word * base_word * word.inverse()
+        assert word_flag_matrix(fc, conj) == _by_inverse(fc, a_mat @ base @ a_mat.inverse())
         assert translation_part(fc, conj) == conjugation_action(fc, word, nu)
     crossing = BraidWord.A(m, m + 1)
-    assert not in_parabolic(fc, evaluate_on_quotient(fc, crossing))
+    assert not in_parabolic(fc, crossing)
     with pytest.raises(NotParabolicElement):
         conjugation_action(fc, crossing, nu)
 
@@ -216,25 +225,23 @@ def test_conjugation_action_of_short_words_at_n8():
                 word = BraidWord()
                 for _ in range(length):
                     word = word * BraidWord.A(*rng.choice(gens), rng.choice((1, -1)))
-                conj = evaluate_on_quotient(fc, word * base * word.inverse())
+                conj = word * base * word.inverse()
                 assert translation_part(fc, conj) == conjugation_action(fc, word, nu), (part, str(word))
 
 
 def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
     fc = make_flag(flag.ctx, flag.m)
-    unipotent = evaluate_on_quotient(fc, witness_lower(fc))
-    nu = translation_part(fc, unipotent)
-    # flag_matrix (a given matrix) and word_flag_matrix (a word's fold) both
-    # build a flag matrix through one factored_product
+    # word_flag_matrix builds each flag matrix through one fold of its word
     calls = []
-    real = horo.factored_product
+    real = horo._factored_word
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(horo, "factored_product", counting)
-    assert translation_part(fc, unipotent) == nu
+    monkeypatch.setattr(horo, "_factored_word", counting)
+    nu = translation_part(fc, witness_lower(fc))
+    assert translation_part(fc, witness_lower(fc)) == nu
     assert len(calls) == 1
     a = BraidWord.A(1, 2)
     conjugation_action(fc, a, nu)
@@ -245,23 +252,25 @@ def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
     conjugation_action(fc, a * BraidWord.A(1, 3, -1), nu)
     assert len(calls) == 5
     orbit_rank(fc, LOWER)                        # the orbit reads the same table
-    # two witness translation parts, and F(a), F(a^-1) of each lower generator
-    assert len(calls) == 2 + 2 * len(part_pairs(fc, LOWER))
+    # the witness's flag matrix, and F(a), F(a^-1) of each lower generator
+    assert len(calls) == 1 + 2 * len(part_pairs(fc, LOWER))
     # one n = 8 battery builds F(a), F(a^-1) of each of its 13 generators
     # once, shared by the check that they preserve the flag; each witness's
     # once, shared by its checks and its orbit; then one per conjugation
-    # trial, the additivity product and one of the commutator; each witness
-    # word is evaluated once
+    # trial, the additivity product and one of the commutator; only the
+    # lower witness's quotient image is evaluated, once, for its itemized
+    # images
     calls.clear()
     evaluated = []
-    real_evaluate = horo.evaluate_on_quotient
-    monkeypatch.setattr(horo, "evaluate_on_quotient", lambda fc, word: evaluated.append(word) or real_evaluate(fc, word))
+    real_evaluate = suites.evaluate_quotient
+    monkeypatch.setattr(suites, "evaluate_quotient",
+                        lambda ctx, word: evaluated.append(word) or real_evaluate(ctx, word))
     fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
     report, _ = horo_report(fc)
     assert report["failed"] == 0
     gens = part_pairs(fc, LOWER) + part_pairs(fc, UPPER)
     assert len(calls) == 2 * len(gens) + 2 + 20 + 1 + 1 == 50
-    assert [evaluated.count(witness(fc, part)) for part in (LOWER, UPPER)] == [1, 1]
+    assert [evaluated.count(witness(fc, part)) for part in (LOWER, UPPER)] == [1, 0]
 
 
 def test_lower_group_acts_trivially_on_upper_block(flag):
@@ -279,27 +288,28 @@ def test_lower_group_acts_trivially_on_upper_block(flag):
 
 def test_commutator_lands_in_center(flag):
     fc = flag
-    mt = evaluate_on_quotient(fc, witness_lower(fc))
-    mtp = evaluate_on_quotient(fc, witness_upper(fc))
-    comm = mt @ mtp @ mt.inverse() @ mtp.inverse()
+    wl, wu = witness_lower(fc), witness_upper(fc)
+    mt, mtp = evaluate_quotient(fc.ctx, wl), evaluate_quotient(fc.ctx, wu)
+    comm = commutator(wl, wu)
+    assert word_flag_matrix(fc, comm) == _by_inverse(fc, mt @ mtp @ mt.inverse() @ mtp.inverse())
     assert in_unipotent(fc, comm)
     assert not any(translation_part(fc, comm))
-    val = commutator_pairing(fc, translation_part(fc, mt), translation_part(fc, mtp))
+    val = commutator_pairing(fc, translation_part(fc, wl), translation_part(fc, wu))
     assert corner_entry(fc, comm) == val
     assert val.is_real()
     # the two witnesses braid disjoint punctures and pair to 0; a witness W
     # and its conjugate a W a^-1 by a generator a of its own part do not
     for part in witness_parts(fc):
         w = witness(fc, part)
-        x = translation_part(fc, evaluate_on_quotient(fc, w))
+        x = translation_part(fc, w)
         pairings = []
         for i, j in part_pairs(fc, part):
             a = BraidWord.A(i, j)
             conj = a * w * a.inverse()
-            comm = evaluate_on_quotient(fc, commutator(w, conj))
+            comm = commutator(w, conj)
             assert in_unipotent(fc, comm)
             assert not any(translation_part(fc, comm))
-            y = translation_part(fc, evaluate_on_quotient(fc, conj))
+            y = translation_part(fc, conj)
             pairings.append(commutator_pairing(fc, x, y))
             assert corner_entry(fc, comm) == pairings[-1], (part, i, j)
         assert any(pairings), part
@@ -368,7 +378,7 @@ def reference_orbit(fc, part, maxlen, rank_bound=None):
     s = fc.middle_size
     actions = []
     for i, j in part_pairs(fc, part):
-        f = horo.flag_matrix(fc, evaluate_on_quotient(fc, BraidWord.A(i, j)))
+        f = _by_inverse(fc, evaluate_quotient(fc.ctx, BraidWord.A(i, j)))
         lam, middle = f.entry(0, 0), f.submatrix(range(1, s + 1), range(1, s + 1))
         actions += [(lam, middle.inverse()), (lam.inv(), middle)]
     start = part_witness(fc, part)
@@ -594,16 +604,15 @@ def test_battery_inverts_no_braid_image(monkeypatch):
 PINNED_FLAGS = [(11, (1, 1, 9, 1, 1, 1, 1, 1, 6), 3), (5, (1, 1, 3, 2, 3), 3), (5, (2, 3, 1, 1, 1, 2), 2)]
 
 
+@functools.cache
+def _p_inverse(fc):
+    return fc.P.inverse()
+
+
 def _by_inverse(fc, m_quot):
-    """The former flag_matrix, kept as the oracle: P^-1 m P with P inverted
-    by elimination."""
-    return fc.P.inverse() @ m_quot @ fc.P
-
-
-def _quotient_element(draw, d, big):
-    den = draw(st.sampled_from((1, 2, 3, 360, 10**15 + 37)))
-    hi = draw(st.sampled_from((1, 7, big)))
-    return from_coeffs(d, [Fraction(draw(st.integers(-hi, hi)), den) for _ in range(euler_phi(d))])
+    """The flag matrix of a quotient matrix by the oracle: P^-1 m P with P
+    inverted by elimination, once per flag context."""
+    return _p_inverse(fc) @ m_quot @ fc.P
 
 
 def _draw_letters(draw, n, length):
@@ -618,20 +627,18 @@ def _draw_letters(draw, n, length):
     return BraidWord(tuple(letters))
 
 
-def _check_against_the_inverse(fc, words, given):
-    """word_flag_matrix and flag_matrix equal P^-1 M P, byte for byte in
-    JSON; G_W_inv is G_W's inverse."""
+def _check_against_the_inverse(fc, words):
+    """word_flag_matrix equals P^-1 M P, byte for byte in JSON; G_W_inv is
+    G_W's inverse."""
     s = fc.middle_size
     assert fc.G_W @ fc.G_W_inv == CycloMatrix.identity(fc.ctx.d, s)
     assert fc.G_W_inv == (fc.G_W.inverse() if s else fc.G_W)
     for word in words:
-        m_quot = evaluate_on_quotient(fc, word)
+        m_quot = evaluate_quotient(fc.ctx, word)
         assert m_quot == quotient_matrix(fc.ctx, evaluate_word(fc.ctx, word))
         expected = _by_inverse(fc, m_quot)
-        assert word_flag_matrix(fc, word) == flag_matrix(fc, m_quot) == expected, str(word)
+        assert word_flag_matrix(fc, word) == expected, str(word)
         assert matrix_to_json(word_flag_matrix(fc, word)) == matrix_to_json(expected)
-    for m_quot in given:
-        assert flag_matrix(fc, m_quot) == _by_inverse(fc, m_quot)
 
 
 @pytest.mark.parametrize("d,kappa,m", CASES + CENTER_CASES + PINNED_FLAGS, ids=lambda c: str(c))
@@ -649,12 +656,7 @@ def test_flag_matrices_match_the_inverse_on_pinned_cases(d, kappa, m):
     rng = random.Random(d * 100 + n)
     words.append(BraidWord(tuple((("A", i, rng.randint(i + 1, n)), rng.choice((1, -1)))
                                  for i in (rng.randint(1, n - 1) for _ in range(12)))))
-    # one shared denominator past 2^63 / d^2 with small numerators: int64
-    # numerators over a denominator that numpy cannot hold
-    small = CycloMatrix.from_rows(d, [[from_coeffs(d, [Fraction(rng.randint(-3, 3), 10**18 + 9)
-                                                         for _ in range(euler_phi(d))]) for _ in range(n - 2)]
-                                      for _ in range(n - 2)])
-    _check_against_the_inverse(fc, words, [CycloMatrix.identity(d, n - 2), small])
+    _check_against_the_inverse(fc, words)
 
 
 @st.composite
@@ -677,14 +679,9 @@ def flag_contexts(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(flag_contexts(), st.data())
 def test_flag_matrices_match_the_inverse(fc, data):
-    """Random words, and quotient matrices whose entries have denominators up
-    to 10^15 + 37 and numerators up to 2^90, rewrite in flag coordinates as
-    P^-1 M P does."""
-    n, d = fc.ctx.n, fc.ctx.d
-    words = [_draw_letters(data.draw, n, 10) for _ in range(2)]
-    given = [CycloMatrix.from_rows(d, [[_quotient_element(data.draw, d, 2**90) for _ in range(n - 2)]
-                                       for _ in range(n - 2)])]
-    _check_against_the_inverse(fc, words, given)
+    """Random words rewrite in flag coordinates as P^-1 M P does."""
+    words = [_draw_letters(data.draw, fc.ctx.n, 10) for _ in range(2)]
+    _check_against_the_inverse(fc, words)
 
 
 def test_make_flag_eliminates_nothing(monkeypatch):
@@ -697,7 +694,7 @@ def test_make_flag_eliminates_nothing(monkeypatch):
     for d, kappa, m in CASES + CENTER_CASES + PINNED_FLAGS:
         fc = make_flag(make_context(d, kappa, 1), m)
         word_flag_matrix(fc, witness(fc, witness_parts(fc)[0]))
-        flag_matrix(fc, evaluate_on_quotient(fc, BraidWord.A(1, 2)))
+        word_flag_matrix(fc, BraidWord.A(1, 2))
         assert len(inverses) == sum(1 for part in (LOWER, UPPER) if horo.full_rank(fc, part)), (d, kappa, m)
         inverses.clear()
 
@@ -735,13 +732,14 @@ def test_tridiagonal_inverse_matches_elimination():
 def test_unipotent_constraints_are_checked(flag):
     """A flag matrix with the unipotent block pattern whose last column or
     corner breaks the forced identities raises ConstraintViolation."""
-    fc = flag
-    f = word_flag_matrix(fc, witness(fc, witness_parts(fc)[0]))
+    fc = make_flag(flag.ctx, flag.m)  # its memo is overwritten below
+    word = witness(fc, witness_parts(fc)[0])
+    f = word_flag_matrix(fc, word)
+    assert in_unipotent(fc, word)
     s = fc.middle_size
-    p, p_inv = fc.P, fc.P.inverse()
     for row, col in ((1, s + 1), (0, s + 1)):  # a last-column entry, the corner
         entries = list(f.entries)
         entries[row * f.cols + col] += CycloNum(fc.ctx.d, (0, 1) + (0,) * (euler_phi(fc.ctx.d) - 2), 1)
-        moved = p @ CycloMatrix(f.d, f.rows, f.cols, tuple(entries)) @ p_inv
+        fc.flags[word] = CycloMatrix(f.d, f.rows, f.cols, tuple(entries))
         with pytest.raises(ConstraintViolation):
-            in_unipotent(fc, moved)
+            in_unipotent(fc, word)

@@ -707,21 +707,7 @@ def test_flag_word_promotes_at_the_pinned_step(length, step):
     left = fc._factors[1]
     terms = [rep._letter_terms(fc.ctx, letter) for letter in word.letters]
     assert steps == [step] == [_first_factored_step(d, fc.ctx.n - 1, terms, right_terms, left.weight)]
-    assert result == horo.flag_matrix(fc, horo.evaluate_on_quotient(fc, word))
-
-
-def test_given_flag_matrix_promotes_before_its_division():
-    """flag_matrix of a given matrix with entries near 2^53 at d = 11: the
-    right factor's lam counts the growth of its division by w_{n-2}, so
-    the array promotes before that step (step 0) and the result is exact."""
-    fc = horo.make_flag(make_context(11, (1, 1, 9, 1, 1, 1, 1, 7), 1), 3)
-    rng = random.Random(53)
-    size = fc.ctx.n - 2
-    m_quot = CycloMatrix.from_rows(11, [[from_coeffs(11, [Fraction(rng.randint(2**52, 2**53)) for _ in range(10)])
-                                         for _ in range(size)] for _ in range(size)])
-    result, steps = promotions(horo.flag_matrix, fc, m_quot)
-    assert steps == [0]
-    assert result == fc.P.inverse() @ m_quot @ fc.P
+    assert result == fc.P.inverse() @ evaluate_quotient(fc.ctx, word) @ fc.P
 
 
 def _perfbench_workloads():

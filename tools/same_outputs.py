@@ -29,7 +29,9 @@ m = 2 (no lower block) and m = n - 2 (no class of g_{n-1} in the flag), at
 composite d = 12, 15 and 25 and at n = 9; ``rep --quotient`` of the 138-
 and 200-letter prefixes of the long word at d = 25 (``QUOTIENT_CROSSING``),
 human and ``--json``, which leave int64 at the quotient's left factor and
-at the 151st letter; and ``verify --suite lantern --size 3`` for seeds 0..3.
+at the 151st letter; ``verify --suite lantern --size 3`` for seeds 0..3;
+and ``verify --suite horo --size 3``, human and ``--json``, for seeds 0..3,
+whose batteries run more conjugation trials and the additivity check.
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -55,6 +57,7 @@ MAXLENS = range(9)  # every horo --maxlen, 0..horo.MAX_ORBIT_LEN
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
 N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3"]  # the ROADMAP's n = 12 case
 LANTERN_SEEDS = range(4)
+HORO_SUITE_SEEDS = range(4)
 LARGE_DENSITY = [["density", "--d", d, "--kappa", "1,1,1,1,1", "--json"] for d in ("10007", "10010")]
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
 # kappa and an eps0 = 1 kappa whose words are pushed to the quotient
@@ -128,6 +131,8 @@ def commands() -> list[list[str]]:
     argvs += [["horo", "--d", d, "--kappa", k, "--m", m, *json] for d, k, m in FLAG_HORO for json in ([], ["--json"])]
     argvs += QUOTIENT_CROSSING
     argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
+    argvs += [["verify", "--suite", "horo", "--size", "3", "--seed", str(seed), *json]
+              for seed in HORO_SUITE_SEEDS for json in ([], ["--json"])]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
