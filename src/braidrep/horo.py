@@ -39,7 +39,6 @@ from .errors import (
 )
 from .linalg import (
     CycloMatrix,
-    LeftFactor,
     RationalSpan,
     SparseLetter,
     Vector,
@@ -54,6 +53,7 @@ from .rep import (
     RepContext,
     _factored_word,
     _radical_terms,
+    _spread_terms,
     commutator,
     quotient_gram,
 )
@@ -91,7 +91,7 @@ class FlagContext:
         return slice(self.m - 2, self.ctx.n - 4)
 
     @cached_property
-    def _factors(self) -> tuple[SparseLetter, LeftFactor]:
+    def _factors(self) -> tuple[SparseLetter, SparseLetter]:
         """(R, L): F = P^-1 Q(M) P is L M R for an ambient M that fixes the
         radical r; see word_flag_matrix.
 
@@ -102,20 +102,19 @@ class FlagContext:
         come from its entries at m - 2 and m, where no unit sits: with alpha
         = u_{m-2} / r_{m-2} and beta = u_m / r_m, w has alpha - beta, a unit
         g_a has u_a - alpha r_a below m and u_a - beta r_a above, and r, the
-        dropped coordinate, beta.  L is that map times d, each division a
-        spread.
+        dropped coordinate, beta.  L is that map times d, each division the
+        spread terms of rep._spread_terms.
         """
         ctx, m, n = self.ctx, self.m, self.ctx.n
         d, exps = ctx.d, ctx._radical_exponents
         units = [None, *range(m - 2), *range(m + 1, n - 1), m - 1]  # ambient index of each flag column
         w_terms = [(0, b, s, t) for b in range(m - 1) if exps[b] for s, t in ((1, exps[b]), (-1, 0))]
         right = w_terms + [(j, a, 1, 0) for j, a in enumerate(units) if j] + _radical_terms(ctx, n - 2)
-        alpha, beta = n - 1, n  # the rows u_{m-2} / r_{m-2} and u_m / r_m, times d
-        left = [(0, alpha, 1, 0), (0, beta, -1, 0)]
+        alpha, beta = (m - 2, exps[m - 2]), (m, exps[m])  # the divisions by r_{m-2} and r_m
+        left = _spread_terms(d, 0, *alpha, ((1, 0),)) + _spread_terms(d, 0, *beta, ((-1, 0),))
         for j, a in enumerate(units[1:], 1):
-            y = alpha if a < m else beta
-            left += [(j, a, d, 0)] + [(j, y, s, t) for s, t in ((-1, exps[a]), (1, 0)) if exps[a]]
-        return SparseLetter(d, right), LeftFactor(d, n - 1, [(m - 2, exps[m - 2]), (m, exps[m])], left)
+            left += [(j, a, d, 0)] + _spread_terms(d, j, *(alpha if a < m else beta), ((-1, exps[a]), (1, 0)))
+        return SparseLetter(d, right), SparseLetter(d, left)
 
 
 def _tridiagonal_inverse(t: CycloMatrix) -> CycloMatrix:

@@ -7,7 +7,9 @@ an array over Z[x]/(x^d - 1), in int64 under a checked overflow bound and
 in Python ints from the first step that could overflow, and
 :func:`factored_product`, which multiplies such an array, or a given matrix
 written over its common denominator, by fixed right and left factors,
-checks that the radical is fixed, and reduces modulo Phi_d once.  Every exact
+checks that the radical is fixed, and reduces modulo Phi_d once.  Letters
+and both factors are :class:`SparseLetter` terms, applied by the one
+routine :func:`_roll`, the left factor on the transposed array.  Every exact
 elimination over K_d runs through the one Gauss-Jordan routine
 :func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
 cleared of denominators and reduced fraction-free over the integers by the
@@ -325,15 +327,16 @@ def _groups(keys: Sequence[int]) -> list[int]:
 
 
 class SparseLetter:
-    """A letter's or a right factor's terms prepared for the fold, sorted
-    by target column: the distinct targets and the index of the first term
-    of each, the flat index in a (rows, cols * d) array of each term's
-    source column rolled by zeta^t, the coefficients, and lam, which bounds
-    the growth of max|M|: the largest l1-norm of the coefficients of one
-    target column.  A braid letter's coefficients are signs, so its lam
-    counts terms.  Nothing here divides: a right factor lifts basis vectors
-    and adds the radical as a column, and every division by zeta^e - 1 is
-    the left factor's (:class:`LeftFactor`)."""
+    """Terms prepared for the fold, sorted by target column: the distinct
+    targets and the index of the first term of each, the flat index in a
+    (rows, cols * d) array of each term's source column rolled by zeta^t,
+    the coefficients, and lam, which bounds the growth of max|M|: the
+    largest l1-norm of the coefficients of one target column.  A braid
+    letter's coefficients are signs, so its lam counts terms.  The fixed
+    factors of :func:`factored_product` are terms too: the right factor
+    lifts basis vectors and adds the radical as a column, and the left
+    factor's divisions by zeta^e - 1 are spreads of
+    cyclo.spread_inverse, combined per power of zeta."""
 
     def __init__(self, d: int, terms: Iterable[Term]) -> None:
         cols, rows, coefs, powers = zip(*sorted(terms))
@@ -343,57 +346,7 @@ class SparseLetter:
         self.targets, self.starts = np.array([cols[i] for i in starts]), np.array(starts)
         # x^t * f has coefficient f[(j - t) mod d] at x^j
         self.gather = (np.arange(d) - np.array(powers)[:, None]) % d + np.array(rows)[:, None] * d
-        self.sign = np.array(coefs, dtype=np.int64)[:, None]
-
-
-@functools.lru_cache(maxsize=None)
-def _cycles(d: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orbits of t -> t - e on Z/d, g = gcd(e, d) of them of length
-    L = d / g: the positions c - i e in orbit order (orbit c, step i), the
-    inverse permutation, and the ramp i * g as an (L, 1) column."""
-    g = math.gcd(e, d)
-    order = [(c - i * e) % d for c in range(g) for i in range(d // g)]
-    inverse = [0] * d
-    for i, t in enumerate(order):
-        inverse[t] = i
-    return np.array(order), np.array(inverse), (np.arange(d // g) * g)[:, None]
-
-
-def _divide(d: int, u: np.ndarray, cycles: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """A representative y of d / (x^e - 1) * u modulo Phi_d, for u of shape
-    (d, cols) over Z[x]/(x^d - 1) and d not dividing e: along each orbit
-    t_i = c - i e, y(t_i) = d * (u(t_0) + ... + u(t_{i-1})) - i g C, C the
-    orbit's sum.  Then (x^e - 1) y = d u - N u, with N = sum_j x^{je} a
-    multiple of (x^d - 1) / (x^g - 1), which Phi_d divides as g < d; so
-    max|y| <= 2 d (L - 1) max|u|."""
-    order, inverse, ramp = cycles
-    v = u[order].reshape(-1, len(ramp), u.shape[1])
-    y = d * (np.cumsum(v, axis=1) - v) - ramp * v.sum(axis=1, keepdims=True)
-    return y.reshape(u.shape)[inverse]
-
-
-class LeftFactor:
-    """A left factor times d, prepared for :func:`factored_product`, and the
-    one place where the fold divides by zeta^e - 1.
-
-    Its source rows are the size rows u_0, ..., u_{size-1} of the array it
-    multiplies and, after them, one row y = d / (x^e - 1) * u_s per
-    division (s, e) (see :func:`_divide`); target row i is the sum of coef *
-    x^t times source row j over its terms (i, j, coef, t), every target
-    from 0 on having some.  weight bounds max|out| / max|M|: the largest
-    l1-norm of one target row's coefficients, a y row weighing 2 d (L - 1),
-    L the order of zeta^e."""
-
-    def __init__(self, d: int, size: int, divisions: Sequence[tuple[int, int]], terms: Iterable[Term]) -> None:
-        rows, sources, coefs, powers = zip(*sorted(terms))
-        self.divisions = [(s, _cycles(d, e % d)) for s, e in divisions]
-        weights = [1] * size + [2 * d * (len(ramp) - 1) for _, (_, _, ramp) in self.divisions]
-        starts = _groups(rows)
-        self.weight = max(sum(abs(coefs[i]) * weights[sources[i]] for i in range(a, b))
-                          for a, b in zip(starts, starts[1:] + [len(rows)]))
-        self.starts = np.array(starts)
-        self.gather = (np.arange(d) - np.array(powers)[:, None]) % d + np.array(sources)[:, None] * d
-        self.coef = np.array(coefs, dtype=np.int64)[:, None, None]
+        self.coef = np.array(coefs, dtype=np.int64)[:, None]
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -428,7 +381,7 @@ def _roll(arr: np.ndarray, bound: int, letter: SparseLetter) -> tuple[np.ndarray
     coefficients, and one np.add.reduceat that sums the terms of each
     target column.  Checked first: max|M| * lam < 2^63."""
     arr, bound = _checked(arr, bound, letter.lam)
-    sums = np.add.reduceat(arr[:, letter.gather] * letter.sign, letter.starts, axis=1)
+    sums = np.add.reduceat(arr[:, letter.gather] * letter.coef, letter.starts, axis=1)
     arr.reshape(arr.shape[0], -1, letter.d)[:, letter.targets] = sums
     return arr, bound * letter.lam
 
@@ -501,23 +454,22 @@ def integral_array(m: CycloMatrix) -> tuple[np.ndarray, int, int]:
 
 
 def factored_product(d: int, arr: np.ndarray, bound: int, den: int, right: SparseLetter,
-                     left: LeftFactor, fixed: Sequence[tuple[int, ...]]) -> CycloMatrix:
+                     left: SparseLetter, fixed: Sequence[tuple[int, ...]]) -> CycloMatrix:
     """left * M * right / (den * d), with M = arr / den and left given times
-    d, through the fold's own checked steps on arr: the right factor rolls
+    d, through the fold's own checked rolls on arr: the right factor rolls
     like a letter; the last column of M * right must be fixed modulo Phi_d
-    (RadicalNotFixed otherwise) and is dropped; then the left factor acts
-    on the rows, checked by its weight; and the result is reduced modulo
-    Phi_d once and normalized entry by entry."""
+    (RadicalNotFixed otherwise) and is dropped; then the left factor, whose
+    target j is a row of the result, rolls the transposed array, as
+    L U = (U^T L^T)^T; and the result is reduced modulo Phi_d once and
+    normalized entry by entry."""
     arr, bound = _roll(arr, bound, right)
     u = arr.reshape(arr.shape[0], -1, d)
     if _reduced(d, u[:, -1], bound).tolist() != [[den * c for c in f] for f in fixed]:
         raise RadicalNotFixed("operator moves the radical vector")
-    u, bound = _checked(u[:, :-1], bound, left.weight)
-    u = u.transpose(0, 2, 1)  # (rows, d, cols): rows roll along axis 1
-    ext = np.concatenate([u, *(_divide(d, u[s], cycles)[None] for s, cycles in left.divisions)])
-    out = np.add.reduceat(ext.reshape(-1, u.shape[2])[left.gather] * left.coef, left.starts, axis=0)
-    rows, _, cols = out.shape
-    nums = _reduced(d, out.transpose(0, 2, 1).reshape(-1, d), bound * left.weight)
+    rows, cols = len(left.targets), u.shape[1] - 1
+    ut = np.ascontiguousarray(u[:, :-1].transpose(1, 0, 2)).reshape(cols, -1)
+    ut, bound = _roll(ut, bound, left)
+    nums = _reduced(d, ut.reshape(cols, -1, d)[:, :rows].transpose(1, 0, 2).reshape(-1, d), bound)
     return CycloMatrix(d, rows, cols, _entries(d, nums, den * d))
 
 

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .linalg import (
     CycloMatrix,
-    LeftFactor,
     SparseLetter,
     Term,
     Vector,
@@ -234,16 +233,16 @@ class RepContext:
         return tuple(c * x for x in self._radical[:-1])
 
     @cached_property
-    def _quotient_factors(self) -> tuple[SparseLetter, LeftFactor]:
+    def _quotient_factors(self) -> tuple[SparseLetter, SparseLetter]:
         """The factors of quotient images, see quotient_matrix: the right
         factor puts M w in column n-2, and the left factor, times d, maps an
         ambient column u to d u_a - (zeta^{e_a} - 1) d u_{n-2} / w_{n-2},
-        a < n-2, its one division by w_{n-2} = zeta^{e_{n-2}} - 1 a spread."""
-        size, exps = self.n - 2, self._radical_exponents
-        terms = [(a, a, self.d, 0) for a in range(size)]
-        terms += [(a, size + 1, s, t) for a in range(size) if exps[a] for s, t in ((-1, exps[a]), (1, 0))]
-        return (SparseLetter(self.d, _radical_terms(self, size)),
-                LeftFactor(self.d, size + 1, [(size, exps[size])], terms))
+        a < n-2, its one division by w_{n-2} = zeta^{e_{n-2}} - 1 the spread
+        terms of _spread_terms."""
+        d, size, exps = self.d, self.n - 2, self._radical_exponents
+        left = [(a, a, d, 0) for a in range(size)]
+        left += [t for a in range(size) for t in _spread_terms(d, a, size, exps[size], ((-1, exps[a]), (1, 0)))]
+        return SparseLetter(d, _radical_terms(self, size)), SparseLetter(d, left)
 
     def qpow(self, e: int) -> CycloNum:
         """q^e as a field element (e may be negative)."""
@@ -418,6 +417,18 @@ def _radical_terms(ctx: RepContext, col: int) -> list[Term]:
     return [(col, b, s, t) for b, e in enumerate(ctx._radical_exponents) if e for s, t in ((1, e), (-1, 0))]
 
 
+def _spread_terms(d: int, target: int, source: int, e: int, refs: tuple[tuple[int, int], ...]) -> list[Term]:
+    """Terms of the sum of s zeta^t d / (zeta^e - 1) u_source over the
+    references (s, t), on row target: each is s x^t times the spread
+    cyclo.spread_inverse(d, e), and the terms are combined per power of
+    zeta, so references that cancel leave none."""
+    spread, coefs = spread_inverse(d, e), [0] * d
+    for s, t in refs:
+        for j, c in enumerate(spread):
+            coefs[(j + t) % d] += s * c
+    return [(target, source, c, p) for p, c in enumerate(coefs) if c]
+
+
 def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     """Evaluate a braid word to its exact operator matrix, left to right.
 
@@ -431,7 +442,7 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
     return word_product(ctx.d, ctx.n - 1, _sparse_letters(ctx, word))
 
 
-def _factored_word(ctx: RepContext, word: BraidWord, right: SparseLetter, left: LeftFactor) -> CycloMatrix:
+def _factored_word(ctx: RepContext, word: BraidWord, right: SparseLetter, left: SparseLetter) -> CycloMatrix:
     """left * rho(word) * right, with right's last column the radical,
     checked fixed, straight from the unreduced array of the word's fold:
     bad letters raise first, then NotDegenerate, and the array is reduced

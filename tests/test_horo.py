@@ -297,8 +297,18 @@ def test_commutator_lands_in_center(flag):
     val = commutator_pairing(fc, translation_part(fc, wl), translation_part(fc, wu))
     assert corner_entry(fc, comm) == val
     assert val.is_real()
-    # the two witnesses braid disjoint punctures and pair to 0; a witness W
-    # and its conjugate a W a^-1 by a generator a of its own part do not
+
+
+@pytest.mark.parametrize("d,kappa,m", [*suites.HORO_CASES, (11, (1, 1, 9, 1, 1, 1, 1, 7), 3)],
+                         ids=lambda c: str(c))
+def test_commutator_corner_equals_a_nonzero_pairing(d, kappa, m):
+    """The lower and upper witnesses braid disjoint punctures and pair to 0,
+    so the battery's corner check compares 0 with 0.  A witness W and its
+    conjugate V = a W a^-1 by a generator a of its own part pair non-zero
+    for some a; for every a, [W, V] is unipotent and central and its
+    corner is the pairing of their translation parts."""
+    fc = make_flag(make_context(d, kappa, 1), m)
+    assert witness_parts(fc) == (LOWER, UPPER)
     for part in witness_parts(fc):
         w = witness(fc, part)
         x = translation_part(fc, w)
@@ -309,8 +319,7 @@ def test_commutator_lands_in_center(flag):
             comm = commutator(w, conj)
             assert in_unipotent(fc, comm)
             assert not any(translation_part(fc, comm))
-            y = translation_part(fc, conj)
-            pairings.append(commutator_pairing(fc, x, y))
+            pairings.append(commutator_pairing(fc, x, translation_part(fc, conj)))
             assert corner_entry(fc, comm) == pairings[-1], (part, i, j)
         assert any(pairings), part
 

@@ -532,8 +532,8 @@ def _first_factored_step(d, size, terms, right, weight):
     """The step at which factored_product of a word must promote: a letter,
     or len(terms) for the right factor, as in _first_over_the_bound; then
     len(terms) + 1 if the radical column of M R fails rho_d, len(terms) + 2
-    if the other columns fail the left factor's weight, else None (the
-    final reduction is not pinned here)."""
+    if the other columns fail weight, the largest l1-norm of one row of the
+    left factor's terms, else None (the final reduction is not pinned here)."""
     cols = [[[int(r == c and j == 0) for j in range(d)] for r in range(size)] for c in range(size)]
     for i, letter in enumerate(terms + [right]):
         if _top(cols) * _lam(letter) >= 2**63:
@@ -675,38 +675,48 @@ QUOTIENT_25 = make_context(25, (1, 2, 3, 4, 5, 6, 4), 2)
 FLAG_25 = (25, (1, 2, 22, 4, 5, 6, 10), 2, 3)
 
 
-@pytest.mark.parametrize("length,step", [(138, 140), (200, 151)])
+@pytest.mark.parametrize("length,step", [(144, 146), (151, 151), (200, 151)])
 def test_quotient_word_promotes_at_the_pinned_step(length, step):
-    """rep --quotient of prefixes of the long word at d = 25: the 138-letter
-    prefix promotes at the left factor (step 140, the weight of its spread
-    division), the 200-letter one at its 151st letter; both exactly."""
+    """rep --quotient of prefixes of the long word at d = 25: the 144-letter
+    prefix promotes at the left factor (step 146, the weight of its spread
+    terms), the 151-letter one at the right factor (step 151), the
+    200-letter one before its letter 151, counted from 0; all exactly."""
     ctx = QUOTIENT_25
     word = BraidWord(tuple(_long_word(length)))
     result, steps = promotions(evaluate_quotient, ctx, word)
-    left = ctx._quotient_factors[1]
+    d, size, exps = ctx.d, ctx.n - 2, ctx._radical_exponents
+    # d u_a - (zeta^{e_a} - 1) d / (zeta^{e_{n-2}} - 1) u_{n-2}, a < n - 2
+    left = [(a, a, d, 0) for a in range(size)]
+    left += [t for a in range(size) for t in rep._spread_terms(d, a, size, exps[size], ((-1, exps[a]), (1, 0)))]
+    assert _lam(left) <= d * d
     terms = [rep._letter_terms(ctx, letter) for letter in word.letters]
-    assert steps == [step] == [_first_factored_step(ctx.d, ctx.n - 1, terms, rep._radical_terms(ctx, ctx.n - 2),
-                                                    left.weight)]
+    assert steps == [step] == [_first_factored_step(d, ctx.n - 1, terms, rep._radical_terms(ctx, size), _lam(left))]
     assert result == quotient_matrix(ctx, evaluate_word(ctx, word))
 
 
-@pytest.mark.parametrize("length,step", [(150, 152), (176, 176), (200, 178)])
+@pytest.mark.parametrize("length,step", [(153, 155), (176, 176), (200, 178)])
 def test_flag_word_promotes_at_the_pinned_step(length, step):
     """word_flag_matrix of prefixes of the long word at d = 25, m = 3: the
-    150-letter prefix promotes at the left factor (step 152), the
-    176-letter one at the right factor (step 176), the 200-letter one at
-    its 178th letter; all exactly."""
+    153-letter prefix promotes at the left factor (step 155), the
+    176-letter one at the right factor (step 176), the 200-letter one
+    before its letter 178, counted from 0; all exactly."""
     d, kappa, k, m = FLAG_25
     fc = horo.make_flag(make_context(d, kappa, k), m)
     word = BraidWord(tuple(_long_word(length)))
     result, steps = promotions(horo.word_flag_matrix, fc, word)
     n, exps = fc.ctx.n, fc.ctx._radical_exponents
-    # the lift of the flag basis (w, g_1, g_4, g_5, g_6, g_3) and the radical
+    # the lift of the flag basis (w, g_1, g_5, g_6, g_3) and the radical
     right_terms = [(0, b, s, t) for b in range(m - 1) if exps[b] for s, t in ((1, exps[b]), (-1, 0))]
-    right_terms += [(j, a, 1, 0) for j, a in enumerate((0, 3, 4, 5, 2), 1)] + rep._radical_terms(fc.ctx, n - 2)
-    left = fc._factors[1]
+    right_terms += [(j, a, 1, 0) for j, a in enumerate((0, 4, 5, 2), 1)] + rep._radical_terms(fc.ctx, n - 2)
+    # flag coordinates: w reads alpha - beta, a unit g_a reads u_a minus alpha
+    # or beta times r_a, with alpha = d u_1 / r_1 and beta = d u_3 / r_3
+    alpha, beta = (1, exps[1]), (3, exps[3])
+    left = rep._spread_terms(d, 0, *alpha, ((1, 0),)) + rep._spread_terms(d, 0, *beta, ((-1, 0),))
+    for j, a in enumerate((0, 4, 5, 2), 1):
+        left += [(j, a, d, 0)] + rep._spread_terms(d, j, *(alpha if a < m else beta), ((-1, exps[a]), (1, 0)))
+    assert _lam(left) <= d * d
     terms = [rep._letter_terms(fc.ctx, letter) for letter in word.letters]
-    assert steps == [step] == [_first_factored_step(d, fc.ctx.n - 1, terms, right_terms, left.weight)]
+    assert steps == [step] == [_first_factored_step(d, fc.ctx.n - 1, terms, right_terms, _lam(left))]
     assert result == fc.P.inverse() @ evaluate_quotient(fc.ctx, word) @ fc.P
 
 

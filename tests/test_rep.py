@@ -156,8 +156,37 @@ def test_spread_inverse_is_d_over_zeta_power_minus_one():
     for d in (3, 4, 9, 12, 25, 30):
         for e in range(1, d):
             if e % d:
-                spread = CycloNum(d, *_raw_normalize(_raw_reduce(d, list(spread_inverse(d, e))), 1))
-                assert spread * (zeta(d, e) - 1) == d, (d, e)
+                assert _poly(d, spread_inverse(d, e)) * (zeta(d, e) - 1) == d, (d, e)
+
+
+def _poly(d, coefs):
+    """The field element of a coefficient list over Z[x]/(x^d - 1)."""
+    return CycloNum(d, *_raw_normalize(_raw_reduce(d, list(coefs)), 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from((5, 7, 9, 11, 12, 15, 25, 30)).flatmap(lambda d: st.tuples(
+    st.just(d), st.integers(1, d - 1),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, d - 1)), min_size=1, max_size=3),
+    st.lists(st.integers(-50, 50), min_size=d, max_size=d))))
+@example((12, 8, [(1, 0), (-1, 5)], [1] + [0] * 11))
+@example((25, 10, [(2, 3)], list(range(25))))
+def test_spread_terms_are_the_division_by_zeta_power_minus_one(case):
+    """rep._spread_terms(d, i, j, e, refs) applied to a row u is d * poly *
+    u / (zeta^e - 1), poly the sum of s zeta^t over the references (s, t),
+    for prime and composite d and for e with gcd(e, d) > 1; its terms sit
+    at (i, j), one per power of zeta, with row l1-norm at most
+    d (d - 1) / 2 per unit of the references."""
+    d, e, refs, u = case
+    terms = rep._spread_terms(d, 2, 1, e, tuple(refs))
+    assert all((c, r) == (2, 1) and coef for c, r, coef, _ in terms)
+    assert len({t for *_, t in terms}) == len(terms)
+    assert sum(abs(coef) for _, _, coef, _ in terms) <= d * (d - 1) // 2 * sum(abs(s) for s, _ in refs)
+    row = _poly(d, u)
+    applied = sum((coef * zeta(d, t) * row for _, _, coef, t in terms), CycloNum.zero(d))
+    poly = sum((s * zeta(d, t) for s, t in refs), CycloNum.zero(d))
+    assert applied == d * poly * row * (zeta(d, e) - 1).inv()
 
 
 def test_gram_takes_no_field_inverse(monkeypatch):

@@ -121,20 +121,26 @@ def pair(sides: dict[str, Path], workload: str, seed: int, first: str, trace: bo
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Per metric: medians and quartiles of both sides, per-pair ratios and
-    the number of pairs in which the change reads lower."""
+    """Per metric: medians and quartiles of both sides, per-pair ratios,
+    their median over the pairs that ran the parent first and over those
+    that ran the change first (the side that runs first tends to read
+    higher, so the two medians show that order effect), and the number of
+    pairs in which the change reads lower."""
     out = {}
     for metric in E2E:
         par = [p["parent"][metric] for p in pairs]
         chg = [p["change"][metric] for p in pairs]
         ratios = [c / p for p, c in zip(par, chg)]
         q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
+        by_first = {first: [r for p, r in zip(pairs, ratios) if p["first"] == first] for first in ("parent", "change")}
         out[metric] = {
             "parent_median": round(statistics.median(par), 4),
             "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
             "change_median": round(statistics.median(chg), 4),
             "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
             "pair_ratios": [round(r, 3) for r in ratios],
+            "pair_ratio_median_by_first": {first: round(statistics.median(rs), 3) if rs else None
+                                           for first, rs in by_first.items()},
             "change_lower": sum(r < 1 for r in ratios),
         }
     return out

@@ -26,11 +26,13 @@ its 160-, 200- and 240-letter prefixes at d = 25 and d = 23, and of the
 of which cross the int64 bound; ``horo`` of the n = 12 case, human and
 ``--json``; ``horo`` of ``FLAG_HORO``, human and ``--json``: flags with
 m = 2 (no lower block) and m = n - 2 (no class of g_{n-1} in the flag), at
-composite d = 12, 15 and 25 and at n = 9; ``rep --quotient`` of the 138-
-and 200-letter prefixes of the long word at d = 25 (``QUOTIENT_CROSSING``),
-human and ``--json``, which leave int64 at the quotient's left factor and
-at the 151st letter; ``verify --suite lantern --size 3`` for seeds 0..3;
-and ``verify --suite horo --size 3``, human and ``--json``, for seeds 0..3,
+composite d = 12, 15 and 25 and at n = 9; ``rep --quotient`` of the 138-,
+144- and 200-letter prefixes of the long word at d = 25
+(``QUOTIENT_CROSSING``), human and ``--json``: the 138-letter one stays in
+int64, the 144-letter one leaves it at the quotient's left factor and the
+200-letter one before its letter 157, counted from 0; ``verify --suite
+lantern --size 3`` for seeds 0..3; and ``verify --suite horo --size 3``,
+human and ``--json``, for seeds 0..3,
 whose batteries run more conjugation trials and the additivity check.
 Prints a summary line and exits 1 on any mismatch.
 """
@@ -93,7 +95,7 @@ FLAG_HORO = (("12", "1,1,1,1,8,5,7", "5"), ("25", "1,2,3,4,15,6,19", "5"), ("11"
              ("15", "4,11,2,2,2,9", "2"), ("12", "5,7,1,1,5,5", "2"), ("25", "1,2,22,4,5,6,10", "3"),
              ("9", "1,2,6,1,1,7", "3"))
 QUOTIENT_CROSSING = [["rep", "--d", "25", "--kappa", "1,2,3,4,5,6,4", "--k", "2", "--word", _long_word(length),
-                      "--quotient", *json] for length in (138, 200) for json in ([], ["--json"])]
+                      "--quotient", *json] for length in (138, 144, 200) for json in ([], ["--json"])]
 
 
 def one_letter_words(n: int) -> list[str]:
