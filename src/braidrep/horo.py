@@ -417,18 +417,23 @@ def part_witness(fc: FlagContext, part: str) -> Vector:
 
 
 class _Orbit:
-    """Breadth-first conjugation orbit of one part witness, exact dedup,
-    grown one vector at a time; the part generators and their inverses act
-    by x -> lambda x C^-1 with the entries of _letter_action.
+    """Conjugation orbit of one part witness, spun from its greedy Q-basis:
+    the part generators and their inverses act by x -> lambda x C^-1 with
+    the entries of _letter_action, one image at a time.
 
-    Once ``l`` levels are complete, ``ends[l]`` vectors have been reached by
-    words of length at most l in the part generators and their inverses,
-    and ``ranks[l]`` is their Q-rank; ``basis`` holds the vectors that
-    enlarged the Q-span, in orbit order.  Each vector is checked to vanish
-    off the part's block, so these are also the ranks restricted to the
-    block: a part generator moves vectors only along w and its own block (G
-    is tridiagonal, and the radical relation puts g_{m+1} in the span of w
-    and the upper block), so x -> lambda x C^-1 keeps the support.
+    The action is Q-linear, so only images of basis vectors can enlarge
+    the span (the spinning algorithm of the MeatAxe: Parker, 1984; Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, ch. 7).
+    Level l + 1 is the images of the basis vectors that level l added, in
+    (parent, action) order, so ``basis`` is the greedy basis of the
+    breadth-first orbit, and ``ends[l]`` is its Q-rank over words of length
+    at most l.  A level that adds nothing closes the orbit.  ``seen`` holds
+    the images formed, so each distinct image enters the span once.  Each
+    image is checked to vanish off the part's block, so the ranks are also
+    those restricted to the block: a part generator moves vectors only
+    along w and its own block (G is tridiagonal, and the radical relation
+    puts g_{m+1} in the span of w and the upper block), so x -> lambda x
+    C^-1 keeps the support.
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
@@ -436,60 +441,37 @@ class _Orbit:
         start = part_witness(fc, part)
         self.actions = [_letter_action(fc, (("A", i, j), e)) for i, j in part_pairs(fc, part) for e in (1, -1)]
         self.block = part_slice(fc, part)
-        self.vectors, self.basis, self.seen = [], [], set()
+        self.basis, self.seen = [], set()
         self.span = RationalSpan()
         self._add(start)
         self.ends = [1]
-        self.ranks = [len(self.basis)]
-        self.acted = 0                 # (vector, action) pairs applied, in BFS order
+        self.acted = 0                 # (basis vector, action) pairs applied, in order
 
     def _add(self, v: Vector) -> None:
         if any(v[: self.block.start]) or any(v[self.block.stop :]):
             raise ConstraintViolation("orbit vector is non-zero off its part's block")
         self.seen.add(v)
-        self.vectors.append(v)
         if self.span.add(v):
             self.basis.append(v)
 
     def _step(self) -> bool:
-        """Add the next vector of the BFS, or close a level once every
-        vector before it has been acted on; False after a level that added
-        nothing.  A step that raises has not advanced, so it raises again."""
+        """Add the next new image, or close a level once every basis vector
+        of the levels before it has been acted on; False after a level that
+        added nothing.  A step that raises has not advanced, so it raises
+        again."""
         width = len(self.actions)
         while self.acted < self.ends[-1] * width:
             lam, c_inv = self.actions[self.acted % width]
-            image = _row_action(self.fc, lam, c_inv, self.vectors[self.acted // width])
-            if image in self.seen:
+            image = _row_action(self.fc, lam, c_inv, self.basis[self.acted // width])
+            if image not in self.seen:
+                self._add(image)
                 self.acted += 1
-                continue
-            self._add(image)
+                return True
             self.acted += 1
-            return True
         if len(self.ends) > 1 and self.ends[-1] == self.ends[-2]:
             return False
-        self.ends.append(len(self.vectors))
-        self.ranks.append(len(self.basis))
+        self.ends.append(len(self.basis))
         return True
-
-    def prefix(self, maxlen: int, rank_bound: int | None) -> list[Vector]:
-        """The vectors of the first maxlen levels, stopping after the first
-        level whose rank reaches rank_bound; finishes open levels as needed."""
-        level = 0
-        while level < maxlen and (rank_bound is None or self.ranks[level] < rank_bound):
-            while level + 1 == len(self.ends) and self._step():
-                pass
-            if level + 1 == len(self.ends):
-                break
-            level += 1
-        return self.vectors[: self.ends[level]]
-
-    def rank(self, maxlen: int, rank_bound: int) -> int:
-        """Q-rank of the first maxlen levels, or rank_bound if reached
-        sooner: grows the orbit until the vector that makes the rank
-        rank_bound, then stops, in the middle of a level if need be."""
-        while len(self.basis) < rank_bound and len(self.ends) <= maxlen and self._step():
-            pass
-        return self.ranks[maxlen] if maxlen < len(self.ends) else len(self.basis)
 
 
 def _orbit(fc: FlagContext, part: str) -> _Orbit:
@@ -498,28 +480,29 @@ def _orbit(fc: FlagContext, part: str) -> _Orbit:
     return fc.orbits[part]
 
 
-def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6, *, rank_bound: int | None = None):
-    """Breadth-first conjugation orbit of the part witness, exact dedup.
-
-    Returns the full middle-coordinate vectors reached by words of length
-    at most maxlen in the part generators and their inverses, whole levels
-    only.  Stops after the first level whose Q-rank reaches rank_bound.
-    Each part's orbit is computed once per flag context and shared by
-    later calls, which finish a level left open by orbit_rank.  Raises
-    InvalidParameter unless 0 <= maxlen <= MAX_ORBIT_LEN.
+def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6) -> list[Vector]:
+    """Greedy Q-basis of the conjugation orbit of the part witness over
+    words of length at most maxlen in the part generators and their
+    inverses, in breadth-first order.  Stops at the vector that makes the
+    rank full_rank(fc, part), in the middle of a level if need be: no later
+    image can enlarge the span.  Each part's orbit is spun once per flag
+    context and shared by later calls, which answer shorter budgets from
+    the levels already closed.  Raises InvalidParameter unless 0 <= maxlen
+    <= MAX_ORBIT_LEN.
     """
     check_maxlen(maxlen)
-    return _orbit(fc, part).prefix(maxlen, rank_bound)
+    orbit, bound = _orbit(fc, part), full_rank(fc, part)
+    while len(orbit.basis) < bound and len(orbit.ends) <= maxlen and orbit._step():
+        pass
+    rank = orbit.ends[maxlen] if maxlen < len(orbit.ends) else len(orbit.basis)
+    return orbit.basis[:rank]
 
 
 def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
-    """Q-rank of the orbit restricted to its own coordinate block, over
-    words of length at most maxlen.  The orbit stops growing at the vector
-    that makes the rank full, in the middle of a level if need be (the rank
-    is monotone, so no later vector can change it); every orbit vector
-    vanishes off the block, so the span's rank is the restricted one."""
-    check_maxlen(maxlen)
-    return _orbit(fc, part).rank(maxlen, full_rank(fc, part))
+    """Q-rank of the orbit over words of length at most maxlen: the length
+    of orbit_vectors.  Every orbit vector vanishes off the part's block, so
+    this is also the rank restricted to the block."""
+    return len(orbit_vectors(fc, part, maxlen))
 
 
 # -- lattice vectors in the center ------------------------------------------------
@@ -534,13 +517,12 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     """Galois-spread commutator values generating a rank phi(d)/2 group.
 
     Collects a Q-basis of the middle space from the two witness orbits
-    (the vectors each orbit's span accepted over words of length at most
-    MAX_ORBIT_LEN, each orbit stopping at the vector that makes its rank
-    full; their supports are disjoint), locates a pair with non-vanishing
-    commutator pairing a_q, scales the real-subfield basis elements zeta^s + zeta^{-s} by integers so each
-    multiple of the chosen orbit vector stays in the generated lattice, and
-    emits the vectors (galois(scaled * a_q, t))_t over the upper-half
-    exponents, together with their Q-rank.
+    (orbit_vectors over words of length at most MAX_ORBIT_LEN; their
+    supports are disjoint), locates a pair with non-vanishing commutator
+    pairing a_q, scales the real-subfield basis elements zeta^s + zeta^{-s}
+    by integers so each multiple of the chosen orbit vector stays in the
+    generated lattice, and emits the vectors (galois(scaled * a_q, t))_t
+    over the upper-half exponents, together with their Q-rank.
     """
     ctx = fc.ctx
     d = ctx.d
@@ -548,10 +530,7 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     ell = phi // 2
     target = phi * fc.middle_size
 
-    bases: dict[str, list[Vector]] = {}
-    for part in (LOWER, UPPER):
-        orb = _orbit(fc, part)
-        bases[part] = orb.basis[: orb.rank(MAX_ORBIT_LEN, full_rank(fc, part))]
+    bases = {part: orbit_vectors(fc, part, MAX_ORBIT_LEN) for part in (LOWER, UPPER)}
     basis = bases[LOWER] + bases[UPPER]
     if len(basis) < target:
         raise NoNonzeroPairing(

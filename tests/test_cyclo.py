@@ -247,7 +247,7 @@ def elements(draw, d, big=2**70):
 def test_galois_is_a_ring_homomorphism_fixing_q(case):
     """sigma_t respects + and *, sends 1 to 1, agrees with zeta -> zeta^t at
     the numeric embedding and fixes every rational, returning the rational
-    element itself."""
+    element itself; complex conjugation is sigma_{d-1}."""
     d, z, w, r, t = case
     assert (z * w).galois(t) == z.galois(t) * w.galois(t)
     assert (z + w).galois(t) == z.galois(t) + w.galois(t)
@@ -260,6 +260,7 @@ def test_galois_is_a_ring_homomorphism_fixing_q(case):
     assert q.conj() is q
     assert (z * q).galois(t) == z.galois(t) * q
     assert CycloNum.one(d).galois(t) == 1
+    assert z.conj() == z.galois(d - 1)
 
 
 def test_galois_of_a_rational_checks_the_exponent():

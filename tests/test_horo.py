@@ -375,7 +375,7 @@ def test_orbit_negative_maxlen(flag):
 
 
 def test_orbit_maxlen_limit(flag):
-    assert orbit_vectors(flag, LOWER, MAX_ORBIT_LEN, rank_bound=1)
+    assert len(orbit_vectors(flag, LOWER, MAX_ORBIT_LEN)) == horo.full_rank(flag, LOWER)
     with pytest.raises(InvalidParameter):
         orbit_vectors(flag, LOWER, MAX_ORBIT_LEN + 1)
     with pytest.raises(InvalidParameter):
@@ -407,6 +407,15 @@ def reference_orbit(fc, part, maxlen, rank_bound=None):
     return collected
 
 
+def greedy_basis(vectors, bound):
+    """The vectors that enlarge a RationalSpan fed in order, up to rank bound."""
+    span, basis = RationalSpan(), []
+    for v in vectors:
+        if len(basis) < bound and span.add(v):
+            basis.append(v)
+    return basis
+
+
 @pytest.mark.parametrize("d,kappa,m", CASES, ids=lambda c: str(c))
 def test_orbit_computed_once_per_part(monkeypatch, d, kappa, m):
     fc = make_flag(make_context(d, kappa, 1), m)
@@ -416,19 +425,19 @@ def test_orbit_computed_once_per_part(monkeypatch, d, kappa, m):
     monkeypatch.setattr(
         horo, "part_witness", lambda fc, part: witnessed.append(part) or part_witness(fc, part)
     )
-    # shorter and longer budgets in mixed order all read one BFS per part
+    # shorter and longer budgets in mixed order all read one orbit per part
     for part in (LOWER, UPPER):
-        for maxlen, bound in ((2, None), (1, None), (3, None), (MAX_ORBIT_LEN, bounds[part])):
-            expected = reference_orbit(fc, part, maxlen, bound)
-            assert orbit_vectors(fc, part, maxlen, rank_bound=bound) == expected
+        for maxlen in (2, 1, 3, MAX_ORBIT_LEN):
+            expected = greedy_basis(reference_orbit(fc, part, maxlen), bounds[part])
+            assert orbit_vectors(fc, part, maxlen) == expected
         assert orbit_rank(fc, part) == bounds[part]
     center_lattice_vectors(fc)
     assert witnessed == [LOWER, UPPER]
 
 
 def test_each_orbit_vector_is_reduced_once(monkeypatch):
-    # one full battery at n = 8: every orbit vector enters a RationalSpan once,
-    # and the one Q-rank elimination left is the center's
+    # one full battery at n = 8: every distinct image of the orbits enters a
+    # RationalSpan once, and the one Q-rank elimination left is the center's
     added, ranked = [], []
     span_add, rank_q = RationalSpan.add, horo.rank_over_rationals
     monkeypatch.setattr(RationalSpan, "add", lambda span, v: added.append(v) or span_add(span, v))
@@ -437,9 +446,49 @@ def test_each_orbit_vector_is_reduced_once(monkeypatch):
     report, _ = horo_report(fc)
     assert report["failed"] == 0
     assert report["ranks"] == {LOWER: 10, UPPER: 30, "center": 5}
-    orbit = [v for part in (LOWER, UPPER) for v in fc.orbits[part].vectors]
-    assert len(added) == len(orbit) == len(set(added)) and set(added) == set(orbit)
+    seen = [v for part in (LOWER, UPPER) for v in fc.orbits[part].seen]
+    assert len(added) == len(seen) == len(set(added)) and set(added) == set(seen)
     assert len(ranked) == 1
+
+
+def orbit_work(monkeypatch, d, kappa, m):
+    """Per part: the images formed (calls of horo._row_action) and the
+    RationalSpan.add calls of orbit_rank at MAX_ORBIT_LEN, which must reach
+    full rank."""
+    fc = make_flag(make_context(d, kappa, 1), m)
+    counts = {"images": 0, "adds": 0}
+    row_action, span_add = horo._row_action, RationalSpan.add
+
+    def counted(key, fn):
+        return lambda *a: counts.__setitem__(key, counts[key] + 1) or fn(*a)
+
+    monkeypatch.setattr(horo, "_row_action", counted("images", row_action))
+    monkeypatch.setattr(RationalSpan, "add", counted("adds", span_add))
+    work = {}
+    for part in (LOWER, UPPER):
+        before = dict(counts)
+        assert orbit_rank(fc, part, MAX_ORBIT_LEN) == horo.full_rank(fc, part)
+        work[part] = {key: counts[key] - before[key] for key in counts}
+    return fc, work
+
+
+def test_orbit_work_equals_the_breadth_first_orbit_at_n8(monkeypatch):
+    # the seen set skips images already formed: at d = 11 the orbits stop at
+    # full rank after 128 images and 83 adds, as the breadth-first orbit of
+    # every vector did
+    _, work = orbit_work(monkeypatch, *N8)
+    assert sum(w["images"] for w in work.values()) == 128
+    assert sum(w["adds"] for w in work.values()) == 83
+
+
+def test_orbit_work_is_bounded_by_basis_times_actions(monkeypatch):
+    # only basis vectors are acted on: at most full rank times the
+    # 2 * len(part_pairs) actions per part, 1452 images in all at n = 8,
+    # d = 23, where whole levels grow about 15-fold
+    fc, work = orbit_work(monkeypatch, 23, (1, 1, 21, 1, 1, 1, 1, 19), 3)
+    for part in (LOWER, UPPER):
+        assert work[part]["images"] <= horo.full_rank(fc, part) * 2 * len(part_pairs(fc, part))
+        assert work[part]["adds"] <= work[part]["images"] + 1
 
 
 def test_orbit_vector_off_its_block_is_named(monkeypatch):
@@ -473,7 +522,7 @@ def test_orbit_fault_is_raised_again(monkeypatch):
     for call in (orbit_rank, orbit_rank, orbit_vectors):
         with pytest.raises(ConstraintViolation):
             call(fc, UPPER, 1)
-    assert fc.orbits[UPPER].vectors == [start]
+    assert fc.orbits[UPPER].basis == [start]
 
 
 def test_part_witness_supported(flag):
@@ -567,27 +616,32 @@ def test_orbit_resumes_after_stopping_mid_level(d, kappa, m):
     center_lattice_vectors(fc)
     for part in (LOWER, UPPER):
         orbit = fc.orbits[part]
-        assert len(orbit.vectors) > orbit.ends[-1]       # a level is left open
+        assert len(orbit.basis) > orbit.ends[-1]         # a level is left open
         bound = horo.full_rank(fc, part)
         # whole levels at n = 8 grow about 15-fold per level past the second
         unbounded = range(MAX_ORBIT_LEN + 1) if d != N8[0] else range(3)
         for maxlen in unbounded:
-            assert orbit_vectors(fc, part, maxlen) == reference_orbit(fc, part, maxlen)
+            expected = greedy_basis(reference_orbit(fc, part, maxlen), bound)
+            assert orbit_vectors(fc, part, maxlen) == expected
         for maxlen in range(MAX_ORBIT_LEN + 1):
             expected = reference_orbit(fc, part, maxlen, bound)
-            assert orbit_vectors(fc, part, maxlen, rank_bound=bound) == expected
+            assert orbit_vectors(fc, part, maxlen) == greedy_basis(expected, bound)
             # the grown orbit still answers shorter budgets level by level
             assert orbit_rank(fc, part, maxlen) == rank_over_rationals(expected)
 
 
-def test_battery_adds_no_orbit_vector_after_full_rank():
+def test_battery_adds_no_orbit_vector_after_full_rank(monkeypatch):
+    added = []
+    span_add = RationalSpan.add
+    monkeypatch.setattr(RationalSpan, "add", lambda span, v: added.append((span, v)) or span_add(span, v))
     fc = make_flag(make_context(N8[0], N8[1], 1), N8[2])
     report, _ = horo_report(fc)
     assert report["failed"] == 0
     for part in (LOWER, UPPER):
         orbit = fc.orbits[part]
         assert len(orbit.basis) == horo.full_rank(fc, part)
-        assert orbit.vectors[-1] is orbit.basis[-1]
+        # the last vector the orbit's span took is the one that made it full
+        assert [v for span, v in added if span is orbit.span][-1] is orbit.basis[-1]
 
 
 def test_battery_inverts_no_braid_image(monkeypatch):

@@ -33,7 +33,13 @@ int64, the 144-letter one leaves it at the quotient's left factor and the
 200-letter one before its letter 157, counted from 0; ``verify --suite
 lantern --size 3`` for seeds 0..3; and ``verify --suite horo --size 3``,
 human and ``--json``, for seeds 0..3,
-whose batteries run more conjugation trials and the additivity check.
+whose batteries run more conjugation trials and the additivity check;
+``horo --json`` of the larger orbits in ``LARGE_HORO``: n = 8 at d = 23
+(kappa 1,1,21,1,1,1,1,19), whose lower and upper orbits reach full rank at
+word lengths 6 and 4, and n = 6 (kappa 1,1,d-2,1,1,d-2) at d = 23 and
+d = 47, each at ``--maxlen`` 0, 2 and the default; at d = 47 the orbits
+fall short of full rank within ``MAX_ORBIT_LEN`` and every budget exits 2
+(``NoNonzeroPairing``).
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -59,6 +65,9 @@ MAXLENS = range(9)  # every horo --maxlen, 0..horo.MAX_ORBIT_LEN
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
 N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3"]  # the ROADMAP's n = 12 case
 LANTERN_SEEDS = range(4)
+LARGE_HORO = [["horo", "--d", "23", "--kappa", "1,1,21,1,1,1,1,19", "--m", "3", "--json"]]
+LARGE_HORO += [["horo", "--d", str(d), "--kappa", f"1,1,{d - 2},1,1,{d - 2}", "--m", "3", "--json", *maxlen]
+               for d in (23, 47) for maxlen in (["--maxlen", "0"], ["--maxlen", "2"], [])]
 HORO_SUITE_SEEDS = range(4)
 LARGE_DENSITY = [["density", "--d", d, "--kappa", "1,1,1,1,1", "--json"] for d in ("10007", "10010")]
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
@@ -135,6 +144,7 @@ def commands() -> list[list[str]]:
     argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
     argvs += [["verify", "--suite", "horo", "--size", "3", "--seed", str(seed), *json]
               for seed in HORO_SUITE_SEEDS for json in ([], ["--json"])]
+    argvs += LARGE_HORO
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
