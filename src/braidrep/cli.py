@@ -173,7 +173,7 @@ def _horo_flags(p: argparse.ArgumentParser) -> None:
     _context_flags(p)
     p.add_argument("--m", type=int, required=True, help="flag index with d | k_1+...+k_m")
     p.add_argument("--maxlen", type=int, default=6,
-                   help=f"orbit word-length budget, 0..{horo.MAX_ORBIT_LEN} (default 6)")
+                   help="orbit word-length budget, >= 0 (default 6)")
     p.add_argument("--seed", type=int, default=0)
 
 

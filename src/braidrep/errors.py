@@ -105,7 +105,8 @@ class NotParabolicElement(BraidRepError):
 
 
 class NoNonzeroPairing(BraidRepError):
-    """All sampled commutator pairings vanished; enlarge the orbit sample."""
+    """The witness orbits close short of the middle space, or every commutator
+    pairing among their basis vectors vanishes."""
 
 
 # -- criteria --------------------------------------------------------------

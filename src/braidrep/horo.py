@@ -47,7 +47,6 @@ from .linalg import (
     solve_rational,
 )
 from .rep import (
-    MAX_ORBIT_LEN,
     BraidWord,
     Letter,
     RepContext,
@@ -404,9 +403,9 @@ def part_pairs(fc: FlagContext, part: str) -> list[tuple[int, int]]:
 
 
 def check_maxlen(maxlen: int) -> None:
-    """Raise InvalidParameter unless 0 <= maxlen <= MAX_ORBIT_LEN."""
-    if not 0 <= maxlen <= MAX_ORBIT_LEN:
-        raise InvalidParameter(f"maxlen must lie in 0..{MAX_ORBIT_LEN}, got {maxlen}")
+    """Raise InvalidParameter unless maxlen >= 0."""
+    if maxlen < 0:
+        raise InvalidParameter(f"maxlen must be >= 0, got {maxlen}")
 
 
 # -- orbit machinery ------------------------------------------------------------
@@ -417,9 +416,10 @@ def part_witness(fc: FlagContext, part: str) -> Vector:
 
 
 class _Orbit:
-    """Conjugation orbit of one part witness, spun from its greedy Q-basis:
-    the part generators and their inverses act by x -> lambda x C^-1 with
-    the entries of _letter_action, one image at a time.
+    """Conjugation orbit of one part witness, spun from its greedy Q-basis
+    to full rank or to closure: the part generators and their inverses act
+    by x -> lambda x C^-1 with the entries of _letter_action, one image at a
+    time.
 
     The action is Q-linear, so only images of basis vectors can enlarge
     the span (the spinning algorithm of the MeatAxe: Parker, 1984; Holt,
@@ -427,51 +427,43 @@ class _Orbit:
     Level l + 1 is the images of the basis vectors that level l added, in
     (parent, action) order, so ``basis`` is the greedy basis of the
     breadth-first orbit, and ``ends[l]`` is its Q-rank over words of length
-    at most l.  A level that adds nothing closes the orbit.  ``seen`` holds
-    the images formed, so each distinct image enters the span once.  Each
-    image is checked to vanish off the part's block, so the ranks are also
-    those restricted to the block: a part generator moves vectors only
-    along w and its own block (G is tridiagonal, and the radical relation
-    puts g_{m+1} in the span of w and the upper block), so x -> lambda x
-    C^-1 keeps the support.
+    at most l.  The spin stops at the vector that makes the rank
+    full_rank(fc, part), in the middle of a level if need be, or after a
+    level that adds nothing, which closes the orbit.  So it forms at most
+    full rank times 2 * len(part_pairs) images, whatever the word length.
+    ``seen`` holds the images formed, so each distinct image enters the
+    span once.  Each image is checked to vanish off the part's block, so
+    the ranks are also those restricted to the block: a part generator
+    moves vectors only along w and its own block (G is tridiagonal, and the
+    radical relation puts g_{m+1} in the span of w and the upper block), so
+    x -> lambda x C^-1 keeps the support.
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
-        self.fc = fc
-        start = part_witness(fc, part)
-        self.actions = [_letter_action(fc, (("A", i, j), e)) for i, j in part_pairs(fc, part) for e in (1, -1)]
-        self.block = part_slice(fc, part)
+        actions = [_letter_action(fc, (("A", i, j), e)) for i, j in part_pairs(fc, part) for e in (1, -1)]
+        block, bound = part_slice(fc, part), full_rank(fc, part)
         self.basis, self.seen = [], set()
         self.span = RationalSpan()
-        self._add(start)
+        self._add(part_witness(fc, part), block)
         self.ends = [1]
-        self.acted = 0                 # (basis vector, action) pairs applied, in order
+        parents = 0                    # first basis vector of the last closed level
+        while parents < self.ends[-1]:
+            for v in self.basis[parents : self.ends[-1]]:
+                for lam, c_inv in actions:
+                    image = _row_action(fc, lam, c_inv, v)
+                    if image not in self.seen:
+                        self._add(image, block)
+                        if len(self.basis) == bound:
+                            return
+            parents = self.ends[-1]
+            self.ends.append(len(self.basis))
 
-    def _add(self, v: Vector) -> None:
-        if any(v[: self.block.start]) or any(v[self.block.stop :]):
+    def _add(self, v: Vector, block: slice) -> None:
+        if any(v[: block.start]) or any(v[block.stop :]):
             raise ConstraintViolation("orbit vector is non-zero off its part's block")
         self.seen.add(v)
         if self.span.add(v):
             self.basis.append(v)
-
-    def _step(self) -> bool:
-        """Add the next new image, or close a level once every basis vector
-        of the levels before it has been acted on; False after a level that
-        added nothing.  A step that raises has not advanced, so it raises
-        again."""
-        width = len(self.actions)
-        while self.acted < self.ends[-1] * width:
-            lam, c_inv = self.actions[self.acted % width]
-            image = _row_action(self.fc, lam, c_inv, self.basis[self.acted // width])
-            if image not in self.seen:
-                self._add(image)
-                self.acted += 1
-                return True
-            self.acted += 1
-        if len(self.ends) > 1 and self.ends[-1] == self.ends[-2]:
-            return False
-        self.ends.append(len(self.basis))
-        return True
 
 
 def _orbit(fc: FlagContext, part: str) -> _Orbit:
@@ -483,17 +475,15 @@ def _orbit(fc: FlagContext, part: str) -> _Orbit:
 def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6) -> list[Vector]:
     """Greedy Q-basis of the conjugation orbit of the part witness over
     words of length at most maxlen in the part generators and their
-    inverses, in breadth-first order.  Stops at the vector that makes the
-    rank full_rank(fc, part), in the middle of a level if need be: no later
-    image can enlarge the span.  Each part's orbit is spun once per flag
-    context and shared by later calls, which answer shorter budgets from
-    the levels already closed.  Raises InvalidParameter unless 0 <= maxlen
-    <= MAX_ORBIT_LEN.
+    inverses, in breadth-first order: the first ends[maxlen] vectors of the
+    spun orbit, or all of them when the spin stopped at full rank or closed
+    before level maxlen, since no later image enlarges the span.  Each
+    part's orbit is spun once per flag context, the first time any caller
+    asks, and every budget is read off it.  Raises InvalidParameter unless
+    maxlen >= 0.
     """
     check_maxlen(maxlen)
-    orbit, bound = _orbit(fc, part), full_rank(fc, part)
-    while len(orbit.basis) < bound and len(orbit.ends) <= maxlen and orbit._step():
-        pass
+    orbit = _orbit(fc, part)
     rank = orbit.ends[maxlen] if maxlen < len(orbit.ends) else len(orbit.basis)
     return orbit.basis[:rank]
 
@@ -517,7 +507,8 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     """Galois-spread commutator values generating a rank phi(d)/2 group.
 
     Collects a Q-basis of the middle space from the two witness orbits
-    (orbit_vectors over words of length at most MAX_ORBIT_LEN; their
+    (orbit_vectors at a budget of full_rank, which is the whole spun orbit:
+    each level before the one that closes it adds a basis vector; their
     supports are disjoint), locates a pair with non-vanishing commutator
     pairing a_q, scales the real-subfield basis elements zeta^s + zeta^{-s}
     by integers so each multiple of the chosen orbit vector stays in the
@@ -530,12 +521,10 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     ell = phi // 2
     target = phi * fc.middle_size
 
-    bases = {part: orbit_vectors(fc, part, MAX_ORBIT_LEN) for part in (LOWER, UPPER)}
+    bases = {part: orbit_vectors(fc, part, full_rank(fc, part)) for part in (LOWER, UPPER)}
     basis = bases[LOWER] + bases[UPPER]
     if len(basis) < target:
-        raise NoNonzeroPairing(
-            f"orbits span rank {len(basis)} < {target}; enlarge the orbit sample"
-        )
+        raise NoNonzeroPairing(f"orbits close at rank {len(basis)} < {target}")
 
     pivot = None
     for i in range(len(basis)):

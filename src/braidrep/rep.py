@@ -139,13 +139,11 @@ def block_twist_word(s: int, r: int) -> BraidWord:
 
 # -- contexts ----------------------------------------------------------------
 
-# Resource limits, checked before any table is built.  MAX_DEGREE bounds the
+# Resource limit, checked before any table is built.  MAX_DEGREE bounds the
 # modulus d of a context: its field table holds about 2 phi(d) rows of phi(d)
-# ints.  MAX_ORBIT_LEN bounds the horo orbit words (the budget of
-# center_lattice_vectors and a user's maxlen): the orbit BFS can grow
-# exponentially in the word length.
+# ints.  The horo orbits need no word-length limit: each is spun once, to full
+# rank or closure, so a maxlen only reads a prefix of it.
 MAX_DEGREE = 2048
-MAX_ORBIT_LEN = 8
 
 
 def normalize_weights(d: int, kappa_raw: tuple[int, ...] | list[int]) -> tuple[int, ...]:

@@ -296,8 +296,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     """Full horospherical battery for one flag context; JSON-able report.
 
     Raises BadM when neither witness exists (m < 3 and n - m < 3) and
-    InvalidParameter unless 0 <= maxlen <= horo.MAX_ORBIT_LEN, before any
-    check runs.
+    InvalidParameter unless maxlen >= 0, before any check runs.
     """
     ctx = fc.ctx
     d, n, m = ctx.d, ctx.n, fc.m

@@ -165,13 +165,28 @@ def test_horo_maxlen_at_limit(capsys):
     assert json.loads(out)["ranks"] == {"lower": 4, "upper": 4, "center": 2}
 
 
-def test_horo_maxlen_above_limit(capsys):
-    code, out, err = run_cli(
-        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", "9"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: InvalidParameter") and "Traceback" not in err
+def test_horo_maxlen_has_no_upper_limit(capsys):
+    # each orbit is spun once, to full rank or closure, so any budget past
+    # its last level reads the same basis: the work is bounded for every --maxlen
+    argv = ["horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--json", "--maxlen"]
+    assert run_cli(capsys, *argv, "1000000000") == run_cli(capsys, *argv, "8")
+
+
+def test_horo_orbits_longer_than_eight_levels(capsys):
+    # at n = 6, d = 47 both orbits reach full rank 46 at word length 12; the
+    # center lattice reads the whole spun orbits whatever the budget
+    argv = ["horo", "--d", "47", "--kappa", "1,1,45,1,1,45", "--m", "3", "--json"]
+    code, out, _ = run_cli(capsys, *argv, "--maxlen", "12")
+    assert code == 0
+    assert json.loads(out)["ranks"] == {"lower": 46, "upper": 46, "center": 23}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ranks"]["center"] == 23
+    tag = "[d=47 kappa=(1, 1, 45, 1, 1, 45) k=1 m=3]"
+    assert doc["failures"] == [f"lower orbit reaches full rational rank {tag}",
+                               f"upper orbit reaches full rational rank {tag}",
+                               f"orbit ranks sum to the middle dimension over Q {tag}"]
 
 
 def test_degree_above_the_limit_exits_2_before_any_table(capsys):
@@ -307,6 +322,16 @@ def test_horo_orbit_off_its_block_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3")
     assert code == 2
     assert err.startswith("error: ConstraintViolation: ") and "Traceback" not in err
+
+
+def test_horo_orbits_closing_short_name_their_rank(capsys, monkeypatch):
+    # actions with zero images close each orbit at its witness: the center
+    # lattice names the rank the orbits closed at, and advises nothing
+    monkeypatch.setattr(horo, "_row_action",
+                        lambda fc, lam, c_inv, x: (CycloNum.zero(fc.ctx.d),) * len(x))
+    code, out, err = run_cli(capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: NoNonzeroPairing: orbits close at rank 2 < 8\n"
 
 
 def test_verify_deterministic(capsys):
@@ -449,8 +474,9 @@ PARSER_EXITS = [
     ["verify", "--size"], ["verify", "--seed", "1", "gram"], ["gram", "-h", "--d", "x"],
 ]
 # sha256 over repr((argv, exit code, stdout, stderr)) of the full parser on
-# PARSER_EXITS at COLUMNS=80, as printed before the one-command parsers
-PARSER_EXITS_SHA256 = "9bcdf7e76338d46df0d13fa76a5f19f60d013533509156fbba0be17891606bb2"
+# PARSER_EXITS at COLUMNS=80: what it printed before the one-command parsers,
+# with the horo --maxlen help that has no upper limit
+PARSER_EXITS_SHA256 = "7206e606c12c788e5e3b9c5346cfdc3efd52fbb826ce4f1953613c74590373cd"
 PARSER_RUNS = [
     ["gram", "--d", "5", "--kappa", "1,1,1,1,1", "--k", "2", "--json"],
     ["rep", "--d", "5", "--kappa", "1,1,3", "--word", "A(1,2) T(2)^-1", "--quotient", "--json"],

@@ -23,7 +23,6 @@ from braidrep.errors import (
 )
 from braidrep.horo import (
     LOWER,
-    MAX_ORBIT_LEN,
     UPPER,
     center_lattice_vectors,
     commutator_pairing,
@@ -374,12 +373,12 @@ def test_orbit_negative_maxlen(flag):
         orbit_rank(flag, UPPER, -1)
 
 
-def test_orbit_maxlen_limit(flag):
-    assert len(orbit_vectors(flag, LOWER, MAX_ORBIT_LEN)) == horo.full_rank(flag, LOWER)
-    with pytest.raises(InvalidParameter):
-        orbit_vectors(flag, LOWER, MAX_ORBIT_LEN + 1)
-    with pytest.raises(InvalidParameter):
-        orbit_rank(flag, UPPER, MAX_ORBIT_LEN + 1)
+def test_orbit_maxlen_has_no_upper_limit(flag):
+    # the orbit is spun once, so any budget past its last level reads the
+    # whole basis
+    assert len(orbit_vectors(flag, LOWER, 8)) == horo.full_rank(flag, LOWER)
+    assert orbit_vectors(flag, LOWER, 10**9) == orbit_vectors(flag, LOWER, 8)
+    assert orbit_rank(flag, UPPER, 10**9) == horo.full_rank(flag, UPPER)
 
 
 def reference_orbit(fc, part, maxlen, rank_bound=None):
@@ -427,7 +426,7 @@ def test_orbit_computed_once_per_part(monkeypatch, d, kappa, m):
     )
     # shorter and longer budgets in mixed order all read one orbit per part
     for part in (LOWER, UPPER):
-        for maxlen in (2, 1, 3, MAX_ORBIT_LEN):
+        for maxlen in (2, 1, 3, 8):
             expected = greedy_basis(reference_orbit(fc, part, maxlen), bounds[part])
             assert orbit_vectors(fc, part, maxlen) == expected
         assert orbit_rank(fc, part) == bounds[part]
@@ -453,8 +452,7 @@ def test_each_orbit_vector_is_reduced_once(monkeypatch):
 
 def orbit_work(monkeypatch, d, kappa, m):
     """Per part: the images formed (calls of horo._row_action) and the
-    RationalSpan.add calls of orbit_rank at MAX_ORBIT_LEN, which must reach
-    full rank."""
+    RationalSpan.add calls of orbit_rank, which must reach full rank."""
     fc = make_flag(make_context(d, kappa, 1), m)
     counts = {"images": 0, "adds": 0}
     row_action, span_add = horo._row_action, RationalSpan.add
@@ -467,7 +465,7 @@ def orbit_work(monkeypatch, d, kappa, m):
     work = {}
     for part in (LOWER, UPPER):
         before = dict(counts)
-        assert orbit_rank(fc, part, MAX_ORBIT_LEN) == horo.full_rank(fc, part)
+        assert orbit_rank(fc, part, horo.full_rank(fc, part)) == horo.full_rank(fc, part)
         work[part] = {key: counts[key] - before[key] for key in counts}
     return fc, work
 
@@ -507,22 +505,26 @@ def test_orbit_vector_off_its_block_is_named(monkeypatch):
 
 
 def test_orbit_fault_is_raised_again(monkeypatch):
-    # a step that raised has not advanced: no later call reads a cut orbit
+    # a spin that raised memoizes no orbit: every budget raises again, and
+    # no later call reads a cut orbit
     d, kappa, m = CASES[0]
     one = CycloNum.one(d)
     fc = make_flag(make_context(d, kappa, 1), m)
     start, real = part_witness(fc, UPPER), horo._row_action
+    first = horo._letter_action(fc, (("A", *part_pairs(fc, UPPER)[0]), 1))[1]
 
     def faulty(fc, lam, c_inv, x):
         # off the block for the first action on the witness only
-        first = fc.orbits[UPPER].actions[0][1]
         return (one,) * len(x) if x == start and c_inv is first else real(fc, lam, c_inv, x)
 
     monkeypatch.setattr(horo, "_row_action", faulty)
-    for call in (orbit_rank, orbit_rank, orbit_vectors):
+    for call, maxlen in ((orbit_rank, 1), (orbit_rank, 0), (orbit_vectors, 8)):
         with pytest.raises(ConstraintViolation):
-            call(fc, UPPER, 1)
-    assert fc.orbits[UPPER].basis == [start]
+            call(fc, UPPER, maxlen)
+        assert UPPER not in fc.orbits
+    monkeypatch.undo()
+    bound = horo.full_rank(fc, UPPER)
+    assert orbit_vectors(fc, UPPER, 8) == greedy_basis(reference_orbit(fc, UPPER, 8, bound), bound)
 
 
 def test_part_witness_supported(flag):
@@ -610,20 +612,22 @@ def test_center_block_solve_matches_the_full_solve(d, kappa, m, monkeypatch):
 
 @pytest.mark.parametrize("d,kappa,m", CASES + [N8], ids=lambda c: str(c))
 def test_orbit_resumes_after_stopping_mid_level(d, kappa, m):
+    # the orbit stops at full rank inside a level, and later calls answer
+    # every budget, shorter or longer, from the one spun orbit
     fc = make_flag(make_context(d, kappa, 1), m)
     for part in (LOWER, UPPER):
-        assert orbit_rank(fc, part, MAX_ORBIT_LEN) == horo.full_rank(fc, part)
+        assert orbit_rank(fc, part, 8) == horo.full_rank(fc, part)
     center_lattice_vectors(fc)
     for part in (LOWER, UPPER):
         orbit = fc.orbits[part]
         assert len(orbit.basis) > orbit.ends[-1]         # a level is left open
         bound = horo.full_rank(fc, part)
         # whole levels at n = 8 grow about 15-fold per level past the second
-        unbounded = range(MAX_ORBIT_LEN + 1) if d != N8[0] else range(3)
+        unbounded = range(9) if d != N8[0] else range(3)
         for maxlen in unbounded:
             expected = greedy_basis(reference_orbit(fc, part, maxlen), bound)
             assert orbit_vectors(fc, part, maxlen) == expected
-        for maxlen in range(MAX_ORBIT_LEN + 1):
+        for maxlen in range(9):
             expected = reference_orbit(fc, part, maxlen, bound)
             assert orbit_vectors(fc, part, maxlen) == greedy_basis(expected, bound)
             # the grown orbit still answers shorter budgets level by level
