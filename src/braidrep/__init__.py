@@ -51,7 +51,6 @@ from .horo import (
     in_parabolic,
     in_unipotent,
     make_flag,
-    orbit_rank,
     translation_part,
     witness_lower,
     witness_upper,
@@ -88,7 +87,6 @@ __all__ = [
     "lantern_block",
     "make_context",
     "make_flag",
-    "orbit_rank",
     "order_of_power",
     "pair_twist",
     "parse_word",

@@ -115,7 +115,7 @@ def cmd_arithmeticity(args: argparse.Namespace) -> int:
 def cmd_horo(args: argparse.Namespace) -> int:
     ctx = make_context(args.d, _parse_kappa(args.kappa), args.k)
     fc = horo.make_flag(ctx, args.m)
-    report, rep = suites.horo_report(fc, maxlen=args.maxlen, seed=args.seed)
+    report, rep = suites.horo_report(fc, seed=args.seed)
     if args.json:
         _print_json(report)
     else:
@@ -172,8 +172,6 @@ def _criterion_flags(p: argparse.ArgumentParser) -> None:
 def _horo_flags(p: argparse.ArgumentParser) -> None:
     _context_flags(p)
     p.add_argument("--m", type=int, required=True, help="flag index with d | k_1+...+k_m")
-    p.add_argument("--maxlen", type=int, default=6,
-                   help="orbit word-length budget, >= 0 (default 6)")
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -54,7 +54,7 @@ class AmbiguousSign(BraidRepError):
 # -- representation contexts ---------------------------------------------
 
 class InvalidParameter(BraidRepError):
-    """A top-level parameter (d, n or maxlen) is outside its supported range."""
+    """A top-level parameter (d, n, a letter exponent or a suite size) is outside its supported range."""
 
 
 class ExponentDivisible(BraidRepError):

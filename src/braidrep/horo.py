@@ -29,7 +29,6 @@ from .cyclo import CycloNum, euler_phi, units, zeta
 from .errors import (
     BadM,
     ConstraintViolation,
-    InvalidParameter,
     NoNonzeroPairing,
     NotDegenerate,
     NotParabolicElement,
@@ -402,12 +401,6 @@ def part_pairs(fc: FlagContext, part: str) -> list[tuple[int, int]]:
     return list(itertools.combinations(punctures, 2))
 
 
-def check_maxlen(maxlen: int) -> None:
-    """Raise InvalidParameter unless maxlen >= 0."""
-    if maxlen < 0:
-        raise InvalidParameter(f"maxlen must be >= 0, got {maxlen}")
-
-
 # -- orbit machinery ------------------------------------------------------------
 
 def part_witness(fc: FlagContext, part: str) -> Vector:
@@ -424,19 +417,17 @@ class _Orbit:
     The action is Q-linear, so only images of basis vectors can enlarge
     the span (the spinning algorithm of the MeatAxe: Parker, 1984; Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, ch. 7).
-    Level l + 1 is the images of the basis vectors that level l added, in
-    (parent, action) order, so ``basis`` is the greedy basis of the
-    breadth-first orbit, and ``ends[l]`` is its Q-rank over words of length
-    at most l.  The spin stops at the vector that makes the rank
-    full_rank(fc, part), in the middle of a level if need be, or after a
-    level that adds nothing, which closes the orbit.  So it forms at most
-    full rank times 2 * len(part_pairs) images, whatever the word length.
-    ``seen`` holds the images formed, so each distinct image enters the
-    span once.  Each image is checked to vanish off the part's block, so
-    the ranks are also those restricted to the block: a part generator
-    moves vectors only along w and its own block (G is tridiagonal, and the
-    radical relation puts g_{m+1} in the span of w and the upper block), so
-    x -> lambda x C^-1 keeps the support.
+    Each basis vector in turn is acted on in (vector, action) order, so
+    ``basis`` is the greedy basis of the breadth-first orbit.  The spin
+    stops at the vector that makes the rank full_rank(fc, part), or when
+    every basis vector has been acted on, which closes the orbit.  So it
+    forms at most full rank times 2 * len(part_pairs) images.  ``seen``
+    holds the images formed, so each distinct image enters the span once.
+    Each image is checked to vanish off the part's block, so the ranks are
+    also those restricted to the block: a part generator moves vectors only
+    along w and its own block (G is tridiagonal, and the radical relation
+    puts g_{m+1} in the span of w and the upper block), so x -> lambda x C^-1
+    keeps the support.
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
@@ -445,18 +436,13 @@ class _Orbit:
         self.basis, self.seen = [], set()
         self.span = RationalSpan()
         self._add(part_witness(fc, part), block)
-        self.ends = [1]
-        parents = 0                    # first basis vector of the last closed level
-        while parents < self.ends[-1]:
-            for v in self.basis[parents : self.ends[-1]]:
-                for lam, c_inv in actions:
-                    image = _row_action(fc, lam, c_inv, v)
-                    if image not in self.seen:
-                        self._add(image, block)
-                        if len(self.basis) == bound:
-                            return
-            parents = self.ends[-1]
-            self.ends.append(len(self.basis))
+        for v in self.basis:           # grows as it is read
+            for lam, c_inv in actions:
+                image = _row_action(fc, lam, c_inv, v)
+                if image not in self.seen:
+                    self._add(image, block)
+                    if len(self.basis) == bound:
+                        return
 
     def _add(self, v: Vector, block: slice) -> None:
         if any(v[: block.start]) or any(v[block.stop :]):
@@ -472,27 +458,13 @@ def _orbit(fc: FlagContext, part: str) -> _Orbit:
     return fc.orbits[part]
 
 
-def orbit_vectors(fc: FlagContext, part: str, maxlen: int = 6) -> list[Vector]:
-    """Greedy Q-basis of the conjugation orbit of the part witness over
-    words of length at most maxlen in the part generators and their
-    inverses, in breadth-first order: the first ends[maxlen] vectors of the
-    spun orbit, or all of them when the spin stopped at full rank or closed
-    before level maxlen, since no later image enlarges the span.  Each
-    part's orbit is spun once per flag context, the first time any caller
-    asks, and every budget is read off it.  Raises InvalidParameter unless
-    maxlen >= 0.
-    """
-    check_maxlen(maxlen)
-    orbit = _orbit(fc, part)
-    rank = orbit.ends[maxlen] if maxlen < len(orbit.ends) else len(orbit.basis)
-    return orbit.basis[:rank]
-
-
-def orbit_rank(fc: FlagContext, part: str, maxlen: int = 6) -> int:
-    """Q-rank of the orbit over words of length at most maxlen: the length
-    of orbit_vectors.  Every orbit vector vanishes off the part's block, so
-    this is also the rank restricted to the block."""
-    return len(orbit_vectors(fc, part, maxlen))
+def orbit_vectors(fc: FlagContext, part: str) -> list[Vector]:
+    """Greedy Q-basis of the conjugation orbit of the part witness under the
+    part generators and their inverses, in breadth-first order, spun to full
+    rank or to closure once per flag context, the first time any caller
+    asks.  Every vector vanishes off the part's block, so its length is
+    also the Q-rank restricted to the block."""
+    return list(_orbit(fc, part).basis)
 
 
 # -- lattice vectors in the center ------------------------------------------------
@@ -507,13 +479,12 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     """Galois-spread commutator values generating a rank phi(d)/2 group.
 
     Collects a Q-basis of the middle space from the two witness orbits
-    (orbit_vectors at a budget of full_rank, which is the whole spun orbit:
-    each level before the one that closes it adds a basis vector; their
-    supports are disjoint), locates a pair with non-vanishing commutator
-    pairing a_q, scales the real-subfield basis elements zeta^s + zeta^{-s}
-    by integers so each multiple of the chosen orbit vector stays in the
-    generated lattice, and emits the vectors (galois(scaled * a_q, t))_t
-    over the upper-half exponents, together with their Q-rank.
+    (orbit_vectors; their supports are disjoint), locates a pair with
+    non-vanishing commutator pairing a_q, scales the real-subfield basis
+    elements zeta^s + zeta^{-s} by integers so each multiple of the chosen
+    orbit vector stays in the generated lattice, and emits the vectors
+    (galois(scaled * a_q, t))_t over the upper-half exponents, together
+    with their Q-rank.
     """
     ctx = fc.ctx
     d = ctx.d
@@ -521,7 +492,7 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     ell = phi // 2
     target = phi * fc.middle_size
 
-    bases = {part: orbit_vectors(fc, part, full_rank(fc, part)) for part in (LOWER, UPPER)}
+    bases = {part: orbit_vectors(fc, part) for part in (LOWER, UPPER)}
     basis = bases[LOWER] + bases[UPPER]
     if len(basis) < target:
         raise NoNonzeroPairing(f"orbits close at rank {len(basis)} < {target}")

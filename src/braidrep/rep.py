@@ -141,8 +141,8 @@ def block_twist_word(s: int, r: int) -> BraidWord:
 
 # Resource limit, checked before any table is built.  MAX_DEGREE bounds the
 # modulus d of a context: its field table holds about 2 phi(d) rows of phi(d)
-# ints.  The horo orbits need no word-length limit: each is spun once, to full
-# rank or closure, so a maxlen only reads a prefix of it.
+# ints.  The horo orbits need no limit of their own: each is spun once, to
+# full rank or closure, so its work is bounded by d and n.
 MAX_DEGREE = 2048
 
 

@@ -292,18 +292,17 @@ HORO_CASES = (
 )
 
 
-def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: int = 20) -> tuple[dict, SuiteReport]:
+def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[dict, SuiteReport]:
     """Full horospherical battery for one flag context; JSON-able report.
 
-    Raises BadM when neither witness exists (m < 3 and n - m < 3) and
-    InvalidParameter unless maxlen >= 0, before any check runs.
+    Raises BadM when neither witness exists (m < 3 and n - m < 3), before
+    any check runs.
     """
     ctx = fc.ctx
     d, n, m = ctx.d, ctx.n, fc.m
     parts = horo.witness_parts(fc)
     if not parts:
         raise BadM(f"no witness: need m >= 3 or n - m >= 3, got m = {m}, n = {n}")
-    horo.check_maxlen(maxlen)
     rep = SuiteReport("horo")
     rng = random.Random(seed)
     tag = f"d={d} kappa={ctx.weights} k={ctx.k} m={m}"
@@ -417,7 +416,7 @@ def horo_report(fc: horo.FlagContext, maxlen: int = 6, seed: int = 0, trials: in
     # orbit ranks and the lattice vectors in the center
     ranks = {}
     for part in parts:
-        ranks[part] = horo.orbit_rank(fc, part, maxlen)
+        ranks[part] = len(horo.orbit_vectors(fc, part))
         rep.check(ranks[part] == horo.full_rank(fc, part), f"{part} orbit reaches full rational rank", tag)
     if len(parts) == 2:
         rep.check(
@@ -444,7 +443,7 @@ def suite_horo(seed: int, size: int = 1) -> SuiteReport:
     for d, kappa, m in HORO_CASES:
         ctx = make_context(d, kappa, 1)
         fc = horo.make_flag(ctx, m)
-        _, sub = horo_report(fc, maxlen=6, seed=seed, trials=10 * size)
+        _, sub = horo_report(fc, seed=seed, trials=10 * size)
         rep.merge(sub)
     return rep
 

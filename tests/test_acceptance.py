@@ -183,7 +183,7 @@ def test_criterion_09_horospherical_suite():
         for d, kappa, m in ((5, (1, 1, 3, 2, 2, 1), 3), (7, (1, 1, 5, 2, 2, 3), 3)):
             ctx = make_context(d, kappa, 1)
             fc = make_flag(ctx, m)
-            report, rep = horo_report(fc, maxlen=6, seed=90, trials=50)
+            report, rep = horo_report(fc, seed=90, trials=50)
             assert rep.ok, rep.failures
             phi = euler_phi(d)
             assert report["ranks"]["lower"] + report["ranks"]["upper"] == phi * (ctx.n - 4)

@@ -139,54 +139,24 @@ def test_horo_no_witness(capsys):
 
 
 def test_horo_maxlen_negative(capsys):
-    code, _, err = run_cli(
-        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", "-1"
-    )
-    assert code == 2
-    assert "InvalidParameter" in err
-
-
-def test_horo_maxlen_zero(capsys):
-    code, out, _ = run_cli(
-        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3",
-        "--maxlen", "0", "--json",
-    )
-    assert code == 1  # rank targets are missed at maxlen 0
-    doc = json.loads(out)
-    assert doc["ranks"]["lower"] == 1
-    assert doc["ranks"]["upper"] == 1
-
-
-def test_horo_maxlen_at_limit(capsys):
-    code, out, _ = run_cli(
-        capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", "8", "--json",
-    )
-    assert code == 0
-    assert json.loads(out)["ranks"] == {"lower": 4, "upper": 4, "center": 2}
-
-
-def test_horo_maxlen_has_no_upper_limit(capsys):
-    # each orbit is spun once, to full rank or closure, so any budget past
-    # its last level reads the same basis: the work is bounded for every --maxlen
-    argv = ["horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--json", "--maxlen"]
-    assert run_cli(capsys, *argv, "1000000000") == run_cli(capsys, *argv, "8")
+    # the orbits are read whole: there is no word-length budget to set, at
+    # any value
+    for maxlen in ("6", "-1"):
+        argv = ["horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3", "--maxlen", maxlen]
+        code, out, err = _run_any(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: braidrep") and f"unrecognized arguments: --maxlen {maxlen}" in err
+        assert "Traceback" not in err
 
 
 def test_horo_orbits_longer_than_eight_levels(capsys):
-    # at n = 6, d = 47 both orbits reach full rank 46 at word length 12; the
-    # center lattice reads the whole spun orbits whatever the budget
-    argv = ["horo", "--d", "47", "--kappa", "1,1,45,1,1,45", "--m", "3", "--json"]
-    code, out, _ = run_cli(capsys, *argv, "--maxlen", "12")
+    # at n = 6, d = 47 both orbits reach full rank 46 only at word length
+    # 12; the battery reads the whole spun orbits
+    code, out, _ = run_cli(capsys, "horo", "--d", "47", "--kappa", "1,1,45,1,1,45", "--m", "3", "--json")
     assert code == 0
-    assert json.loads(out)["ranks"] == {"lower": 46, "upper": 46, "center": 23}
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 1
     doc = json.loads(out)
-    assert doc["ranks"]["center"] == 23
-    tag = "[d=47 kappa=(1, 1, 45, 1, 1, 45) k=1 m=3]"
-    assert doc["failures"] == [f"lower orbit reaches full rational rank {tag}",
-                               f"upper orbit reaches full rational rank {tag}",
-                               f"orbit ranks sum to the middle dimension over Q {tag}"]
+    assert doc["ranks"] == {"lower": 46, "upper": 46, "center": 23}
+    assert doc["failures"] == []
 
 
 def test_degree_above_the_limit_exits_2_before_any_table(capsys):
@@ -475,14 +445,14 @@ PARSER_EXITS = [
 ]
 # sha256 over repr((argv, exit code, stdout, stderr)) of the full parser on
 # PARSER_EXITS at COLUMNS=80: what it printed before the one-command parsers,
-# with the horo --maxlen help that has no upper limit
-PARSER_EXITS_SHA256 = "7206e606c12c788e5e3b9c5346cfdc3efd52fbb826ce4f1953613c74590373cd"
+# with the horo usage and help that have no --maxlen
+PARSER_EXITS_SHA256 = "5a814b32e55533293949f289c5eb20c42fd6aff7ef83b7fc0b9a075bff2f9f98"
 PARSER_RUNS = [
     ["gram", "--d", "5", "--kappa", "1,1,1,1,1", "--k", "2", "--json"],
     ["rep", "--d", "5", "--kappa", "1,1,3", "--word", "A(1,2) T(2)^-1", "--quotient", "--json"],
     ["rep", "--kappa=1,1,3", "--d=5"], ["density", "--d", "7", "--kappa", "1,2,4"],
     ["arithmeticity", "--json", "--d", "6", "--kappa", "1,1,1,1,1,1"],
-    ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,7", "--m", "3", "--maxlen", "4", "--seed", "3"],
+    ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,7", "--m", "3", "--seed", "3"],
     ["verify", "--suite", "horo", "--size", "2"], ["verify"],
 ]
 

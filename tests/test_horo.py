@@ -14,7 +14,6 @@ from braidrep import horo, linalg, suites
 from braidrep.errors import (
     BadM,
     ConstraintViolation,
-    InvalidParameter,
     NotDegenerate,
     NotParabolicElement,
     NotUnipotentElement,
@@ -31,7 +30,6 @@ from braidrep.horo import (
     in_parabolic,
     in_unipotent,
     make_flag,
-    orbit_rank,
     orbit_vectors,
     part_pairs,
     part_witness,
@@ -250,7 +248,7 @@ def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
     assert len(calls) == 3
     conjugation_action(fc, a * BraidWord.A(1, 3, -1), nu)
     assert len(calls) == 5
-    orbit_rank(fc, LOWER)                        # the orbit reads the same table
+    orbit_vectors(fc, LOWER)                     # the orbit reads the same table
     # the witness's flag matrix, and F(a), F(a^-1) of each lower generator
     assert len(calls) == 1 + 2 * len(part_pairs(fc, LOWER))
     # one n = 8 battery builds F(a), F(a^-1) of each of its 13 generators
@@ -356,29 +354,17 @@ def test_orbit_rank(flag):
     fc = flag
     phi = euler_phi(fc.ctx.d)
     m, n = fc.m, fc.ctx.n
-    assert orbit_rank(fc, LOWER, 0) == 1
-    lo = orbit_rank(fc, LOWER, 6)
-    hi = orbit_rank(fc, UPPER, 6)
-    assert lo == phi * (m - 2) == horo.full_rank(fc, LOWER)
-    assert hi == phi * (n - m - 2) == horo.full_rank(fc, UPPER)
-    assert lo + hi == phi * (n - 4)
-    # monotone in maxlen
-    assert orbit_rank(fc, LOWER, 2) <= lo
-
-
-def test_orbit_negative_maxlen(flag):
-    with pytest.raises(InvalidParameter):
-        orbit_vectors(flag, LOWER, -1)
-    with pytest.raises(InvalidParameter):
-        orbit_rank(flag, UPPER, -1)
-
-
-def test_orbit_maxlen_has_no_upper_limit(flag):
-    # the orbit is spun once, so any budget past its last level reads the
-    # whole basis
-    assert len(orbit_vectors(flag, LOWER, 8)) == horo.full_rank(flag, LOWER)
-    assert orbit_vectors(flag, LOWER, 10**9) == orbit_vectors(flag, LOWER, 8)
-    assert orbit_rank(flag, UPPER, 10**9) == horo.full_rank(flag, UPPER)
+    lo = orbit_vectors(fc, LOWER)
+    hi = orbit_vectors(fc, UPPER)
+    assert len(lo) == phi * (m - 2) == horo.full_rank(fc, LOWER)
+    assert len(hi) == phi * (n - m - 2) == horo.full_rank(fc, UPPER)
+    assert len(lo) + len(hi) == phi * (n - 4)
+    # the basis starts at the witness and is independent over Q
+    assert lo[0] == part_witness(fc, LOWER)
+    assert rank_over_rationals(lo) == len(lo)
+    # a copy: the caller cannot change the memoized orbit
+    lo.clear()
+    assert len(orbit_vectors(fc, LOWER)) == horo.full_rank(fc, LOWER)
 
 
 def reference_orbit(fc, part, maxlen, rank_bound=None):
@@ -424,12 +410,12 @@ def test_orbit_computed_once_per_part(monkeypatch, d, kappa, m):
     monkeypatch.setattr(
         horo, "part_witness", lambda fc, part: witnessed.append(part) or part_witness(fc, part)
     )
-    # shorter and longer budgets in mixed order all read one orbit per part
+    # repeated calls and the center all read one orbit per part
     for part in (LOWER, UPPER):
-        for maxlen in (2, 1, 3, 8):
-            expected = greedy_basis(reference_orbit(fc, part, maxlen), bounds[part])
-            assert orbit_vectors(fc, part, maxlen) == expected
-        assert orbit_rank(fc, part) == bounds[part]
+        expected = greedy_basis(reference_orbit(fc, part, 8, bounds[part]), bounds[part])
+        for _ in range(2):
+            assert orbit_vectors(fc, part) == expected
+        assert len(expected) == bounds[part]
     center_lattice_vectors(fc)
     assert witnessed == [LOWER, UPPER]
 
@@ -452,7 +438,7 @@ def test_each_orbit_vector_is_reduced_once(monkeypatch):
 
 def orbit_work(monkeypatch, d, kappa, m):
     """Per part: the images formed (calls of horo._row_action) and the
-    RationalSpan.add calls of orbit_rank, which must reach full rank."""
+    RationalSpan.add calls of orbit_vectors, which must reach full rank."""
     fc = make_flag(make_context(d, kappa, 1), m)
     counts = {"images": 0, "adds": 0}
     row_action, span_add = horo._row_action, RationalSpan.add
@@ -465,7 +451,7 @@ def orbit_work(monkeypatch, d, kappa, m):
     work = {}
     for part in (LOWER, UPPER):
         before = dict(counts)
-        assert orbit_rank(fc, part, horo.full_rank(fc, part)) == horo.full_rank(fc, part)
+        assert len(orbit_vectors(fc, part)) == horo.full_rank(fc, part)
         work[part] = {key: counts[key] - before[key] for key in counts}
     return fc, work
 
@@ -496,16 +482,16 @@ def test_orbit_vector_off_its_block_is_named(monkeypatch):
     # the witness itself is checked ...
     monkeypatch.setattr(horo, "part_witness", lambda fc, part: (one,) * fc.middle_size)
     with pytest.raises(ConstraintViolation):
-        orbit_vectors(fc, LOWER, 0)
+        orbit_vectors(fc, LOWER)
     monkeypatch.undo()
     # ... and so is every image of the action
     monkeypatch.setattr(horo, "_row_action", lambda fc, lam, c_inv, x: (one,) * len(x))
     with pytest.raises(ConstraintViolation):
-        orbit_rank(fc, UPPER, 1)
+        orbit_vectors(fc, UPPER)
 
 
 def test_orbit_fault_is_raised_again(monkeypatch):
-    # a spin that raised memoizes no orbit: every budget raises again, and
+    # a spin that raised memoizes no orbit: every call raises again, and
     # no later call reads a cut orbit
     d, kappa, m = CASES[0]
     one = CycloNum.one(d)
@@ -518,13 +504,13 @@ def test_orbit_fault_is_raised_again(monkeypatch):
         return (one,) * len(x) if x == start and c_inv is first else real(fc, lam, c_inv, x)
 
     monkeypatch.setattr(horo, "_row_action", faulty)
-    for call, maxlen in ((orbit_rank, 1), (orbit_rank, 0), (orbit_vectors, 8)):
+    for call in (orbit_vectors, orbit_vectors, lambda fc, part: center_lattice_vectors(fc)):
         with pytest.raises(ConstraintViolation):
-            call(fc, UPPER, maxlen)
+            call(fc, UPPER)
         assert UPPER not in fc.orbits
     monkeypatch.undo()
     bound = horo.full_rank(fc, UPPER)
-    assert orbit_vectors(fc, UPPER, 8) == greedy_basis(reference_orbit(fc, UPPER, 8, bound), bound)
+    assert orbit_vectors(fc, UPPER) == greedy_basis(reference_orbit(fc, UPPER, 8, bound), bound)
 
 
 def test_part_witness_supported(flag):
@@ -612,26 +598,19 @@ def test_center_block_solve_matches_the_full_solve(d, kappa, m, monkeypatch):
 
 @pytest.mark.parametrize("d,kappa,m", CASES + [N8], ids=lambda c: str(c))
 def test_orbit_resumes_after_stopping_mid_level(d, kappa, m):
-    # the orbit stops at full rank inside a level, and later calls answer
-    # every budget, shorter or longer, from the one spun orbit
+    # the orbit stops at full rank, and later calls and the center read the
+    # one spun orbit
     fc = make_flag(make_context(d, kappa, 1), m)
     for part in (LOWER, UPPER):
-        assert orbit_rank(fc, part, 8) == horo.full_rank(fc, part)
+        assert len(orbit_vectors(fc, part)) == horo.full_rank(fc, part)
     center_lattice_vectors(fc)
     for part in (LOWER, UPPER):
-        orbit = fc.orbits[part]
-        assert len(orbit.basis) > orbit.ends[-1]         # a level is left open
         bound = horo.full_rank(fc, part)
-        # whole levels at n = 8 grow about 15-fold per level past the second
-        unbounded = range(9) if d != N8[0] else range(3)
-        for maxlen in unbounded:
-            expected = greedy_basis(reference_orbit(fc, part, maxlen), bound)
-            assert orbit_vectors(fc, part, maxlen) == expected
-        for maxlen in range(9):
-            expected = reference_orbit(fc, part, maxlen, bound)
-            assert orbit_vectors(fc, part, maxlen) == greedy_basis(expected, bound)
-            # the grown orbit still answers shorter budgets level by level
-            assert orbit_rank(fc, part, maxlen) == rank_over_rationals(expected)
+        expected = reference_orbit(fc, part, 8, bound)
+        assert orbit_vectors(fc, part) == greedy_basis(expected, bound)
+        # only images of basis vectors are formed, up to the one that makes
+        # the rank full: a strict part of the breadth-first orbit
+        assert fc.orbits[part].seen < set(expected)
 
 
 def test_battery_adds_no_orbit_vector_after_full_rank(monkeypatch):
@@ -668,7 +647,8 @@ def test_battery_inverts_no_braid_image(monkeypatch):
 
 # -- flag matrices by factors, against P^-1 M P ------------------------------------
 
-PINNED_FLAGS = [(11, (1, 1, 9, 1, 1, 1, 1, 1, 6), 3), (5, (1, 1, 3, 2, 3), 3), (5, (2, 3, 1, 1, 1, 2), 2)]
+# the pinned horo documents with one witness; the one with both is in CENTER_CASES
+PINNED_FLAGS = [(5, (1, 1, 3, 2, 3), 3), (5, (2, 3, 1, 1, 1, 2), 2)]
 
 
 @functools.cache

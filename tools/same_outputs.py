@@ -13,9 +13,7 @@ and ``density --json`` of every input of ``workloads.criteria_pool()``, and
 the same two commands without ``--json``; ``density --json`` of kappa
 1,1,1,1,1 at d = 10007 (prime) and d = 10010 (composite); every workload's
 commands for passes 0..15 of seed 0; the horo documents pinned in
-``tests/test_cli.py``, and those and the ``horo`` workload's cases at
-``--maxlen`` 0..8 and 12 (at n = 8 the short budgets end before full rank
-and exit 1);
+``tests/test_cli.py``;
 ``gram``, human and ``--json``, and ``rep --json`` of every one-letter word A(i,j),
 T(r) and FT(s,r), each also with ^-1, in the contexts of
 ``LETTER_CONTEXTS``, with human output too at the composite d; and
@@ -37,12 +35,9 @@ human and ``--json``, for seeds 0..3,
 whose batteries run more conjugation trials and the additivity check;
 ``horo --json`` of the larger orbits in ``LARGE_HORO``: n = 8 at d = 23
 (kappa 1,1,21,1,1,1,1,19), whose lower and upper orbits reach full rank at
-word lengths 6 and 4, and n = 6 (kappa 1,1,d-2,1,1,d-2) at d = 23 and
-d = 47, each at ``--maxlen`` 0, 2 and the default; at d = 47 the orbits reach
-full rank only at word length 12, so those budgets exit 1, and ``--maxlen
-12`` exits 0; n = 6 at d = 101 at the default and at ``--maxlen 25``, where
-its orbits reach full rank; and n = 8 at d = 47 (kappa 1,1,45,1,1,1,1,43) at
-the default and at ``--maxlen 12``.
+word lengths 6 and 4; n = 6 (kappa 1,1,d-2,1,1,d-2) at d = 23, d = 47 and
+d = 101, whose orbits reach full rank at word lengths up to 25; and n = 8
+at d = 47 (kappa 1,1,45,1,1,1,1,43).
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -64,16 +59,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = range(16)
-MAXLENS = [*range(9), 12]  # horo --maxlen 0..8, and one budget past every level of these orbits
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
 N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3"]  # the ROADMAP's n = 12 case
 LANTERN_SEEDS = range(4)
-LARGE_HORO = [["horo", "--d", "23", "--kappa", "1,1,21,1,1,1,1,19", "--m", "3", "--json"]]
-LARGE_HORO += [["horo", "--d", str(d), "--kappa", f"1,1,{d - 2},1,1,{d - 2}", "--m", "3", "--json", *maxlen]
-               for d, maxlens in ((23, ("0", "2")), (47, ("0", "2", "12")), (101, ("25",)))
-               for maxlen in ([["--maxlen", ml] for ml in maxlens] + [[]])]
-LARGE_HORO += [["horo", "--d", "47", "--kappa", "1,1,45,1,1,1,1,43", "--m", "3", "--json", *maxlen]
-               for maxlen in ([], ["--maxlen", "12"])]
+LARGE_HORO = [["horo", "--d", d, "--kappa", kappa, "--m", "3", "--json"]
+              for d, kappa in (("23", "1,1,21,1,1,1,1,19"), ("23", "1,1,21,1,1,21"), ("47", "1,1,45,1,1,45"),
+                               ("101", "1,1,99,1,1,99"), ("47", "1,1,45,1,1,1,1,43"))]
 HORO_SUITE_SEEDS = range(4)
 LARGE_DENSITY = [["density", "--d", d, "--kappa", "1,1,1,1,1", "--json"] for d in ("10007", "10010")]
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
@@ -133,9 +124,6 @@ def commands() -> list[list[str]]:
         for p in SEEDS:
             argvs += w.commands(0, p)
     argvs += [["horo", "--d", d, "--kappa", k, "--m", m, "--json"] for d, k, m in PINNED_HORO]
-    horo_cases = PINNED_HORO + tuple(("11", k, "3") for k in workloads.HORO_KAPPAS)
-    argvs += [["horo", "--d", d, "--kappa", k, "--m", m, "--json", "--maxlen", str(maxlen)]
-              for d, k, m in horo_cases for maxlen in MAXLENS]
     for d, kappa, k, quotient in LETTER_CONTEXTS:
         flags = ["--d", d, "--kappa", kappa, "--k", k]
         argvs += [["gram", *flags], ["gram", *flags, "--json"]]
