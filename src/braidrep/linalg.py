@@ -5,17 +5,17 @@ Products are formed by the schoolbook ``CycloMatrix.__matmul__``, except
 that :func:`word_product`, the fold of a braid word's sparse letters, rolls
 an array over Z[x]/(x^d - 1), in int64 under a checked overflow bound and
 in Python ints from the first step that could overflow, and
-:func:`factored_product`, which multiplies such an array, or a given matrix
-written over its common denominator, by fixed right and left factors,
-checks that the radical is fixed, and reduces modulo Phi_d once.  Letters
-and both factors are :class:`SparseLetter` terms, applied by the one
-routine :func:`_roll`, the left factor on the transposed array.  Every exact
-elimination over K_d runs through the one Gauss-Jordan routine
-:func:`_rref`.  Over Q (rank, span and solve of realified vectors) rows are
-cleared of denominators and reduced fraction-free over the integers by the
-one routine :func:`_reduce` (cf. Bareiss, Math. Comp. 22, 1968).  All but
-:func:`inertia` is exact; inertia embeds the matrix numerically and is
-always cross-checked elsewhere against closed formulas.
+:func:`factored_product`, which multiplies such an array by fixed right
+and left factors, checks that the radical is fixed, and reduces modulo
+Phi_d once.  Letters and both factors are :class:`SparseLetter` terms,
+applied by the one routine :func:`_roll`, the left factor on the
+transposed array.  Every exact elimination over K_d runs through the one
+Gauss-Jordan routine :func:`_rref`.  Over Q (rank, span and solve of
+realified vectors) rows are cleared of denominators and reduced
+fraction-free over the integers by the one routine :func:`_reduce` (cf.
+Bareiss, Math. Comp. 22, 1968).  All but :func:`inertia` is exact; inertia
+embeds the matrix numerically and is always cross-checked elsewhere
+against closed formulas.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .cyclo import (
     _raw_add,
     _raw_mul,
     _raw_reduce,
-    euler_phi,
     from_strings,
     to_strings,
 )
@@ -395,16 +394,16 @@ def _reduced(d: int, polys: np.ndarray, bound: int) -> np.ndarray:
     return polys[:, : high.shape[1]] + polys[:, high.shape[1]:] @ high
 
 
-def _entries(d: int, nums: np.ndarray, den: int) -> tuple[CycloNum, ...]:
-    """Canonical entries nums / den, row by row, each divided by its one
-    math.gcd with den, and every zero the one object CycloNum.zero(d)."""
+def _entries(d: int, nums: np.ndarray) -> tuple[CycloNum, ...]:
+    """Canonical entries nums / d, row by row, each divided by its one
+    math.gcd with d, and every zero the one object CycloNum.zero(d)."""
     zero, out = CycloNum.zero(d), []
     for c in nums.tolist():
         if not any(c):
             out.append(zero)
             continue
-        g = math.gcd(den, *c)
-        out.append(CycloNum(d, tuple(x // g for x in c) if g > 1 else tuple(c), den // g))
+        g = math.gcd(d, *c)
+        out.append(CycloNum(d, tuple(x // g for x in c) if g > 1 else tuple(c), d // g))
     return tuple(out)
 
 
@@ -440,37 +439,26 @@ def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMat
     return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
 
 
-def integral_array(m: CycloMatrix) -> tuple[np.ndarray, int, int]:
-    """A given matrix written once over its common denominator den, in the
-    layout of :func:`word_array`: (den * m, max|den * m|, den), in int64
-    when that fits, else in Python ints."""
-    d, phi = m.d, euler_phi(m.d)
-    den = math.lcm(*(e.den for e in m.entries))
-    pad = (0,) * (d - phi)
-    values = [c * (den // e.den) for e in m.entries for c in e.num + pad]
-    bound = max(map(abs, values), default=0)
-    arr = np.array(values, dtype=np.int64 if bound < _INT64_LIMIT else object)
-    return arr.reshape(m.rows, m.cols * d), bound, den
-
-
-def factored_product(d: int, arr: np.ndarray, bound: int, den: int, right: SparseLetter,
-                     left: SparseLetter, fixed: Sequence[tuple[int, ...]]) -> CycloMatrix:
-    """left * M * right / (den * d), with M = arr / den and left given times
-    d, through the fold's own checked rolls on arr: the right factor rolls
-    like a letter; the last column of M * right must be fixed modulo Phi_d
-    (RadicalNotFixed otherwise) and is dropped; then the left factor, whose
-    target j is a row of the result, rolls the transposed array, as
-    L U = (U^T L^T)^T; and the result is reduced modulo Phi_d once and
-    normalized entry by entry."""
+def factored_product(d: int, arr: np.ndarray, bound: int, right: SparseLetter,
+                     left: SparseLetter, fixed: list[list[int]]) -> CycloMatrix:
+    """left * M * right / d, with M = arr the unreduced fold of a word and
+    left given times d, through the fold's own checked rolls on arr: the
+    right factor rolls like a letter; the last column of M * right must
+    reduce modulo Phi_d to the rows fixed (RadicalNotFixed otherwise) and is
+    dropped; then the left factor, whose target j is a row of the result,
+    rolls the transposed array, as L U = (U^T L^T)^T; and the result is
+    reduced modulo Phi_d once and normalized entry by entry.  fixed must be
+    a list of int lists, the numerators of the radical's entries (den 1):
+    the reduced column's .tolist() is compared with it by ==."""
     arr, bound = _roll(arr, bound, right)
     u = arr.reshape(arr.shape[0], -1, d)
-    if _reduced(d, u[:, -1], bound).tolist() != [[den * c for c in f] for f in fixed]:
+    if _reduced(d, u[:, -1], bound).tolist() != fixed:
         raise RadicalNotFixed("operator moves the radical vector")
     rows, cols = len(left.targets), u.shape[1] - 1
     ut = np.ascontiguousarray(u[:, :-1].transpose(1, 0, 2)).reshape(cols, -1)
     ut, bound = _roll(ut, bound, left)
     nums = _reduced(d, ut.reshape(cols, -1, d)[:, :rows].transpose(1, 0, 2).reshape(-1, d), bound)
-    return CycloMatrix(d, rows, cols, _entries(d, nums, den * d))
+    return CycloMatrix(d, rows, cols, _entries(d, nums))
 
 
 def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:

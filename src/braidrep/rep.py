@@ -28,12 +28,10 @@ from .errors import (
     ExponentDivisible,
     IndexOutOfRange,
     InvalidParameter,
-    ModulusMismatch,
     NotCoprime,
     NotDegenerate,
     NotPrimitive,
     RadicalNotFixed,
-    ShapeMismatch,
     Singular,
 )
 from .linalg import (
@@ -42,7 +40,6 @@ from .linalg import (
     Term,
     Vector,
     factored_product,
-    integral_array,
     sesquilinear,
     sparse_matrix,
     word_array,
@@ -222,6 +219,12 @@ class RepContext:
         return tuple(zeta(self.d, e) - one for e in self._radical_exponents)
 
     @cached_property
+    def _radical_rows(self) -> list[list[int]]:
+        """The numerators of _radical, whose entries have den 1, as the
+        rows that linalg.factored_product checks the radical against."""
+        return [list(x.num) for x in self._radical]
+
+    @cached_property
     def _last_basis_rewrite(self) -> Vector:
         """Quotient coordinates of the class of g_{n-1} via the radical
         relation: c w_a with c = -1 / w_{n-2} = -spread_inverse / d."""
@@ -232,11 +235,12 @@ class RepContext:
 
     @cached_property
     def _quotient_factors(self) -> tuple[SparseLetter, SparseLetter]:
-        """The factors of quotient images, see quotient_matrix: the right
-        factor puts M w in column n-2, and the left factor, times d, maps an
-        ambient column u to d u_a - (zeta^{e_a} - 1) d u_{n-2} / w_{n-2},
-        a < n-2, its one division by w_{n-2} = zeta^{e_{n-2}} - 1 the spread
-        terms of _spread_terms."""
+        """The factors (R, L) of the quotient image L M R of a word's fold M
+        (evaluate_quotient): R keeps the first n-2 columns and puts M w in
+        column n-2, and L, times d, maps an ambient column u to
+        d u_a - (zeta^{e_a} - 1) d u_{n-2} / w_{n-2}, a < n-2, its one
+        division by w_{n-2} = zeta^{e_{n-2}} - 1 the spread terms of
+        _spread_terms."""
         d, size, exps = self.d, self.n - 2, self._radical_exponents
         left = [(a, a, d, 0) for a in range(size)]
         left += [t for a in range(size) for t in _spread_terms(d, a, size, exps[size], ((-1, exps[a]), (1, 0)))]
@@ -449,12 +453,14 @@ def _factored_word(ctx: RepContext, word: BraidWord, right: SparseLetter, left: 
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
     arr, bound = word_array(ctx.d, ctx.n - 1, letters)
-    return factored_product(ctx.d, arr, bound, 1, right, left, _fixed(ctx))
+    return factored_product(ctx.d, arr, bound, right, left, ctx._radical_rows)
 
 
 def evaluate_quotient(ctx: RepContext, word: BraidWord) -> CycloMatrix:
-    """quotient_matrix(ctx, evaluate_word(ctx, word)), by the factors of
-    RepContext._quotient_factors applied to the word's fold."""
+    """The image of a braid word on the n-2 quotient, equal to
+    quotient_matrix(ctx, evaluate_word(ctx, word)): the factors of
+    RepContext._quotient_factors applied to the word's unreduced fold, so
+    the radical check and the entries are integer arrays; no field product."""
     return _factored_word(ctx, word, *ctx._quotient_factors)
 
 
@@ -502,34 +508,24 @@ def quotient_gram(ctx: RepContext) -> CycloMatrix:
     return ctx.gram.submatrix(idx, idx)
 
 
-def _fixed(ctx: RepContext) -> list[tuple[int, ...]]:
-    """The numerators of the radical vector, whose entries have den 1."""
-    return [x.num for x in ctx._radical]
-
-
 def quotient_matrix(ctx: RepContext, m: CycloMatrix) -> CycloMatrix:
     """Push an operator that fixes the radical down to the n-2 quotient.
 
     With c = -1 / w_{n-2}, the class of g_{n-1} is sum_a c w_a g_a, so
-    entry (a, b) of the image is M[a][b] + c w_a M[n-2][b]: the image is
-    L M R, R the inclusion of the first n-2 columns and L = [I | c w]
-    (RepContext._quotient_factors).  m is written once over its common
-    denominator and runs the code of evaluate_quotient: a right factor that
-    also forms M w, checked against w, and the left factor, whose division
-    by w_{n-2} = zeta^{e_{n-2}} - 1 is a spread; no field product.  Raises
-    what m.apply(w) != w raises: ShapeMismatch, then ModulusMismatch, then
-    RadicalNotFixed.
+    entry (a, b) of the image is M[a][b] + c w_a M[n-2][b].  The plain
+    formula, in field arithmetic, and so the independent oracle of
+    evaluate_quotient; the rewrite c w_a is a spread, so no field inverse
+    is formed.  Raises what m.apply(w) raises (ShapeMismatch, then
+    ModulusMismatch), then RadicalNotFixed when m.apply(w) != w.
     """
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
-    cols = ctx.n - 1
-    if m.cols != cols:
-        raise ShapeMismatch(f"vector length {cols} != cols {m.cols}")
-    if m.d != ctx.d:
-        raise ModulusMismatch(f"entry modulus {ctx.d} != {m.d}")
-    if m.rows != cols:
+    w = ctx._radical
+    if m.apply(w) != w:
         raise RadicalNotFixed("operator moves the radical vector")
-    return factored_product(ctx.d, *integral_array(m), *ctx._quotient_factors, _fixed(ctx))
+    size, rewrite = ctx.n - 2, ctx._last_basis_rewrite
+    return CycloMatrix.from_rows(ctx.d, [[m.entry(a, b) + rewrite[a] * m.entry(size, b) for b in range(size)]
+                                         for a in range(size)])
 
 
 # -- two-dimensional lantern block ------------------------------------------------
@@ -618,14 +614,16 @@ def scalar_relation_holds(ctx: RepContext) -> bool:
     """Check that the last pair twist is a scalar multiple of a prefix twist
     on the quotient: rho(A(n-1, n)) = q^{k_{n-1}+k_n} rho(T(n-2)).
 
-    For n = 3 the prefix twist degenerates to the identity.  Requires eps0 = 1.
+    Both sides are quotient images of the braid words A(n-1, n) and T(n-2)
+    (evaluate_quotient); for n = 3 the prefix twist degenerates to the
+    identity.  Requires eps0 = 1.
     """
     if ctx.eps0 != 1:
         raise NotDegenerate("scalar relation lives on the eps0 = 1 quotient")
     n = ctx.n
-    left = quotient_matrix(ctx, pair_twist(ctx, n - 1, n))
+    left = evaluate_quotient(ctx, BraidWord.A(n - 1, n))
     if n >= 4:
-        base = quotient_matrix(ctx, prefix_twist(ctx, n - 2))
+        base = evaluate_quotient(ctx, BraidWord.T(n - 2))
     else:
         base = CycloMatrix.identity(ctx.d, n - 2)
     scalar = ctx.qpow(ctx.weights[n - 2] + ctx.weights[n - 1])

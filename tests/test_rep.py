@@ -469,7 +469,7 @@ def test_derived_data_is_built_once_on_first_use(monkeypatch):
     words = [BraidWord.A(1, 3), BraidWord.A(2, 5, -1) * BraidWord.T(3), BraidWord.FT(2, 5)]
     for word in words * 2:
         quotient_matrix(ctx, evaluate_word(ctx, word))
-    assert inverses == []  # the radical rewrite is a spread, as is every quotient entry
+    assert inverses == []  # the radical rewrite is a spread
     assert "gram" not in vars(ctx)
     assert ctx.gram is ctx.gram
 
@@ -572,25 +572,6 @@ def test_quotient():
         quotient_matrix(ctx, ident.scale(zeta(4)))
 
 
-def _quotient_by_matmul(ctx, m):
-    """The former formula, kept as an oracle: the radical check as the
-    matmul m.apply(w), then col[a] + col[n-2] * rewrite[a] per entry, with
-    rewrite[a] = -w[a] / w[n-2] from a field inverse."""
-    if ctx.eps0 != 1:
-        raise NotDegenerate("quotient requires eps0 = 1")
-    w = radical_vector(ctx)
-    if m.apply(w) != w:
-        raise RadicalNotFixed("operator moves the radical vector")
-    c = -w[-1].inv()
-    rewrite = [c * x for x in w[:-1]]
-    size = ctx.n - 2
-    cols = [m.col(b) for b in range(size)]
-    return CycloMatrix.from_rows(ctx.d, [
-        [col[a] + col[size] * rewrite[a] if col[size] else col[a] for col in cols]
-        for a in range(size)
-    ])
-
-
 def _raw_rotation_sum(d, base, terms):
     """base + sum of (zeta^e - 1) * x over terms (x, e), on the lcm of the
     denominators (the former cyclo helper of the rotation-sum quotient)."""
@@ -674,25 +655,25 @@ def _radical_fixing(ctx, data, big=2**90):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(quotient_contexts, st.data())
 def test_quotient_matches_the_matmul_formula(ctx, data):
-    """Random words alone, and times shears with denominators and big
-    integers that fix w, push down to what the matmul formula gives, byte
-    for byte; moving one entry of a column where w is non-zero raises
-    RadicalNotFixed from both."""
+    """A random word's fold pushes down to what the matmul formula
+    quotient_matrix gives for its image, byte for byte; that image, and its
+    product with a shear with denominators and big integers that fixes w,
+    push down to what the rotation sums give; moving one entry of a column
+    where w is non-zero raises RadicalNotFixed from both."""
     word = _draw_word(data, ctx.n, 16)
     word_image = evaluate_word(ctx, word)
-    assert evaluate_quotient(ctx, word) == quotient_matrix(ctx, word_image)
+    assert matrix_to_json(evaluate_quotient(ctx, word)) == matrix_to_json(quotient_matrix(ctx, word_image))
     for m in (word_image, _radical_fixing(ctx, data)):
         assert m.apply(radical_vector(ctx)) == radical_vector(ctx)
         mq = quotient_matrix(ctx, m)
-        assert mq == _quotient_by_matmul(ctx, m) == _quotient_by_rotation_sums(ctx, m)
-        assert matrix_to_json(mq) == matrix_to_json(_quotient_by_matmul(ctx, m))
+        assert matrix_to_json(mq) == matrix_to_json(_quotient_by_rotation_sums(ctx, m))
     b = data.draw(st.sampled_from([b for b, x in enumerate(radical_vector(ctx)) if x]))
     a = data.draw(st.integers(0, ctx.n - 2))
     entries = list(m.entries)
     entries[a * m.cols + b] += _draw_element(data, ctx.d, 2**90) or 1
     moved = CycloMatrix(ctx.d, m.rows, m.cols, tuple(entries))
-    assert _raised(quotient_matrix, ctx, moved) == _raised(_quotient_by_matmul, ctx, moved) == \
-        _raised(_quotient_by_rotation_sums, ctx, moved) == (RadicalNotFixed, "operator moves the radical vector")
+    assert _raised(quotient_matrix, ctx, moved) == _raised(_quotient_by_rotation_sums, ctx, moved) == \
+        (RadicalNotFixed, "operator moves the radical vector")
 
 
 def test_quotient_raises_what_the_matmul_formula_raises():
@@ -714,8 +695,9 @@ def test_quotient_raises_what_the_matmul_formula_raises():
         good,
     ]
     seen = [_raised(quotient_matrix, ctx, m) for m in cases]
-    assert seen == [_raised(_quotient_by_matmul, ctx, m) for m in cases]
     assert seen == [_raised(_quotient_by_rotation_sums, ctx, m) for m in cases]
+    assert seen[:4] == [(ShapeMismatch, "vector length 4 != cols 3"), (ShapeMismatch, "vector length 4 != cols 5"),
+                        (ModulusMismatch, "entry modulus 12 != 5"), (ShapeMismatch, "vector length 4 != cols 3")]
     assert [s and s[0] for s in seen] == [ShapeMismatch, ShapeMismatch, ModulusMismatch, ShapeMismatch,
                                           RadicalNotFixed, RadicalNotFixed, RadicalNotFixed, ShapeMismatch,
                                           RadicalNotFixed, None]
@@ -725,18 +707,18 @@ def test_quotient_raises_what_the_matmul_formula_raises():
 
 
 def test_quotient_forms_no_field_product(monkeypatch):
-    """No matmul, no CycloNum product and no field inverse, for a given
-    matrix and for a word's fold: the radical check and the entries are
-    integer arrays, and the division by w_{n-2} is a spread."""
+    """No matmul, no CycloNum product and no field inverse for a word's
+    fold: the radical check and the entries are integer arrays, and the
+    division by w_{n-2} is a spread."""
     ctx = make_context(25, (1, 2, 3, 4, 5, 6, 4), 2)
     word = parse_word("A(1,7) A(2,7) A(3,7)^-1 A(4,7) A(5,7)")
     m = evaluate_word(ctx, word)
     monkeypatch.setattr(CycloNum, "__mul__", lambda x, y: pytest.fail("field product"))
     monkeypatch.setattr(CycloNum, "inv", lambda x: pytest.fail("field inverse"))
     monkeypatch.setattr(CycloMatrix, "__matmul__", lambda x, y: pytest.fail("matmul"))
-    mq, folded = quotient_matrix(ctx, m), evaluate_quotient(ctx, word)
+    folded = evaluate_quotient(ctx, word)
     monkeypatch.undo()
-    assert mq == folded == _quotient_by_matmul(ctx, m) == _quotient_by_rotation_sums(ctx, m)
+    assert folded == quotient_matrix(ctx, m) == _quotient_by_rotation_sums(ctx, m)
 
 
 def test_quotient_dimension_and_descended_form():
@@ -877,9 +859,16 @@ def test_galois_transport():
         galois_transport(ctx, m, 5)
 
 
-def test_scalar_relation():
-    assert scalar_relation_holds(make_context(5, (1, 1, 1, 1, 1), 1))
-    assert scalar_relation_holds(make_context(4, (1, 1, 1, 1), 1))
-    assert scalar_relation_holds(make_context(3, (1, 1, 1), 1))
-    with pytest.raises(NotDegenerate):
-        scalar_relation_holds(make_context(5, (1, 1, 1), 1))
+def test_scalar_relation(monkeypatch):
+    """The pinned contexts hold, and hold again with no letter matrix built
+    and no given matrix pushed down: the relation reads the quotient images
+    of braid words."""
+    for words_only in (False, True):
+        if words_only:
+            for name in ("quotient_matrix", "pair_twist", "prefix_twist"):
+                monkeypatch.setattr(rep, name, lambda *args, name=name: pytest.fail(name))
+        assert scalar_relation_holds(make_context(5, (1, 1, 1, 1, 1), 1))
+        assert scalar_relation_holds(make_context(4, (1, 1, 1, 1), 1))
+        assert scalar_relation_holds(make_context(3, (1, 1, 1), 1))
+        with pytest.raises(NotDegenerate):
+            scalar_relation_holds(make_context(5, (1, 1, 1), 1))
