@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .cyclo import CycloNum, euler_phi, units, zeta
 from .errors import (
@@ -145,11 +146,46 @@ def _tridiagonal_inverse(t: CycloMatrix) -> CycloMatrix:
     return CycloMatrix.from_rows(d, rows)
 
 
+def middle_gram(ctx: RepContext, m: int) -> tuple[CycloMatrix, CycloMatrix]:
+    """G_W and G_W^-1 for index m by structure, with no P* G P: every middle
+    flag column but the last is a unit vector g_a, whose entries are Gram
+    entries; when the upper block is not empty the last one is g_last, the
+    class of g_{n-1}, whose column is G g_last and whose row is
+    -conj(G g_last), since G is anti-Hermitian.  G_W is block diagonal with
+    one tridiagonal block per part (ConstraintViolation otherwise), and each
+    block is inverted by _tridiagonal_inverse, one field inverse per block.
+    Reads only the context's closed-form Gram, so a Galois sibling of a flag
+    takes its own G_W^-1 from here."""
+    n, s = ctx.n, ctx.n - 4
+    G = quotient_gram(ctx)
+    unit_cols = [*range(m - 2), *range(m + 1, n - 2)]  # quotient index of each unit middle column
+    rows = [[G.entry(a, b) for b in unit_cols] for a in unit_cols]
+    if len(unit_cols) < s:
+        g_last = ctx._last_basis_rewrite
+        column = G.apply(g_last)
+        for row, a in zip(rows, unit_cols):
+            row.append(column[a])
+        rows.append([-column[b].conj() for b in unit_cols])
+        rows[-1].append(sum((x.conj() * y for x, y in zip(g_last, column)), CycloNum.zero(ctx.d)))
+    G_W = CycloMatrix.from_rows(ctx.d, rows)
+    # g_1 .. g_{m-2} and g_{m+2} .. g_{n-1}: G is tridiagonal, and the two runs are not adjacent
+    blocks = [range(0, m - 2), range(m - 2, s)]
+    block_of = [i for i, b in enumerate(blocks) for _ in b]
+    if any(G_W.entry(i, j) for i in range(s) for j in range(s) if block_of[i] != block_of[j] or abs(i - j) > 1):
+        raise ConstraintViolation("middle block of the flag Gram matrix is not tridiagonal per part")
+    G_W_inv = CycloMatrix.zeros(ctx.d, s, s).to_lists()
+    for b in filter(None, blocks):
+        inv = _tridiagonal_inverse(G_W.submatrix(b, b))
+        for i in b:
+            G_W_inv[i][b.start : b.stop] = inv.row(i - b.start)
+    return G_W, CycloMatrix.from_rows(ctx.d, G_W_inv)
+
+
 def make_flag(ctx: RepContext, m: int) -> FlagContext:
     """Build the flag data for index m; validates every structural invariant
-    and eliminates nothing: the Gram matrix is a closed form, G_W is block
-    diagonal with one tridiagonal block per part, each inverted with one
-    field inverse, and flag matrices come from the factors of
+    and eliminates nothing: the Gram matrix is a closed form, G_W and G_W^-1
+    come from middle_gram, by structure, and must equal the middle block of
+    P* G P, and flag matrices come from the factors of
     FlagContext._factors, not from an inverse of P."""
     if ctx.eps0 != 1:
         raise NotDegenerate("flag requires eps0 = 1")
@@ -197,18 +233,9 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
             raise ConstraintViolation("g_m is not orthogonal to the middle block")
     if gram_flag.entry(0, s + 1) != -mu or gram_flag.entry(s + 1, 0) != mu:
         raise ConstraintViolation("pairing of g_m against w is not -mu")
-    G_W = gram_flag.submatrix(range(1, s + 1), range(1, s + 1))
-    # g_1 .. g_{m-2} and g_{m+2} .. g_{n-1}: G is tridiagonal, and the two runs are not adjacent
-    blocks = [range(0, m - 2), range(m - 2, s)]
-    block_of = [i for i, b in enumerate(blocks) for _ in b]
-    if any(G_W.entry(i, j) for i in range(s) for j in range(s) if block_of[i] != block_of[j] or abs(i - j) > 1):
-        raise ConstraintViolation("middle block of the flag Gram matrix is not tridiagonal per part")
-    G_W_inv = CycloMatrix.zeros(d, s, s).to_lists()
-    for b in filter(None, blocks):
-        inv = _tridiagonal_inverse(G_W.submatrix(b, b))
-        for i in b:
-            G_W_inv[i][b.start : b.stop] = inv.row(i - b.start)
-    G_W_inv = CycloMatrix.from_rows(d, G_W_inv)
+    G_W, G_W_inv = middle_gram(ctx, m)
+    if G_W != gram_flag.submatrix(range(1, s + 1), range(1, s + 1)):
+        raise ConstraintViolation("middle block of the flag Gram matrix differs from G_W by structure")
     if G_W.conj_transpose() != -G_W:
         raise ConstraintViolation("middle block of the flag Gram matrix is not anti-Hermitian")
     return FlagContext(ctx, m, w, P, gram_flag, G_W, G_W_inv, mu)
@@ -265,10 +292,11 @@ def in_unipotent(fc: FlagContext, word: BraidWord) -> bool:
     return True
 
 
-def _pairing_scalar(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
+def _pairing_scalar(fc: FlagContext | Pairing, x: Vector, y: Vector) -> CycloNum:
     """x^T . G_W^{-1} . conj(y) as a field element."""
-    y_bar = CycloMatrix(fc.ctx.d, len(y), 1, tuple(e.conj() for e in y))
-    return (CycloMatrix(fc.ctx.d, 1, len(x), tuple(x)) @ fc.G_W_inv @ y_bar).entries[0]
+    d = fc.G_W_inv.d
+    y_bar = CycloMatrix(d, len(y), 1, tuple(e.conj() for e in y))
+    return (CycloMatrix(d, 1, len(x), tuple(x)) @ fc.G_W_inv @ y_bar).entries[0]
 
 
 def translation_part(fc: FlagContext, word: BraidWord) -> Vector:
@@ -316,17 +344,28 @@ def conjugation_action(fc: FlagContext, word: BraidWord, x: Vector) -> Vector:
 
 
 def _row_action(fc: FlagContext, lam: CycloNum, c_inv: CycloMatrix, x: Vector) -> Vector:
-    return (CycloMatrix(fc.ctx.d, 1, fc.middle_size, tuple(x)) @ c_inv).scale(lam).entries
+    """lambda x C^-1, for a C^-1 of len(x) rows: the whole middle block or one part's block."""
+    return (CycloMatrix(fc.ctx.d, 1, len(x), tuple(x)) @ c_inv).scale(lam).entries
 
 
-def commutator_pairing(fc: FlagContext, x: Vector, y: Vector) -> CycloNum:
+class Pairing(NamedTuple):
+    """What commutator_pairing reads of a flag context: G_W^-1 and mu.  A
+    Galois sibling of a flag is one of these, from the transported
+    context's own middle_gram."""
+    G_W_inv: CycloMatrix
+    mu: CycloNum
+
+
+def commutator_pairing(fc: FlagContext | Pairing, x: Vector, y: Vector) -> CycloNum:
     """The real-valued pairing mu * (u + conj(u)) with u = x^T G_W^{-1} conj(y).
 
     Antisymmetric, biadditive over Q, takes values in the real subfield; it
     is the corner of the commutator of two unipotent elements with
-    translation parts x and y.
+    translation parts x and y.  Reads only fc.G_W_inv and fc.mu, so fc may
+    be a FlagContext or a Pairing.
     """
-    if len(x) != fc.middle_size or len(y) != fc.middle_size:
+    s = fc.G_W_inv.rows
+    if len(x) != s or len(y) != s:
         raise ShapeMismatch("translation parts of wrong length")
     u = _pairing_scalar(fc, x, y)
     return fc.mu * (u + u.conj())
@@ -410,9 +449,18 @@ def part_witness(fc: FlagContext, part: str) -> Vector:
 
 class _Orbit:
     """Conjugation orbit of one part witness, spun from its greedy Q-basis
-    to full rank or to closure: the part generators and their inverses act
-    by x -> lambda x C^-1 with the entries of _letter_action, one image at a
-    time.
+    to full rank or to closure in the coordinates of the part's block: the
+    part generators and their inverses act by x -> lambda x C^-1[block,
+    block] with the entries of _letter_action, one image at a time.
+
+    Every orbit vector vanishes off the part's block: a part generator
+    moves vectors only along w and its own block (G is tridiagonal, and the
+    radical relation puts g_{m+1} in the span of w and the upper block), so
+    the block's rows of C^-1 vanish off the block and x -> lambda x C^-1
+    keeps the support.  Both are checked, once per action and once for the
+    witness (ConstraintViolation otherwise), so the images are those of the
+    whole middle block restricted to the part's block, and the ranks are
+    the same.  ``basis`` and ``seen`` hold block vectors.
 
     The action is Q-linear, so only images of basis vectors can enlarge
     the span (the spinning algorithm of the MeatAxe: Parker, 1984; Holt,
@@ -423,30 +471,34 @@ class _Orbit:
     every basis vector has been acted on, which closes the orbit.  So it
     forms at most full rank times 2 * len(part_pairs) images.  ``seen``
     holds the images formed, so each distinct image enters the span once.
-    Each image is checked to vanish off the part's block, so the ranks are
-    also those restricted to the block: a part generator moves vectors only
-    along w and its own block (G is tridiagonal, and the radical relation
-    puts g_{m+1} in the span of w and the upper block), so x -> lambda x C^-1
-    keeps the support.
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
-        actions = [_letter_action(fc, (("A", i, j), e)) for i, j in part_pairs(fc, part) for e in (1, -1)]
         block, bound = part_slice(fc, part), full_rank(fc, part)
+        inside = range(block.start, block.stop)
+        outside = [j for j in range(fc.middle_size) if j not in inside]
+        actions = []
+        for i, j in part_pairs(fc, part):
+            for e in (1, -1):
+                lam, c_inv = _letter_action(fc, (("A", i, j), e))
+                if any(c_inv.entry(r, c) for r in inside for c in outside):
+                    raise ConstraintViolation("orbit vector is non-zero off its part's block")
+                actions.append((lam, c_inv.submatrix(inside, inside)))
+        start = part_witness(fc, part)
+        if any(start[: block.start]) or any(start[block.stop :]):
+            raise ConstraintViolation("orbit vector is non-zero off its part's block")
         self.basis, self.seen = [], set()
         self.span = RationalSpan()
-        self._add(part_witness(fc, part), block)
+        self._add(start[block])
         for v in self.basis:           # grows as it is read
             for lam, c_inv in actions:
                 image = _row_action(fc, lam, c_inv, v)
                 if image not in self.seen:
-                    self._add(image, block)
+                    self._add(image)
                     if len(self.basis) == bound:
                         return
 
-    def _add(self, v: Vector, block: slice) -> None:
-        if any(v[: block.start]) or any(v[block.stop :]):
-            raise ConstraintViolation("orbit vector is non-zero off its part's block")
+    def _add(self, v: Vector) -> None:
         self.seen.add(v)
         if self.span.add(v):
             self.basis.append(v)
@@ -462,9 +514,12 @@ def orbit_vectors(fc: FlagContext, part: str) -> list[Vector]:
     """Greedy Q-basis of the conjugation orbit of the part witness under the
     part generators and their inverses, in breadth-first order, spun to full
     rank or to closure once per flag context, the first time any caller
-    asks.  Every vector vanishes off the part's block, so its length is
-    also the Q-rank restricted to the block."""
-    return list(_orbit(fc, part).basis)
+    asks.  The orbit is spun in the part's block coordinates; the vectors
+    returned are padded with zeros to the whole middle block, so its length
+    is also the Q-rank restricted to the block."""
+    block, zero = part_slice(fc, part), CycloNum.zero(fc.ctx.d)
+    before, after = (zero,) * block.start, (zero,) * (fc.middle_size - block.stop)
+    return [before + v + after for v in _orbit(fc, part).basis]
 
 
 # -- lattice vectors in the center ------------------------------------------------
@@ -484,7 +539,13 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     elements zeta^s + zeta^{-s} by integers so each multiple of the chosen
     orbit vector stays in the generated lattice, and emits the vectors
     (galois(scaled * a_q, t))_t over the upper-half exponents, together
-    with their Q-rank.
+    with their Q-rank.  The multiples are solved for in one elimination
+    (solve_rational with one target per s).
+
+    The rank is that of the first components alone: each galois(., t) is an
+    injective Q-linear map of K_d, so a Q-relation holds among the vectors
+    exactly when it holds among the values scaled * a_q, that is, among
+    their images under the first exponent.
     """
     ctx = fc.ctx
     d = ctx.d
@@ -515,16 +576,16 @@ def center_lattice_vectors(fc: FlagContext) -> tuple[list[Vector], int]:
     # whole basis is 0 on the other part, so the block alone is solved
     part = LOWER if i < len(bases[LOWER]) else UPPER
     sl = part_slice(fc, part)
-    columns = [realify(b[sl]) for b in bases[part]]
+    lams = [zeta(d, s) + zeta(d, (d - s) % d) if s else CycloNum.one(d) * 2 for s in range(ell)]
+    columns = [realify(b) for b in _orbit(fc, part).basis]
+    solutions = solve_rational(columns, [realify(tuple(lam * e for e in basis[i][sl])) for lam in lams])
     out: list[Vector] = []
     exponents = upper_half_exponents(d, ctx.k)
-    for s in range(ell):
-        lam = zeta(d, s) + zeta(d, (d - s) % d) if s else CycloNum.one(d) * 2
-        coords = solve_rational(columns, realify(tuple(lam * e for e in basis[i][sl])))
+    for lam, coords in zip(lams, solutions):
         if coords is None:
             raise Singular("orbit basis does not span a multiple of its own vector")
         denom = math.lcm(*(c.denominator for c in coords))
         value = (lam * denom) * a_q
         out.append(tuple(value.galois(t) for t in exponents))
-    rank = rank_over_rationals(out)
+    rank = rank_over_rationals([(v[0],) for v in out])
     return out, rank

@@ -587,26 +587,33 @@ class RationalSpan:
         return _absorb(self._rows, _integer_row(v)) is not None
 
 
-def solve_rational(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_i x_i * columns[i] = target over Q; None when inconsistent.
+def solve_rational(columns: list[list[Fraction]],
+                   targets: list[list[Fraction]]) -> list[list[Fraction] | None]:
+    """Solve sum_i x_i * columns[i] = target over Q for each target; one
+    solution per target, None for a target that is inconsistent.
 
-    Free variables are 0.  Each equation is cleared of denominators and
-    reduced over the integers; Fractions appear only in the solution.
+    [columns | targets] is reduced once and back-substituted once.  A row
+    whose pivot lies at or right of the target columns vanishes on the
+    columns, so a target is inconsistent exactly when such a row is non-zero
+    in its column.  Free variables are 0.  Each equation is cleared of
+    denominators and reduced over the integers; Fractions appear only in the
+    solutions.
     """
     k = len(columns)
     rows: dict[int, list[int]] = {}
-    for r, t in enumerate(target):
-        eq = [col[r] for col in columns] + [t]
+    for r in range(len(targets[0]) if targets else 0):
+        eq = [col[r] for col in columns] + [t[r] for t in targets]
         den = math.lcm(*(x.denominator for x in eq))
-        if _absorb(rows, [x.numerator * (den // x.denominator) for x in eq]) == k:
-            return None
+        _absorb(rows, [x.numerator * (den // x.denominator) for x in eq])
+    bad = {t for j, row in rows.items() if j >= k for t in range(len(targets)) if row[k + t]}
     # back-substitute: clear every pivot column from the rows before its own
-    pivots = list(rows.items())
-    sol = [Fraction(0)] * k
+    pivots = [(j, row) for j, row in rows.items() if j < k]
+    sols = [[Fraction(0)] * k for _ in targets]
     for i, (j, row) in enumerate(pivots):
         row = _reduce(row, pivots[i + 1:])
-        sol[j] = Fraction(row[k], row[j])
-    return sol
+        for sol, x in zip(sols, row[k:]):
+            sol[j] = Fraction(x, row[j])
+    return [None if t in bad else sol for t, sol in enumerate(sols)]
 
 
 def inertia(gram: CycloMatrix, tol: float = 1e-7) -> tuple[int, int, int]:

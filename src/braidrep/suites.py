@@ -395,7 +395,10 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
             for _ in range(fc.middle_size)
         )
 
+    # a Galois sibling is the pairing of the transported context, built from
+    # its own closed-form Gram once per exponent drawn
     exponents = tuple(units(d))
+    siblings: dict[int, horo.Pairing] = {}
     for _ in range(5):
         x, y = rand_vec(), rand_vec()
         val = horo.commutator_pairing(fc, x, y)
@@ -403,11 +406,13 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
         rep.check(val.is_real(), "pairing takes values in the real subfield", tag)
         rep.check(horo.commutator_pairing(fc, y, x) == -val, "pairing is antisymmetric", tag)
         t = rng.choice(exponents)
-        sibling = horo.make_flag(transported_context(ctx, t), m)
+        if t not in siblings:
+            sibling_ctx = transported_context(ctx, t)
+            siblings[t] = horo.Pairing(horo.middle_gram(sibling_ctx, m)[1], sibling_ctx.mu)
         xs = tuple(e.galois(t) for e in x)
         ys = tuple(e.galois(t) for e in y)
         rep.check(
-            horo.commutator_pairing(sibling, xs, ys) == val.galois(t),
+            horo.commutator_pairing(siblings[t], xs, ys) == val.galois(t),
             "pairing is Galois equivariant",
             f"{tag} t={t}",
         )

@@ -286,9 +286,16 @@ def test_rep_and_quotient_never_build_the_gram(capsys, monkeypatch):
 
 
 def test_horo_orbit_off_its_block_exits_2(capsys, monkeypatch):
-    # an orbit action that leaves the part's block breaks a named invariant
-    monkeypatch.setattr(horo, "_row_action",
-                        lambda fc, lam, c_inv, x: (CycloNum.one(fc.ctx.d),) * len(x))
+    # an orbit action whose C^-1 moves its part's block off the block breaks
+    # a named invariant
+    real = horo._letter_action
+
+    def off_block(fc, letter):
+        lam, c_inv = real(fc, letter)
+        ones = [[CycloNum.one(fc.ctx.d)] * c_inv.cols for _ in range(c_inv.rows)]
+        return lam, CycloMatrix.from_rows(fc.ctx.d, ones)
+
+    monkeypatch.setattr(horo, "_letter_action", off_block)
     code, out, err = run_cli(capsys, "horo", "--d", "5", "--kappa", "1,1,3,2,2,1", "--m", "3")
     assert code == 2
     assert err.startswith("error: ConstraintViolation: ") and "Traceback" not in err

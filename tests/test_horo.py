@@ -475,6 +475,13 @@ def test_orbit_work_is_bounded_by_basis_times_actions(monkeypatch):
         assert work[part]["adds"] <= work[part]["images"] + 1
 
 
+def _off_block(fc, c_inv):
+    """c_inv with a 1 in the first upper block row at the lower block's column 0."""
+    rows = c_inv.to_lists()
+    rows[fc.upper_slice.start][0] = CycloNum.one(fc.ctx.d)
+    return CycloMatrix.from_rows(fc.ctx.d, rows)
+
+
 def test_orbit_vector_off_its_block_is_named(monkeypatch):
     d, kappa, m = CASES[0]
     one = CycloNum.one(d)
@@ -484,8 +491,11 @@ def test_orbit_vector_off_its_block_is_named(monkeypatch):
     with pytest.raises(ConstraintViolation):
         orbit_vectors(fc, LOWER)
     monkeypatch.undo()
-    # ... and so is every image of the action
-    monkeypatch.setattr(horo, "_row_action", lambda fc, lam, c_inv, x: (one,) * len(x))
+    # ... and so is every action, whose block rows of C^-1 would move an
+    # image off the block
+    real = horo._letter_action
+    monkeypatch.setattr(horo, "_letter_action", lambda fc, letter: (real(fc, letter)[0],
+                                                                    _off_block(fc, real(fc, letter)[1])))
     with pytest.raises(ConstraintViolation):
         orbit_vectors(fc, UPPER)
 
@@ -494,16 +504,15 @@ def test_orbit_fault_is_raised_again(monkeypatch):
     # a spin that raised memoizes no orbit: every call raises again, and
     # no later call reads a cut orbit
     d, kappa, m = CASES[0]
-    one = CycloNum.one(d)
     fc = make_flag(make_context(d, kappa, 1), m)
-    start, real = part_witness(fc, UPPER), horo._row_action
-    first = horo._letter_action(fc, (("A", *part_pairs(fc, UPPER)[0]), 1))[1]
+    first, real = (("A", *part_pairs(fc, UPPER)[0]), 1), horo._letter_action
 
-    def faulty(fc, lam, c_inv, x):
-        # off the block for the first action on the witness only
-        return (one,) * len(x) if x == start and c_inv is first else real(fc, lam, c_inv, x)
+    def faulty(fc, letter):
+        # off the block for the first action only
+        lam, c_inv = real(fc, letter)
+        return (lam, _off_block(fc, c_inv)) if letter == first else (lam, c_inv)
 
-    monkeypatch.setattr(horo, "_row_action", faulty)
+    monkeypatch.setattr(horo, "_letter_action", faulty)
     for call in (orbit_vectors, orbit_vectors, lambda fc, part: center_lattice_vectors(fc)):
         with pytest.raises(ConstraintViolation):
             call(fc, UPPER)
@@ -552,8 +561,9 @@ def test_make_flag_arrow_shape_is_checked(monkeypatch):
 
 
 def test_center_lattice_unsolvable_is_named(monkeypatch):
+    # one target of the one solve left unsolved is enough
     fc = make_flag(make_context(5, (1, 1, 3, 2, 2, 1), 1), 3)
-    monkeypatch.setattr(horo, "solve_rational", lambda columns, target: None)
+    monkeypatch.setattr(horo, "solve_rational", lambda columns, targets: solve_rational(columns, targets)[:-1] + [None])
     with pytest.raises(Singular):
         center_lattice_vectors(fc)
 
@@ -566,6 +576,63 @@ CENTER_CASES = [(11, (1, 1, 9, 1, 1, 1, 1, 7), 3), (11, (1, 1, 9, 1, 1, 1, 2, 6)
                 (11, (1, 1, 9, 1, 2, 1, 1, 6), 3), (11, (1, 1, 9, 1, 1, 1, 1, 1, 6), 3)]
 
 
+@pytest.mark.parametrize("entry,message", [((3, 4), "differs from G_W by structure"),
+                                           ((4, 3), "not tridiagonal per part")])
+def test_make_flag_checks_g_w_by_structure(monkeypatch, entry, message):
+    # a Gram matrix that keeps the arrow shape but is not anti-Hermitian where
+    # only P* G P reads it, or not tridiagonal where middle_gram reads it
+    def patched(ctx):
+        rows = quotient_gram(ctx).to_lists()
+        rows[entry[0]][entry[1]] += CycloNum.one(ctx.d)
+        return CycloMatrix.from_rows(ctx.d, rows)
+
+    monkeypatch.setattr(horo, "quotient_gram", patched)
+    with pytest.raises(ConstraintViolation, match=message):
+        make_flag(make_context(N8[0], N8[1], 1), N8[2])
+
+
+@pytest.mark.parametrize("d,kappa,m", CASES + CENTER_CASES, ids=lambda c: str(c))
+def test_sibling_pairing_matches_the_sibling_flag(d, kappa, m):
+    """For every unit t, middle_gram of the transported context gives the
+    G_W^-1 and mu of make_flag there, G_W is the middle block of that flag's
+    P* G P and G_W^-1 its inverse by elimination, and a Pairing of them pairs
+    as the sibling flag does."""
+    ctx = make_context(d, kappa, 1)
+    rng = random.Random(d)
+    phi = euler_phi(d)
+    for t in units(d):
+        sibling_ctx = transported_context(ctx, t)
+        fc = make_flag(sibling_ctx, m)
+        G_W, G_W_inv = horo.middle_gram(sibling_ctx, m)
+        s = fc.middle_size
+        assert G_W == fc.gram_flag.submatrix(range(1, s + 1), range(1, s + 1))
+        assert (G_W_inv, sibling_ctx.mu) == (fc.G_W_inv, fc.mu) and G_W_inv == G_W.inverse()
+        x, y = ([from_coeffs(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(phi)])
+                 for _ in range(s)] for _ in range(2))
+        assert commutator_pairing(horo.Pairing(G_W_inv, sibling_ctx.mu), x, y) == commutator_pairing(fc, x, y)
+
+
+def test_battery_builds_one_sibling_per_exponent(monkeypatch):
+    # the battery's own flag is its one make_flag; a sibling is a middle_gram
+    # of the transported context, once per distinct exponent drawn
+    flags, grams = [], []
+    real_flag, real_gram = horo.make_flag, horo.middle_gram
+    monkeypatch.setattr(horo, "make_flag", lambda ctx, m: flags.append(ctx) or real_flag(ctx, m))
+    monkeypatch.setattr(horo, "middle_gram", lambda ctx, m: grams.append(ctx.k) or real_gram(ctx, m))
+    fc = real_flag(make_context(N8[0], N8[1], 1), N8[2])
+    grams.clear()
+    report, _ = horo_report(fc, seed=3)
+    assert report["failed"] == 0 and flags == []
+    # seed 3 draws one of its five exponents twice
+    assert sorted(grams) == sorted(set(grams)) and len(grams) == 4
+
+
+@pytest.mark.parametrize("d,kappa,m", CENTER_CASES + [(47, (1, 1, 45, 1, 1, 45), 3)], ids=lambda c: str(c))
+def test_center_rank_from_first_components_is_the_full_rank(d, kappa, m):
+    vectors, rank = center_lattice_vectors(make_flag(make_context(d, kappa, 1), m))
+    assert rank == rank_over_rationals(vectors) == euler_phi(d) // 2
+
+
 @pytest.mark.parametrize("d,kappa,m", CASES + CENTER_CASES, ids=lambda c: str(c))
 def test_center_block_solve_matches_the_full_solve(d, kappa, m, monkeypatch):
     """center_lattice_vectors solves on the pivot's part block alone; the
@@ -574,26 +641,31 @@ def test_center_block_solve_matches_the_full_solve(d, kappa, m, monkeypatch):
     fc = make_flag(make_context(d, kappa, 1), m)
     solves = []
 
-    def recording(columns, target):
-        solves.append((columns, target, solve_rational(columns, target)))
+    def recording(columns, targets):
+        solves.append((columns, targets, solve_rational(columns, targets)))
         return solves[-1][2]
 
     monkeypatch.setattr(horo, "solve_rational", recording)
     center_lattice_vectors(fc)
-    bases = {part: horo._orbit(fc, part).basis for part in (LOWER, UPPER)}
+    bases = {part: orbit_vectors(fc, part) for part in (LOWER, UPPER)}
     assert all(len(bases[part]) == horo.full_rank(fc, part) for part in (LOWER, UPPER))
     full = [realify(b) for b in bases[LOWER] + bases[UPPER]]
     phi = euler_phi(d)
-    assert len(solves) == phi // 2
-    for columns, target, coords in solves:
-        part = next(p for p in (LOWER, UPPER)
-                    if columns == [realify(b[horo.part_slice(fc, p)]) for b in bases[p]])
-        sl = horo.part_slice(fc, part)
-        assert len(columns) == phi * (sl.stop - sl.start) < len(full)
+    # one solve, with one target per real-subfield basis element
+    assert len(solves) == 1
+    columns, targets, solutions = solves[0]
+    assert len(targets) == len(solutions) == phi // 2
+    part = next(p for p in (LOWER, UPPER)
+                if columns == [realify(b[horo.part_slice(fc, p)]) for b in bases[p]])
+    sl = horo.part_slice(fc, part)
+    assert len(columns) == phi * (sl.stop - sl.start) < len(full)
+    padded = []
+    for target in targets:
         assert any(target)  # a multiple of the pivot vector, which lies in this block
-        padded = [0] * (phi * sl.start) + target + [0] * (phi * (fc.middle_size - sl.stop))
-        zeros = [0] * len(bases[UPPER if part == LOWER else LOWER])
-        assert solve_rational(full, padded) == (coords + zeros if part == LOWER else zeros + coords)
+        padded.append([0] * (phi * sl.start) + target + [0] * (phi * (fc.middle_size - sl.stop)))
+    zeros = [0] * len(bases[UPPER if part == LOWER else LOWER])
+    assert solve_rational(full, padded) == [coords + zeros if part == LOWER else zeros + coords
+                                            for coords in solutions]
 
 
 @pytest.mark.parametrize("d,kappa,m", CASES + [N8], ids=lambda c: str(c))
@@ -609,8 +681,11 @@ def test_orbit_resumes_after_stopping_mid_level(d, kappa, m):
         expected = reference_orbit(fc, part, 8, bound)
         assert orbit_vectors(fc, part) == greedy_basis(expected, bound)
         # only images of basis vectors are formed, up to the one that makes
-        # the rank full: a strict part of the breadth-first orbit
-        assert fc.orbits[part].seen < set(expected)
+        # the rank full: a strict part of the breadth-first orbit, whose
+        # vectors vanish off the block in whose coordinates the orbit spins
+        sl = horo.part_slice(fc, part)
+        assert all(not any(v[: sl.start]) and not any(v[sl.stop :]) for v in expected)
+        assert fc.orbits[part].seen < {v[sl] for v in expected}
 
 
 def test_battery_adds_no_orbit_vector_after_full_rank(monkeypatch):

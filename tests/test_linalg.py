@@ -252,28 +252,44 @@ def test_solve_rational_matches_sympy():
         n, k = rng.randint(1, 7), rng.randint(1, 5)
         a = random_rational_system(rng, n, k, rng.randint(0, min(n, k)))
         columns = [[a[r][c] for r in range(n)] for c in range(k)]
-        if rng.random() < 0.5:               # a target inside the column space
-            x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
-            target = [sum((a[r][c] * x[c] for c in range(k)), Fraction(0)) for r in range(n)]
-        else:
-            target = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-        sol = solve_rational(columns, target)
-        try:
-            expected, params = to_sympy(a).gauss_jordan_solve(to_sympy([[t] for t in target]))
-        except ValueError:                   # sympy: inconsistent system
-            assert sol is None
-            outcomes.add("inconsistent")
-            continue
-        assert sol is not None
-        assert all(
-            sum((a[r][c] * sol[c] for c in range(k)), Fraction(0)) == target[r] for r in range(n)
-        )
-        if not params:                       # unique solution
-            assert to_sympy([[x] for x in sol]) == expected
-            outcomes.add("unique")
-        else:
-            outcomes.add("underdetermined")
+        # one solve of two targets: one inside the column space, one drawn
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+        inside = [sum((a[r][c] * x[c] for c in range(k)), Fraction(0)) for r in range(n)]
+        drawn = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        targets = [inside, drawn] if rng.random() < 0.5 else [drawn, inside]
+        sols = solve_rational(columns, targets)
+        assert len(sols) == 2
+        for target, sol in zip(targets, sols):
+            try:
+                expected, params = to_sympy(a).gauss_jordan_solve(to_sympy([[t] for t in target]))
+            except ValueError:                   # sympy: inconsistent system
+                assert sol is None
+                outcomes.add("inconsistent")
+                continue
+            assert sol is not None
+            assert all(
+                sum((a[r][c] * sol[c] for c in range(k)), Fraction(0)) == target[r] for r in range(n)
+            )
+            if not params:                       # unique solution
+                assert to_sympy([[x] for x in sol]) == expected
+                outcomes.add("unique")
+            else:
+                outcomes.add("underdetermined")
     assert outcomes == {"inconsistent", "unique", "underdetermined"}
+
+
+def test_solve_rational_names_only_the_inconsistent_target():
+    f = Fraction
+    # columns spanning the plane z = 0: the middle target leaves it
+    columns = [[f(1), f(0), f(0)], [f(1, 2), f(1), f(0)]]
+    targets = [[f(1), f(2), f(0)], [f(0), f(0), f(1)], [f(3), f(-1), f(0)]]
+    assert solve_rational(columns, targets) == [[f(0), f(2)], None, [f(7, 2), f(-1)]]
+    # one column (1, 1): only the combination of both rows shows (1, 2) is outside
+    assert solve_rational([[f(1), f(1)]], [[f(1), f(1)], [f(1), f(2)], [f(2, 3), f(2, 3)]]) \
+        == [[f(1)], None, [f(2, 3)]]
+    # an inconsistent target first, and a free variable left at 0
+    assert solve_rational([[f(1), f(1)], [f(2), f(2)]], [[f(0), f(1)], [f(4), f(4)]]) == [None, [f(4), f(0)]]
+    assert solve_rational(columns, []) == []
 
 
 # -- property tests of the integer Q-side kernel, sympy as the oracle ----------
@@ -348,10 +364,13 @@ def rational_systems(draw):
 @given(rational_systems())
 def test_solve_rational_property(system):
     kind, columns, target = system
-    sol = solve_rational(columns, target)
+    # beside the drawn target, its double and the zero target, in one solve
+    sol, double, zero = solve_rational(columns, [target, [2 * t for t in target], [Fraction(0)] * len(target)])
+    assert zero == [0] * len(columns)
     if kind == "inconsistent":
-        assert sol is None
+        assert sol is None and double is None
         return
+    assert double == [2 * x for x in sol]
     a = to_sympy([list(row) for row in zip(*columns)])
     expected, params = a.gauss_jordan_solve(to_sympy([[t] for t in target]))
     # free variables are 0: the pivot columns of the rref carry the solution

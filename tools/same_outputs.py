@@ -36,8 +36,11 @@ whose batteries run more conjugation trials and the additivity check;
 ``horo --json`` of the larger orbits in ``LARGE_HORO``: n = 8 at d = 23
 (kappa 1,1,21,1,1,1,1,19), whose lower and upper orbits reach full rank at
 word lengths 6 and 4; n = 6 (kappa 1,1,d-2,1,1,d-2) at d = 23, d = 47 and
-d = 101, whose orbits reach full rank at word lengths up to 25; and n = 8
-at d = 47 (kappa 1,1,45,1,1,1,1,43).
+d = 101, whose orbits reach full rank at word lengths up to 25; n = 8 at
+d = 47 (kappa 1,1,45,1,1,1,1,43); and n = 6 at d = 211 (kappa
+1,1,209,1,1,209), whose center solves 105 targets against 210 orbit
+columns and which takes about 25 s on a side whose center solves them one
+by one.
 Prints a summary line and exits 1 on any mismatch.
 """
 
@@ -64,7 +67,8 @@ N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3
 LANTERN_SEEDS = range(4)
 LARGE_HORO = [["horo", "--d", d, "--kappa", kappa, "--m", "3", "--json"]
               for d, kappa in (("23", "1,1,21,1,1,1,1,19"), ("23", "1,1,21,1,1,21"), ("47", "1,1,45,1,1,45"),
-                               ("101", "1,1,99,1,1,99"), ("47", "1,1,45,1,1,1,1,43"))]
+                               ("101", "1,1,99,1,1,99"), ("47", "1,1,45,1,1,1,1,43"),
+                               ("211", "1,1,209,1,1,209"))]
 HORO_SUITE_SEEDS = range(4)
 LARGE_DENSITY = [["density", "--d", d, "--kappa", "1,1,1,1,1", "--json"] for d in ("10007", "10010")]
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
