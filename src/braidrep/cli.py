@@ -13,9 +13,9 @@ import json
 import sys
 
 from . import criteria, horo, suites
-from .cyclo import to_strings
+from .cyclo import CycloNum, to_strings
 from .errors import BraidRepError
-from .linalg import matrix_to_json
+from .linalg import CycloMatrix, matrix_to_json
 from .rep import (
     evaluate_quotient,
     evaluate_word,
@@ -34,8 +34,17 @@ def _parse_kappa(text: str) -> tuple[int, ...]:
         raise BraidRepError(f"cannot parse kappa {text!r}: {exc}") from exc
 
 
+def _encode(x):
+    """JSON form of the values json cannot write itself: field elements and matrices."""
+    if isinstance(x, CycloNum):
+        return to_strings(x)
+    if isinstance(x, CycloMatrix):
+        return matrix_to_json(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, default=_encode))
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
@@ -51,12 +60,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
             "eps0": ctx.eps0,
             "dimension": dim,
             "signature": [r_q, s_q],
-            "mu": to_strings(ctx.mu),
-            "gram": matrix_to_json(ctx.gram),
+            "mu": ctx.mu,
+            "gram": ctx.gram,
         }
         if ctx.eps0 == 1:
-            doc["radical"] = [to_strings(x) for x in radical_vector(ctx)]
-            doc["quotient_gram"] = matrix_to_json(quotient_gram(ctx))
+            doc["radical"] = radical_vector(ctx)
+            doc["quotient_gram"] = quotient_gram(ctx)
         _print_json(doc)
         return 0
     print(f"d={ctx.d} n={ctx.n} kappa={','.join(map(str, ctx.weights))} k={ctx.k}")
@@ -78,9 +87,9 @@ def cmd_rep(args: argparse.Namespace) -> int:
     if args.json:
         _print_json({
             "word": str(word),
-            "det": to_strings(det),
+            "det": det,
             "quotient": bool(args.quotient),
-            "matrix": matrix_to_json(matrix),
+            "matrix": matrix,
         })
     else:
         print(f"word: {word if word.letters else '(empty)'}\ndet = {det}\n{matrix}")

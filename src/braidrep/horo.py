@@ -79,16 +79,6 @@ class FlagContext:
     def middle_size(self) -> int:
         return self.ctx.n - 4
 
-    @property
-    def lower_slice(self) -> slice:
-        """Middle coordinates carried by g_1 .. g_{m-2}."""
-        return slice(0, self.m - 2)
-
-    @property
-    def upper_slice(self) -> slice:
-        """Middle coordinates carried by g_{m+2} .. g_{n-1}."""
-        return slice(self.m - 2, self.ctx.n - 4)
-
     @cached_property
     def _factors(self) -> tuple[SparseLetter, SparseLetter]:
         """(R, L): F = P^-1 Q(M) P is L M R for an ambient M that fixes the
@@ -414,8 +404,8 @@ def witness(fc: FlagContext, part: str) -> BraidWord:
 # -- flag parts -------------------------------------------------------------------
 
 def part_slice(fc: FlagContext, part: str) -> slice:
-    """Middle coordinates of the part's block: fc.lower_slice or fc.upper_slice."""
-    return fc.lower_slice if part == LOWER else fc.upper_slice
+    """Middle coordinates of the part's block: of g_1 .. g_{m-2} (lower), g_{m+2} .. g_{n-1} (upper)."""
+    return slice(0, fc.m - 2) if part == LOWER else slice(fc.m - 2, fc.ctx.n - 4)
 
 
 def witness_parts(fc: FlagContext) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import criteria, horo
-from .cyclo import CycloNum, euler_phi, from_coeffs, order_of_power, to_strings, units
+from .cyclo import CycloNum, euler_phi, from_coeffs, order_of_power, units
 from .errors import AmbiguousSign, BadM, InvalidParameter, NotParabolicElement
 from .linalg import CycloMatrix, inertia
 from .rep import (
@@ -293,7 +293,9 @@ HORO_CASES = (
 
 
 def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[dict, SuiteReport]:
-    """Full horospherical battery for one flag context; JSON-able report.
+    """Full horospherical battery for one flag context.  The report holds
+    values: its translation parts, pairing samples and center vectors are
+    CycloNum tuples and lists, which cli encodes when it writes a document.
 
     Raises BadM when neither witness exists (m < 3 and n - m < 3), before
     any check runs.
@@ -321,7 +323,7 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
         rep.check(horo.in_parabolic(fc, BraidWord.A(i, j)), "puncture-group generators preserve the flag",
                   f"{tag} A({i},{j})")
 
-    chis = {}
+    chis = report["translation_parts"] = {}
     for part in parts:
         sl = horo.part_slice(fc, part)
         rep.check(horo.in_unipotent(fc, words[part]), "witness is unipotent with forced constraints",
@@ -331,7 +333,6 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
         rep.check(any(nu[sl]), "witness translation part is non-zero on its block", f"{tag} {part}")
         other = slice(sl.stop, None) if sl.start == 0 else slice(0, sl.start)
         rep.check(not any(nu[other]), "witness translation part vanishes off its block", f"{tag} {part}")
-    report["translation_parts"] = {part: [to_strings(x) for x in nu] for part, nu in chis.items()}
 
     # itemized images of the lower witness
     if horo.LOWER in parts:
@@ -376,7 +377,7 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
         )
 
     # commutator corner equals the pairing
-    omega_samples = []
+    omega_samples = report["omega_samples"] = []
     if len(parts) == 2:
         x, y = chis[horo.LOWER], chis[horo.UPPER]
         comm = commutator(words[horo.LOWER], words[horo.UPPER])
@@ -416,7 +417,6 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
             "pairing is Galois equivariant",
             f"{tag} t={t}",
         )
-    report["omega_samples"] = [to_strings(v) for v in omega_samples]
 
     # orbit ranks and the lattice vectors in the center
     ranks = {}
@@ -437,7 +437,7 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
             "center lattice vectors are real",
             tag,
         )
-        report["center_vectors"] = [[to_strings(e) for e in v] for v in vectors]
+        report["center_vectors"] = vectors
     report["ranks"] = ranks
     report.update((key, value) for key, value in rep.to_json().items() if key != "suite")
     return report, rep

@@ -7,7 +7,7 @@ import pytest
 
 from braidrep import cli, horo, suites
 from braidrep.cli import build_parser, main
-from braidrep.cyclo import CycloNum, _field_data, units
+from braidrep.cyclo import CycloNum, _field_data, from_strings, units
 from braidrep.linalg import CycloMatrix, matrix_from_json
 from braidrep.rep import MAX_DEGREE, RepContext, make_context
 
@@ -189,6 +189,27 @@ def test_horo_json_is_pinned(capsys):
         code, out, _ = run_cli(capsys, "horo", "--d", d, "--kappa", kappa, "--m", m, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, kappa, m)
+
+
+def test_horo_json_reads_back_to_the_library_values(capsys):
+    # the one encoder of the CLI writes the report's field elements, and
+    # from_strings reads them back to the values the library returns
+    d, kappa, m = 11, (1, 1, 9, 1, 1, 1, 1, 7), 3
+    code, out, _ = run_cli(capsys, "horo", "--d", str(d), "--kappa", ",".join(map(str, kappa)),
+                           "--m", str(m), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    fc = horo.make_flag(make_context(d, kappa, 1), m)
+    vectors, _ = horo.center_lattice_vectors(fc)
+    assert [tuple(from_strings(d, e) for e in v) for v in doc["center_vectors"]] == vectors
+    for part in (horo.LOWER, horo.UPPER):
+        assert tuple(from_strings(d, e) for e in doc["translation_parts"][part]) == horo.part_witness(fc, part)
+
+
+def test_json_encoder_rejects_other_types():
+    # as json itself does: only field elements and matrices get a form
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._print_json({"x": {1, 2}})
 
 
 def _rep_argvs():

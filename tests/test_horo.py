@@ -32,6 +32,7 @@ from braidrep.horo import (
     make_flag,
     orbit_vectors,
     part_pairs,
+    part_slice,
     part_witness,
     translation_part,
     upper_half_exponents,
@@ -147,8 +148,8 @@ def test_witnesses_unipotent_with_itemized_images(flag):
     assert in_unipotent(fc, wl)
     assert in_unipotent(fc, wu)
     nu, nup = translation_part(fc, wl), translation_part(fc, wu)
-    assert any(nu[fc.lower_slice]) and not any(nu[fc.upper_slice])
-    assert any(nup[fc.upper_slice]) and not any(nup[fc.lower_slice])
+    assert any(nu[part_slice(fc, LOWER)]) and not any(nu[part_slice(fc, UPPER)])
+    assert any(nup[part_slice(fc, UPPER)]) and not any(nup[part_slice(fc, LOWER)])
     # itemized images of the lower witness
     coef = ctx.qpow(-ctx.weights[m - 1]) - one
     g = unit_vec(fc, m - 3)
@@ -478,7 +479,7 @@ def test_orbit_work_is_bounded_by_basis_times_actions(monkeypatch):
 def _off_block(fc, c_inv):
     """c_inv with a 1 in the first upper block row at the lower block's column 0."""
     rows = c_inv.to_lists()
-    rows[fc.upper_slice.start][0] = CycloNum.one(fc.ctx.d)
+    rows[part_slice(fc, UPPER).start][0] = CycloNum.one(fc.ctx.d)
     return CycloMatrix.from_rows(fc.ctx.d, rows)
 
 
@@ -525,7 +526,7 @@ def test_orbit_fault_is_raised_again(monkeypatch):
 def test_part_witness_supported(flag):
     fc = flag
     nu = part_witness(fc, LOWER)
-    assert any(nu[fc.lower_slice]) and not any(nu[fc.upper_slice])
+    assert any(nu[part_slice(fc, LOWER)]) and not any(nu[part_slice(fc, UPPER)])
 
 
 def test_upper_half_exponents():
@@ -625,6 +626,19 @@ def test_battery_builds_one_sibling_per_exponent(monkeypatch):
     assert report["failed"] == 0 and flags == []
     # seed 3 draws one of its five exponents twice
     assert sorted(grams) == sorted(set(grams)) and len(grams) == 4
+
+
+def test_report_holds_the_library_values():
+    # the report keeps field elements as values, the ones the library
+    # functions return; only the CLI writes them as strings
+    d, kappa, m = CENTER_CASES[0]
+    fc = make_flag(make_context(d, kappa, 1), m)
+    report, _ = horo_report(fc)
+    assert report["failed"] == 0
+    assert report["center_vectors"] == center_lattice_vectors(fc)[0]
+    for part in (LOWER, UPPER):
+        assert report["translation_parts"][part] == part_witness(fc, part)
+    assert all(isinstance(v, CycloNum) and v.is_real() for v in report["omega_samples"])
 
 
 @pytest.mark.parametrize("d,kappa,m", CENTER_CASES + [(47, (1, 1, 45, 1, 1, 45), 3)], ids=lambda c: str(c))

@@ -12,8 +12,11 @@ which runs first; each ``--trace W:S`` runs one traced pair (``--trace 1``)
 and records the per-layer metrics of both sides.  Each ``--cli N:ARGS``
 times the plain command ``python -m braidrep ARGS`` in N pairs of fresh
 processes, start-up included, the sides alternating, and records each
-run's seconds, exit code and the sha256 of its stdout.  Runs go one at a
-time.
+run's seconds, exit code, the sha256 of its stdout and its own peak RSS
+(``ru_maxrss`` from ``os.wait4``).  Linux carries the peak RSS of the
+process that starts a child across ``exec`` into the child's
+``ru_maxrss``, so each run also records this driver's own peak at the
+start, the floor below which no reading can go.  Runs go one at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import shlex
 import shutil
 import statistics
@@ -80,12 +84,22 @@ def run(side: Path, workload: str, seed: int, trace: bool) -> dict:
 
 def run_cli(side: Path, args: list[str]) -> dict:
     """One fresh ``python -m braidrep`` process of the side, timed from
-    start to exit."""
+    start to exit, with the peak RSS of the child and of this driver in MB.
+    Stdout is hashed as it is read, so the driver holds none of it."""
     env = {**os.environ, "PYTHONPATH": str(side / "src")}
+    floor = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    digest = hashlib.sha256()
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "braidrep", *args], cwd=side, env=env, capture_output=True)
+    proc = subprocess.Popen([sys.executable, "-m", "braidrep", *args], cwd=side, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
-    return {"s": round(seconds, 4), "rc": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"s": round(seconds, 4), "rc": proc.returncode, "stdout_sha256": digest.hexdigest(),
+            "rss_mb": round(usage.ru_maxrss / 1024, 1), "driver_rss_mb": round(floor, 1)}
 
 
 def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
@@ -100,12 +114,19 @@ def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
         pairs.append(rec)
     par, chg = ([p[side]["s"] for p in pairs] for side in ("parent", "change"))
     q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
+    rss = {side: [p[side]["rss_mb"] for p in pairs] for side in ("parent", "change")}
     return command, {"pairs": pairs, "summary": {
         "parent_median": round(statistics.median(par), 4),
         "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
         "change_median": round(statistics.median(chg), 4),
         "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
         "change_lower": sum(c < p for p, c in zip(par, chg)),
+        "rss_mb": {
+            "parent_median": statistics.median(rss["parent"]),
+            "change_median": statistics.median(rss["change"]),
+            "change_lower": sum(c < p for p, c in zip(rss["parent"], rss["change"])),
+            "driver_floor": max(p[side]["driver_rss_mb"] for p in pairs for side in ("parent", "change")),
+        },
         "same_output": all(p["parent"]["stdout_sha256"] == p["change"]["stdout_sha256"]
                            and p["parent"]["rc"] == p["change"]["rc"] for p in pairs),
     }}
