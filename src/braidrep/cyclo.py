@@ -23,19 +23,26 @@ from .errors import DivisionByZero, InexactDivision, ModulusMismatch, NotCoprime
 Rational = Fraction
 
 
-def euler_phi(d: int) -> int:
-    """Euler totient of d >= 1 by trial-division factorization."""
+@functools.lru_cache(maxsize=None)
+def _prime_factors(d: int) -> tuple[int, ...]:
+    """The distinct primes of d >= 1, ascending, by trial division."""
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
-    result, m, p = d, d, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+    primes, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.append(p)
+            while d % p == 0:
+                d //= p
         p += 1
-    if m > 1:
-        result -= result // m
+    return (*primes, d) if d > 1 else tuple(primes)
+
+
+def euler_phi(d: int) -> int:
+    """Euler totient of d >= 1, d times (1 - 1/p) over the primes p of d."""
+    result = d
+    for p in _prime_factors(d):
+        result -= result // p
     return result
 
 
@@ -44,50 +51,46 @@ def units(d: int):
     return (t for t in range(1, d) if math.gcd(t, d) == 1)
 
 
-def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Division of integer polynomials; requires every step to divide exactly."""
-    num_l = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quo = [0] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num_l[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r != 0:
-            raise ValueError("non-exact integer polynomial division")
-        quo[i - dd] = q
-        for j, e in enumerate(den):
-            num_l[i - dd + j] -= q * e
-    rem = num_l[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quo), tuple(rem)
+def _at_power(poly: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """Coefficients of poly(x^e)."""
+    out = [0] * ((len(poly) - 1) * e + 1)
+    out[::e] = poly
+    return tuple(out)
+
+
+def _exact_quotient(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
+    """num / den for a monic integer polynomial den; raises InexactDivision
+    on a non-zero remainder."""
+    rem, k = list(num), len(den) - 1
+    quo = [0] * (len(num) - k)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + k]
+        if c:
+            for j, e in enumerate(den):
+                rem[i + j] -= c * e
+    if any(rem[:k]):
+        raise InexactDivision(f"non-zero remainder on division by a monic polynomial of degree {k}")
+    return tuple(quo)
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> tuple[int, ...]:
     """Coefficients of the d-th cyclotomic polynomial, constant term first.
 
-    Computed by exact division of x^d - 1 by the product of all lower
-    cyclotomic polynomials of divisors of d; monic of degree phi(d).
+    From Phi_1 = x - 1, each prime p of d in turn gives Phi_{rp}(x) =
+    Phi_r(x^p) / Phi_r(x), r the product of the primes before p, an exact
+    division by a monic polynomial; then Phi_d(x) = Phi_rad(x^{d/rad}), rad
+    the product of all the primes of d.  Monic of degree phi(d).
 
     >>> cyclotomic_poly(1)
     (-1, 1)
     >>> cyclotomic_poly(12)
     (1, 0, -1, 0, 1)
     """
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
-    poly: tuple[int, ...] = (-1,) + (0,) * (d - 1) + (1,)
-    for e in range(1, d):
-        if d % e == 0:
-            quo, rem = _poly_divmod_int(poly, cyclotomic_poly(e))
-            if rem:
-                raise InexactDivision(f"Phi_{e} does not divide the quotient for d={d}")
-            poly = quo
-    return poly
+    poly, rad = (-1, 1), 1
+    for p in _prime_factors(d):
+        poly, rad = _exact_quotient(_at_power(poly, p), poly), rad * p
+    return _at_power(poly, d // rad)
 
 
 @functools.lru_cache(maxsize=None)

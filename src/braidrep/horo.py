@@ -7,7 +7,9 @@ index m with d | (k_1 + ... + k_m).  The flag basis is
 
     (w, g_1, ..., g_{m-2}, g_{m+2}, ..., g_{n-1}, g_m)
 
-in quotient coordinates, with w isotropic and orthogonal to the middle block.
+in quotient coordinates, with w isotropic and orthogonal to the middle block;
+flag_columns writes this layout once, and make_flag, middle_gram and
+FlagContext._factors read it.
 In this basis the Gram matrix has the arrow shape
 
     [ 0    0    -mu ]
@@ -85,8 +87,8 @@ class FlagContext:
         radical r; see word_flag_matrix.
 
         The flag basis lifts to the ambient vectors w (the radical's
-        coordinates below m - 1), g_a for its unit columns and g_{n-1} for
-        the class of g_{n-1}; R is that lift with r as a last column.  The
+        coordinates below m - 1) and g_a for each a of flag_columns, g_{n-1}
+        for its class; R is that lift with r as a last column.  The
         lifts and r are a basis, and the flag coordinates of an ambient u
         come from its entries at m - 2 and m, where no unit sits: with alpha
         = u_{m-2} / r_{m-2} and beta = u_m / r_m, w has alpha - beta, a unit
@@ -96,14 +98,21 @@ class FlagContext:
         """
         ctx, m, n = self.ctx, self.m, self.ctx.n
         d, exps = ctx.d, ctx._radical_exponents
-        units = [None, *range(m - 2), *range(m + 1, n - 1), m - 1]  # ambient index of each flag column
-        w_terms = [(0, b, s, t) for b in range(m - 1) if exps[b] for s, t in ((1, exps[b]), (-1, 0))]
-        right = w_terms + [(j, a, 1, 0) for j, a in enumerate(units) if j] + _radical_terms(ctx, n - 2)
+        columns = flag_columns(n, m)
+        right = [t for t in _radical_terms(ctx, 0) if t[1] < m - 1]  # w: the radical's rows below m - 1
+        right += [(j, a, 1, 0) for j, a in enumerate(columns, 1)] + _radical_terms(ctx, n - 2)
         alpha, beta = (m - 2, exps[m - 2]), (m, exps[m])  # the divisions by r_{m-2} and r_m
         left = _spread_terms(d, 0, *alpha, ((1, 0),)) + _spread_terms(d, 0, *beta, ((-1, 0),))
-        for j, a in enumerate(units[1:], 1):
+        for j, a in enumerate(columns, 1):
             left += [(j, a, d, 0)] + _spread_terms(d, j, *(alpha if a < m else beta), ((-1, exps[a]), (1, 0)))
         return SparseLetter(d, right), SparseLetter(d, left)
+
+
+def flag_columns(n: int, m: int) -> tuple[int, ...]:
+    """The ambient index of each flag column after w: g_1 .. g_{m-2}, then
+    g_{m+2} .. g_{n-1}, then g_m, 0-based.  Index n - 2, g_{n-1}, stands
+    for its class g_last in quotient coordinates."""
+    return (*range(m - 2), *range(m + 1, n - 1), m - 1)
 
 
 def _tridiagonal_inverse(t: CycloMatrix) -> CycloMatrix:
@@ -148,9 +157,10 @@ def middle_gram(ctx: RepContext, m: int) -> tuple[CycloMatrix, CycloMatrix]:
     takes its own G_W^-1 from here."""
     n, s = ctx.n, ctx.n - 4
     G = quotient_gram(ctx)
-    unit_cols = [*range(m - 2), *range(m + 1, n - 2)]  # quotient index of each unit middle column
+    middle = flag_columns(n, m)[:-1]
+    unit_cols = [a for a in middle if a < n - 2]  # quotient index of each unit middle column
     rows = [[G.entry(a, b) for b in unit_cols] for a in unit_cols]
-    if len(unit_cols) < s:
+    if n - 2 in middle:
         g_last = ctx._last_basis_rewrite
         column = G.apply(g_last)
         for row, a in zip(rows, unit_cols):
@@ -184,25 +194,11 @@ def make_flag(ctx: RepContext, m: int) -> FlagContext:
         raise BadM(f"need 2 <= m <= {n - 2}, got {m}")
     if ctx.prefix_sums[m] % ctx.d != 0:
         raise BadM(f"d does not divide k_1 + ... + k_{m}")
-    d = ctx.d
-    zero, one = CycloNum.zero(d), CycloNum.one(d)
-    size = n - 2
-
-    def unit(i: int) -> Vector:
-        return tuple(one if j == i else zero for j in range(size))
-
-    # w = sum_{i<m} (qbar^{k_1+...+k_i} - 1) g_i, already inside the quotient span
-    w = tuple(
-        (ctx.qpow(-ctx.prefix_sums[i + 1]) - one) if i < m - 1 else zero
-        for i in range(size)
-    )
-
-    g_last = ctx._last_basis_rewrite
-    flag: list[Vector] = [w]
-    flag += [unit(i) for i in range(m - 2)]
-    for j in range(m + 2, n):
-        flag.append(unit(j - 1) if j <= n - 2 else g_last)
-    flag.append(unit(m - 1))
+    d, size = ctx.d, n - 2
+    # w = sum_{i<m} (qbar^{k_1+...+k_i} - 1) g_i: the radical's coordinates below m - 1
+    w = ctx._radical[: m - 1] + (CycloNum.zero(d),) * (size - m + 1)
+    unit = CycloMatrix.identity(d, size).row
+    flag = [w, *(unit(a) if a < size else ctx._last_basis_rewrite for a in flag_columns(n, m))]
     if len(flag) != size:
         raise ConstraintViolation(f"flag has {len(flag)} vectors, expected {size}")
     if not (ctx._radical[m - 2] and ctx._radical[m]):

@@ -170,8 +170,10 @@ class RepContext:
     q: CycloNum
     mu: CycloNum                   # (1 - q)(1 - conj(q)), real and positive
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_letter_cache", {})
+    @cached_property
+    def _letter_cache(self) -> dict[Letter, SparseLetter]:
+        """The letters of _sparse_letters, each prepared once, as words ask for them."""
+        return {}
 
     @cached_property
     def gram(self) -> CycloMatrix:
@@ -405,7 +407,7 @@ def prefix_twist(ctx: RepContext, r: int, exp: int = 1) -> CycloMatrix:
 def _sparse_letters(ctx: RepContext, word: BraidWord) -> list[SparseLetter]:
     """The word's letters prepared for linalg.word_product, cached per
     context; bad letters raise before anything is built."""
-    cache: dict[Letter, SparseLetter] = ctx._letter_cache  # type: ignore[attr-defined]
+    cache = ctx._letter_cache
     missing = [letter for letter in dict.fromkeys(word.letters) if letter not in cache]
     for letter in missing:
         _check_letter(ctx.n, letter)

@@ -40,29 +40,31 @@ SUITE_NAMES = ("forms", "relations", "lantern", "galois", "horo", "criteria")
 @dataclass
 class SuiteReport:
     suite: str
-    passed: int = 0
-    failed: int = 0
     failures: list[str] = field(default_factory=list)
-    by_identity: dict[str, list[int]] = field(default_factory=dict)
+    by_identity: dict[str, list[int]] = field(default_factory=dict)  # identity -> [passed, failed]
 
     def check(self, ok: bool, identity: str, detail: str = "") -> None:
         tally = self.by_identity.setdefault(identity, [0, 0])
         if ok:
-            self.passed += 1
             tally[0] += 1
         else:
-            self.failed += 1
             tally[1] += 1
             self.failures.append(f"{identity}" + (f" [{detail}]" if detail else ""))
 
     def merge(self, other: SuiteReport) -> None:
-        self.passed += other.passed
-        self.failed += other.failed
         self.failures.extend(other.failures)
         for name, (p, f) in other.by_identity.items():
             tally = self.by_identity.setdefault(name, [0, 0])
             tally[0] += p
             tally[1] += f
+
+    @property
+    def passed(self) -> int:
+        return sum(p for p, _ in self.by_identity.values())
+
+    @property
+    def failed(self) -> int:
+        return sum(f for _, f in self.by_identity.values())
 
     @property
     def ok(self) -> bool:
@@ -336,14 +338,9 @@ def horo_report(fc: horo.FlagContext, seed: int = 0, trials: int = 20) -> tuple[
 
     # itemized images of the lower witness
     if horo.LOWER in parts:
-        one = CycloNum.one(d)
-        zero = CycloNum.zero(d)
-
-        def unit(idx: int):
-            return tuple(one if t == idx else zero for t in range(n - 2))
-
+        unit = CycloMatrix.identity(d, n - 2).row
         mat = evaluate_quotient(ctx, words[horo.LOWER])
-        coef = ctx.qpow(-ctx.weights[m - 1]) - one
+        coef = ctx.qpow(-ctx.weights[m - 1]) - 1
         expected = tuple(a + coef * b for a, b in zip(unit(m - 3), fc.w))
         rep.check(mat.apply(unit(m - 3)) == expected,
                   "lower witness shears g_{m-2} by (qbar^{k_m} - 1) w", tag)

@@ -68,9 +68,25 @@ def test_cyclotomic_small_values():
 
 
 def test_cyclotomic_inexact_division_is_named(monkeypatch):
-    monkeypatch.setattr(cyclo, "_poly_divmod_int", lambda num, den: (num, (1,)))
+    # a numerator off by one in its constant term leaves a remainder
+    exact = cyclo._exact_quotient
+    monkeypatch.setattr(cyclo, "_exact_quotient", lambda num, den: exact((num[0] + 1, *num[1:]), den))
     with pytest.raises(InexactDivision):
         cyclotomic_poly.__wrapped__(6)   # bypass the cache
+
+
+def test_cyclotomic_polys_of_the_divisors_multiply_to_x_d_minus_1():
+    for d in range(1, 201):
+        prod = [1]
+        for e in range(1, d + 1):
+            if d % e == 0:
+                out = [0] * (len(prod) + euler_phi(e))
+                for i, x in enumerate(prod):
+                    if x:
+                        for j, y in enumerate(cyclotomic_poly(e)):
+                            out[i + j] += x * y
+                prod = out
+        assert prod == [-1] + [0] * (d - 1) + [1], d
 
 
 @pytest.mark.parametrize("d", range(1, 31))

@@ -820,6 +820,40 @@ def test_flag_matrices_match_the_inverse(fc, data):
     _check_against_the_inverse(fc, words)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(flag_contexts(), st.data())
+def test_sibling_pairing_matches_the_sibling_flag_at_every_layout(fc, data):
+    """At m = 2, m = n - 2 and composite d as well: for a drawn unit t,
+    middle_gram of the transported context gives the G_W and G_W^-1 of
+    make_flag there, and a Pairing of them pairs the Galois images of two
+    vectors to the Galois image of their pairing at fc."""
+    ctx, m, s = fc.ctx, fc.m, fc.middle_size
+    d = ctx.d
+    t = data.draw(st.sampled_from(tuple(units(d))))
+    sibling_ctx = transported_context(ctx, t)
+    sibling = make_flag(sibling_ctx, m)
+    G_W, G_W_inv = horo.middle_gram(sibling_ctx, m)
+    assert (G_W, G_W_inv) == (sibling.G_W, sibling.G_W_inv)
+    assert G_W == sibling.gram_flag.submatrix(range(1, s + 1), range(1, s + 1))
+    assert G_W_inv == (G_W.inverse() if s else G_W)
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    x, y = (tuple(from_coeffs(d, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(d))])
+                  for _ in range(s)) for _ in range(2))
+    xs, ys = (tuple(e.galois(t) for e in v) for v in (x, y))
+    assert commutator_pairing(horo.Pairing(G_W_inv, sibling_ctx.mu), xs, ys) == commutator_pairing(fc, x, y).galois(t)
+
+
+def test_flag_columns_skip_the_two_divisor_rows():
+    """After w the flag takes every ambient index below n - 1 but m - 2 and
+    m, where FlagContext._factors divides by the radical, g_m last."""
+    for n in range(4, 10):
+        for m in range(2, n - 1):
+            columns = horo.flag_columns(n, m)
+            assert sorted(columns) == [a for a in range(n - 1) if a not in (m - 2, m)]
+            assert columns[-1] == m - 1
+
+
 def test_make_flag_eliminates_nothing(monkeypatch):
     """No _rref and no field inverse outside the one per tridiagonal block of
     G_W: the Gram matrix is a closed form and P is never inverted."""

@@ -112,21 +112,10 @@ def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
             rec[name] = run_cli(sides[name], args)
             print("cli", i, name, json.dumps(rec[name]), file=sys.stderr, flush=True)
         pairs.append(rec)
-    par, chg = ([p[side]["s"] for p in pairs] for side in ("parent", "change"))
-    q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
-    rss = {side: [p[side]["rss_mb"] for p in pairs] for side in ("parent", "change")}
     return command, {"pairs": pairs, "summary": {
-        "parent_median": round(statistics.median(par), 4),
-        "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
-        "change_median": round(statistics.median(chg), 4),
-        "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
-        "change_lower": sum(c < p for p, c in zip(par, chg)),
-        "rss_mb": {
-            "parent_median": statistics.median(rss["parent"]),
-            "change_median": statistics.median(rss["change"]),
-            "change_lower": sum(c < p for p, c in zip(rss["parent"], rss["change"])),
-            "driver_floor": max(p[side]["driver_rss_mb"] for p in pairs for side in ("parent", "change")),
-        },
+        **compare(pairs, "s"),
+        "rss_mb": {**compare(pairs, "rss_mb"),
+                   "driver_floor": max(p[side]["driver_rss_mb"] for p in pairs for side in ("parent", "change"))},
         "same_output": all(p["parent"]["stdout_sha256"] == p["change"]["stdout_sha256"]
                            and p["parent"]["rc"] == p["change"]["rc"] for p in pairs),
     }}
@@ -141,30 +130,27 @@ def pair(sides: dict[str, Path], workload: str, seed: int, first: str, trace: bo
     return rec
 
 
-def summary(pairs: list[dict]) -> dict:
-    """Per metric: medians and quartiles of both sides, per-pair ratios,
+def compare(pairs: list[dict], metric: str) -> dict:
+    """One metric of both sides: medians and quartiles, per-pair ratios,
     their median over the pairs that ran the parent first and over those
     that ran the change first (the side that runs first tends to read
     higher, so the two medians show that order effect), and the number of
     pairs in which the change reads lower."""
-    out = {}
-    for metric in E2E:
-        par = [p["parent"][metric] for p in pairs]
-        chg = [p["change"][metric] for p in pairs]
-        ratios = [c / p for p, c in zip(par, chg)]
-        q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
-        by_first = {first: [r for p, r in zip(pairs, ratios) if p["first"] == first] for first in ("parent", "change")}
-        out[metric] = {
-            "parent_median": round(statistics.median(par), 4),
-            "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
-            "change_median": round(statistics.median(chg), 4),
-            "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
-            "pair_ratios": [round(r, 3) for r in ratios],
-            "pair_ratio_median_by_first": {first: round(statistics.median(rs), 3) if rs else None
-                                           for first, rs in by_first.items()},
-            "change_lower": sum(r < 1 for r in ratios),
-        }
-    return out
+    par = [p["parent"][metric] for p in pairs]
+    chg = [p["change"][metric] for p in pairs]
+    ratios = [c / p for p, c in zip(par, chg)]
+    q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
+    by_first = {first: [r for p, r in zip(pairs, ratios) if p["first"] == first] for first in ("parent", "change")}
+    return {
+        "parent_median": round(statistics.median(par), 4),
+        "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
+        "change_median": round(statistics.median(chg), 4),
+        "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
+        "pair_ratios": [round(r, 3) for r in ratios],
+        "pair_ratio_median_by_first": {first: round(statistics.median(rs), 3) if rs else None
+                                       for first, rs in by_first.items()},
+        "change_lower": sum(r < 1 for r in ratios),
+    }
 
 
 def spec(text: str) -> tuple[str, list[int]]:
@@ -205,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         for seed in seeds:
             pairs.append(pair(sides, workload, seed, ("parent", "change")[flip % 2], False))
             flip += 1
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+        doc["workloads"][workload] = {"pairs": pairs, "summary": {metric: compare(pairs, metric) for metric in E2E}}
     for workload, seeds in args.trace:
         for seed in seeds:
             rec = pair(sides, workload, seed, "parent", True)
