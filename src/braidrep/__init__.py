@@ -52,8 +52,7 @@ from .horo import (
     in_unipotent,
     make_flag,
     translation_part,
-    witness_lower,
-    witness_upper,
+    witness,
 )
 
 __all__ = [
@@ -100,8 +99,7 @@ __all__ = [
     "signature",
     "translation_part",
     "transported_context",
-    "witness_lower",
-    "witness_upper",
+    "witness",
     "word_det",
     "zeta",
 ]

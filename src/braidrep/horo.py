@@ -9,7 +9,9 @@ index m with d | (k_1 + ... + k_m).  The flag basis is
 
 in quotient coordinates, with w isotropic and orthogonal to the middle block;
 flag_columns writes this layout once, and make_flag, middle_gram and
-FlagContext._factors read it.
+FlagContext._factors read it.  Each of its two parts, lower (g_1 .. g_{m-2},
+punctures 1..m) and upper (g_{m+2} .. g_{n-1}, punctures m+1..n), is
+defined once, with its witness, in _part.
 In this basis the Gram matrix has the arrow shape
 
     [ 0    0    -mu ]
@@ -108,6 +110,26 @@ class FlagContext:
         return SparseLetter(d, right), SparseLetter(d, left)
 
 
+class _Part(NamedTuple):
+    block: range        # middle coordinates of the part's g_a
+    punctures: range    # the punctures whose pair twists A(i, j) generate the part
+    witness: tuple[BraidWord, BraidWord]  # the witness is their commutator, reversed
+
+
+def _part(n: int, m: int, part: str) -> _Part:
+    """The one definition of a flag part.  Lower: block g_1 .. g_{m-2},
+    punctures 1..m and the commutator of A(m-1, m) with T(m-1), which moves
+    only g_{m-2} (by a multiple of w) and g_m.  Upper: block g_{m+2} ..
+    g_{n-1}, punctures m+1..n and the commutator of A(m+1, m+2) with
+    FT(m+2, n).  Raises ValueError for any other part name."""
+    if part == LOWER:
+        return _Part(range(m - 2), range(1, m + 1), (BraidWord.A(m - 1, m), BraidWord.T(m - 1)))
+    if part == UPPER:
+        return _Part(range(m - 2, n - 4), range(m + 1, n + 1),
+                     (BraidWord.A(m + 1, m + 2), BraidWord.FT(m + 2, n)))
+    raise ValueError(f"part must be {LOWER!r} or {UPPER!r}, got {part!r}")
+
+
 def flag_columns(n: int, m: int) -> tuple[int, ...]:
     """The ambient index of each flag column after w: g_1 .. g_{m-2}, then
     g_{m+2} .. g_{n-1}, then g_m, 0-based.  Index n - 2, g_{n-1}, stands
@@ -168,8 +190,8 @@ def middle_gram(ctx: RepContext, m: int) -> tuple[CycloMatrix, CycloMatrix]:
         rows.append([-column[b].conj() for b in unit_cols])
         rows[-1].append(sum((x.conj() * y for x, y in zip(g_last, column)), CycloNum.zero(ctx.d)))
     G_W = CycloMatrix.from_rows(ctx.d, rows)
-    # g_1 .. g_{m-2} and g_{m+2} .. g_{n-1}: G is tridiagonal, and the two runs are not adjacent
-    blocks = [range(0, m - 2), range(m - 2, s)]
+    # G is tridiagonal, and the two parts' runs of g_a are not adjacent
+    blocks = [_part(n, m, part).block for part in (LOWER, UPPER)]
     block_of = [i for i, b in enumerate(blocks) for _ in b]
     if any(G_W.entry(i, j) for i in range(s) for j in range(s) if block_of[i] != block_of[j] or abs(i - j) > 1):
         raise ConstraintViolation("middle block of the flag Gram matrix is not tridiagonal per part")
@@ -369,61 +391,38 @@ def reversed_word(word: BraidWord) -> BraidWord:
     return BraidWord(tuple(reversed(word.letters)))
 
 
-def witness_lower(fc: FlagContext) -> BraidWord:
-    """Commutator of A(m-1, m) with T(m-1), as an evaluation-ready word.
-
-    Unipotent with translation part in the lower block, moving only
-    g_{m-2} (by a multiple of w) and g_m.
-    """
-    m = fc.m
-    if LOWER not in witness_parts(fc):
-        raise BadM(f"lower witness needs m >= 3, got {m}")
-    return reversed_word(commutator(BraidWord.A(m - 1, m), BraidWord.T(m - 1)))
-
-
-def witness_upper(fc: FlagContext) -> BraidWord:
-    """Commutator of A(m+1, m+2) with FT(m+2, n), as an evaluation-ready word.
-
-    Unipotent with translation part in the upper block.
-    """
-    m, n = fc.m, fc.ctx.n
-    if UPPER not in witness_parts(fc):
-        raise BadM(f"upper witness needs n - m >= 3, got n - m = {n - m}")
-    return reversed_word(commutator(BraidWord.A(m + 1, m + 2), BraidWord.FT(m + 2, n)))
-
-
 def witness(fc: FlagContext, part: str) -> BraidWord:
-    """The witness braid of the part: witness_lower or witness_upper."""
-    return witness_lower(fc) if part == LOWER else witness_upper(fc)
+    """The part's witness braid (_part), as an evaluation-ready word:
+    unipotent with translation part in the part's block.  Raises BadM when
+    the block is empty (m < 3 for lower, n - m < 3 for upper)."""
+    n, m = fc.ctx.n, fc.m
+    p = _part(n, m, part)
+    if not p.block:
+        raise BadM(f"{part} witness needs a non-empty block (m >= 3, n - m >= 3), got m = {m}, n = {n}")
+    return reversed_word(commutator(*p.witness))
 
 
 # -- flag parts -------------------------------------------------------------------
 
 def part_slice(fc: FlagContext, part: str) -> slice:
     """Middle coordinates of the part's block: of g_1 .. g_{m-2} (lower), g_{m+2} .. g_{n-1} (upper)."""
-    return slice(0, fc.m - 2) if part == LOWER else slice(fc.m - 2, fc.ctx.n - 4)
+    block = _part(fc.ctx.n, fc.m, part).block
+    return slice(block.start, block.stop)
 
 
 def witness_parts(fc: FlagContext) -> tuple[str, ...]:
     """Parts with a witness, i.e. a non-empty block, lower first: m >= 3, n - m >= 3."""
-    return tuple(part for part in (LOWER, UPPER) if full_rank(fc, part))
+    return tuple(part for part in (LOWER, UPPER) if _part(fc.ctx.n, fc.m, part).block)
 
 
 def full_rank(fc: FlagContext, part: str) -> int:
     """phi(d) times the part's block width: the Q-rank of an orbit spanning the block."""
-    sl = part_slice(fc, part)
-    return euler_phi(fc.ctx.d) * (sl.stop - sl.start)
+    return euler_phi(fc.ctx.d) * len(_part(fc.ctx.n, fc.m, part).block)
 
 
 def part_pairs(fc: FlagContext, part: str) -> list[tuple[int, int]]:
     """Pairs (i, j) of the part's generators A(i, j): punctures 1..m (lower), m+1..n (upper)."""
-    if part == LOWER:
-        punctures = range(1, fc.m + 1)
-    elif part == UPPER:
-        punctures = range(fc.m + 1, fc.ctx.n + 1)
-    else:
-        raise ValueError(f"part must be {LOWER!r} or {UPPER!r}")
-    return list(itertools.combinations(punctures, 2))
+    return list(itertools.combinations(_part(fc.ctx.n, fc.m, part).punctures, 2))
 
 
 # -- orbit machinery ------------------------------------------------------------
@@ -460,8 +459,7 @@ class _Orbit:
     """
 
     def __init__(self, fc: FlagContext, part: str) -> None:
-        block, bound = part_slice(fc, part), full_rank(fc, part)
-        inside = range(block.start, block.stop)
+        inside, bound = _part(fc.ctx.n, fc.m, part).block, full_rank(fc, part)
         outside = [j for j in range(fc.middle_size) if j not in inside]
         actions = []
         for i, j in part_pairs(fc, part):
@@ -471,11 +469,11 @@ class _Orbit:
                     raise ConstraintViolation("orbit vector is non-zero off its part's block")
                 actions.append((lam, c_inv.submatrix(inside, inside)))
         start = part_witness(fc, part)
-        if any(start[: block.start]) or any(start[block.stop :]):
+        if any(start[j] for j in outside):
             raise ConstraintViolation("orbit vector is non-zero off its part's block")
         self.basis, self.seen = [], set()
         self.span = RationalSpan()
-        self._add(start[block])
+        self._add(start[inside.start : inside.stop])
         for v in self.basis:           # grows as it is read
             for lam, c_inv in actions:
                 image = _row_action(fc, lam, c_inv, v)

@@ -83,16 +83,8 @@ class BraidWord:
         return BraidWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __str__(self) -> str:
-        parts = []
-        for gen, exp in self.letters:
-            if gen[0] == "A":
-                s = f"A({gen[1]},{gen[2]})"
-            elif gen[0] == "T":
-                s = f"T({gen[1]})"
-            else:
-                s = f"FT({gen[1]},{gen[2]})"
-            parts.append(s + ("^-1" if exp < 0 else ""))
-        return " ".join(parts)
+        return " ".join(f"{gen[0]}({','.join(map(str, gen[1:]))}){'^-1' if exp < 0 else ''}"
+                        for gen, exp in self.letters)
 
 
 def commutator(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -470,9 +462,9 @@ def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
     """det rho(word) = q^E in closed form, without evaluating the word.
 
     With P_l = k_1+...+k_l, each letter adds its exponent to E, negated for
-    an inverse letter: A(i,j) adds k_i+k_j, T(r) adds (r-1) P_r and FT(s,r),
-    the product of every A(i,j) with s <= i < j <= r, adds
-    (r-s)(P_r - P_{s-1}).  Bad letters raise what evaluate_word raises.
+    an inverse letter: A(i,j) adds k_i+k_j, FT(s,r), the product of every
+    A(i,j) with s <= i < j <= r, adds (r-s)(P_r - P_{s-1}), and T(r), which
+    is FT(1,r), adds (r-1) P_r.  Bad letters raise what evaluate_word raises.
     """
     p = ctx.prefix_sums
     total = 0
@@ -480,12 +472,10 @@ def word_det(ctx: RepContext, word: BraidWord) -> CycloNum:
         _check_letter(ctx.n, letter)
         (kind, a, *b), exp = letter
         if kind == "A":
-            e = ctx.weights[a - 1] + ctx.weights[b[0] - 1]
-        elif kind == "T":
-            e = (a - 1) * p[a]
+            total += exp * (ctx.weights[a - 1] + ctx.weights[b[0] - 1])
         else:
-            e = (b[0] - a) * (p[b[0]] - p[a - 1])
-        total += exp * e
+            s, r = (1, a) if kind == "T" else (a, b[0])  # T(r) is FT(1, r)
+            total += exp * (r - s) * (p[r] - p[s - 1])
     return ctx.qpow(total)
 
 

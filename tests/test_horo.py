@@ -37,9 +37,7 @@ from braidrep.horo import (
     translation_part,
     upper_half_exponents,
     witness,
-    witness_lower,
     witness_parts,
-    witness_upper,
     word_flag_matrix,
 )
 from braidrep.linalg import CycloMatrix, RationalSpan, matrix_to_json, rank_over_rationals, realify, solve_rational
@@ -131,19 +129,42 @@ def test_witness_preconditions():
     fc = make_flag(ctx, 4)
     assert horo.witness_parts(fc) == (LOWER,)
     with pytest.raises(BadM):
-        witness_upper(fc)                          # n - m = 2
+        witness(fc, UPPER)                          # n - m = 2
     ctx2 = make_context(4, (1, 3, 1, 1, 1, 1), 1)
     fc2 = make_flag(ctx2, 2)
     assert horo.witness_parts(fc2) == (UPPER,)
     with pytest.raises(BadM):
-        witness_lower(fc2)                         # m = 2
+        witness(fc2, LOWER)                         # m = 2
+
+
+def test_a_bad_part_name_is_an_error():
+    fc = make_flag(make_context(11, (1, 1, 9, 1, 1, 1, 1, 7), 1), 3)
+    for reader in (horo.part_slice, horo.full_rank, witness, orbit_vectors, part_pairs):
+        with pytest.raises(ValueError, match="'middle'"):
+            reader(fc, "middle")
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(4, 13) for m in range(2, n - 1)])
+def test_parts_tile_the_middle_block_and_the_punctures(n, m):
+    """The lower block holds the middle flag columns g_a with a < m, the
+    upper those with a > m; the punctures split at m."""
+    d = 13
+    kappa = (1,) * (m - 1) + (d - m + 1,) + (1,) * (n - m - 1) + (d - n + m + 1,)
+    fc = make_flag(make_context(d, kappa, 1), m)
+    lower, upper = (horo._part(n, m, part) for part in (LOWER, UPPER))
+    middle = [a + 1 for a in horo.flag_columns(n, m)[:-1]]  # a of each g_a
+    assert [*lower.block, *upper.block] == list(range(n - 4)) == list(range(len(middle)))
+    assert [middle[i] for i in lower.block] == [a for a in middle if a < m]
+    assert [middle[i] for i in upper.block] == [a for a in middle if a > m]
+    assert [*lower.punctures, *upper.punctures] == list(range(1, n + 1))
+    assert horo.full_rank(fc, LOWER) + horo.full_rank(fc, UPPER) == euler_phi(d) * (n - 4)
 
 
 def test_witnesses_unipotent_with_itemized_images(flag):
     fc = flag
     ctx, m, n, d = fc.ctx, fc.m, fc.ctx.n, fc.ctx.d
     one = CycloNum.one(d)
-    wl, wu = witness_lower(fc), witness_upper(fc)
+    wl, wu = witness(fc, LOWER), witness(fc, UPPER)
     mt = evaluate_quotient(ctx, wl)
     assert in_unipotent(fc, wl)
     assert in_unipotent(fc, wu)
@@ -160,7 +181,7 @@ def test_witnesses_unipotent_with_itemized_images(flag):
 
 def test_translation_part_additive(flag):
     fc = flag
-    wl, wu = witness_lower(fc), witness_upper(fc)
+    wl, wu = witness(fc, LOWER), witness(fc, UPPER)
     mt, mtp = evaluate_quotient(fc.ctx, wl), evaluate_quotient(fc.ctx, wu)
     nu, nup = translation_part(fc, wl), translation_part(fc, wu)
     # the product words' flag matrices are those of the products of the images
@@ -175,7 +196,7 @@ def test_translation_part_additive(flag):
 def test_conjugation_action(flag):
     fc = flag
     ctx, m, n = fc.ctx, fc.m, fc.ctx.n
-    base_word = witness_lower(fc)
+    base_word = witness(fc, LOWER)
     base = evaluate_quotient(ctx, base_word)
     nu = translation_part(fc, base_word)
     assert conjugation_action(fc, BraidWord(), nu) == nu
@@ -238,8 +259,8 @@ def test_letter_flag_matrices_built_once_per_flag_context(flag, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(horo, "_factored_word", counting)
-    nu = translation_part(fc, witness_lower(fc))
-    assert translation_part(fc, witness_lower(fc)) == nu
+    nu = translation_part(fc, witness(fc, LOWER))
+    assert translation_part(fc, witness(fc, LOWER)) == nu
     assert len(calls) == 1
     a = BraidWord.A(1, 2)
     conjugation_action(fc, a, nu)
@@ -286,7 +307,7 @@ def test_lower_group_acts_trivially_on_upper_block(flag):
 
 def test_commutator_lands_in_center(flag):
     fc = flag
-    wl, wu = witness_lower(fc), witness_upper(fc)
+    wl, wu = witness(fc, LOWER), witness(fc, UPPER)
     mt, mtp = evaluate_quotient(fc.ctx, wl), evaluate_quotient(fc.ctx, wu)
     comm = commutator(wl, wu)
     assert word_flag_matrix(fc, comm) == _by_inverse(fc, mt @ mtp @ mt.inverse() @ mtp.inverse())
@@ -788,7 +809,7 @@ def test_flag_matrices_match_the_inverse_on_pinned_cases(d, kappa, m):
     words += [BraidWord(((("T", r), 1),)) for r in range(2, n)]
     words += [witness(fc, part) for part in witness_parts(fc)]
     if len(witness_parts(fc)) == 2:
-        words.append(commutator(witness_lower(fc), witness_upper(fc)))
+        words.append(commutator(witness(fc, LOWER), witness(fc, UPPER)))
     rng = random.Random(d * 100 + n)
     words.append(BraidWord(tuple((("A", i, rng.randint(i + 1, n)), rng.choice((1, -1)))
                                  for i in (rng.randint(1, n - 1) for _ in range(12)))))

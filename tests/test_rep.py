@@ -291,7 +291,8 @@ def test_word_basics():
 def test_word_parse_and_format():
     word = parse_word("A(1,2) T(3)^-1 FT(2,5)")
     assert str(word) == "A(1,2) T(3)^-1 FT(2,5)"
-    assert parse_word("").letters == ()
+    assert str(word.inverse()) == "FT(2,5)^-1 T(3) A(1,2)^-1"
+    assert parse_word("").letters == () and str(BraidWord()) == ""
     with pytest.raises(IndexOutOfRange):
         parse_word("B(1,2)")
 
