@@ -149,14 +149,21 @@ def _raw_reduce(d: int, conv: list[int]) -> list[int]:
     return out
 
 
-def _raw_mul(d: int, a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
-    (na, da), (nb, db) = a, b
-    conv = [0] * (2 * len(na) - 1) if na else [0]
+def _convolve(conv: list[int], na: tuple[int, ...], nb: tuple[int, ...], f: int = 1) -> None:
+    """Add f times the polynomial product of na and nb into conv, in place;
+    conv has length at least len(na) + len(nb) - 1."""
     for i, c in enumerate(na):
         if c:
+            c *= f
             for j, e in enumerate(nb):
                 if e:
                     conv[i + j] += c * e
+
+
+def _raw_mul(d: int, a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
+    (na, da), (nb, db) = a, b
+    conv = [0] * (2 * len(na) - 1) if na else [0]
+    _convolve(conv, na, nb)
     return _raw_normalize(_raw_reduce(d, conv), da * db)
 
 

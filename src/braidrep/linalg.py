@@ -1,9 +1,10 @@
 """Exact dense linear algebra over K_d and Q, plus numeric inertia of Hermitian forms.
 
 Matrices are immutable, row-major, with every entry sharing one modulus d.
-Products are formed by the schoolbook ``CycloMatrix.__matmul__``, except
-that :func:`word_product`, the fold of a braid word's sparse letters, rolls
-an array over Z[x]/(x^d - 1), in int64 under a checked overflow bound and
+Products are formed by ``CycloMatrix.__matmul__``, one convolution and
+one reduction modulo Phi_d per entry, except that :func:`word_product`,
+the fold of a braid word's sparse letters, rolls an array over
+Z[x]/(x^d - 1), in int64 under a checked overflow bound and
 in Python ints from the first step that could overflow, and
 :func:`factored_product`, which multiplies such an array by fixed right
 and left factors, checks that the radical is fixed, and reduces modulo
@@ -30,9 +31,9 @@ import numpy as np
 
 from .cyclo import (
     CycloNum,
+    _convolve,
     _field_data,
-    _raw_add,
-    _raw_mul,
+    _raw_normalize,
     _raw_reduce,
     from_strings,
     to_strings,
@@ -140,47 +141,49 @@ class CycloMatrix:
         return CycloMatrix(self.d, self.rows, self.cols, tuple(a * c for a in self.entries))
 
     def __matmul__(self, other: CycloMatrix) -> CycloMatrix:
+        """The exact product, one convolution and one reduction per entry.
+
+        Entry (i, j) adds the polynomial product of the numerators of every
+        non-zero pair (A[i, l], B[l, j]) into one integer list of length
+        2 phi - 1 over a running common denominator: when a term's
+        denominator does not divide it, the list is rescaled to their lcm,
+        and each term is multiplied by the running denominator over its
+        own.  The sum is reduced modulo Phi_d once and normalized once
+        (the delayed reduction of FFLAS, Dumas-Gautier-Pernet, ISSAC 2002).
+        """
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         d = self.d
-        # entries are canonical, so an entry equal to 1 is exactly `one`;
-        # mapping it to that one object lets the loop skip its products
-        one = CycloNum.one(d)
-        one_raw = (one.num, one.den)
-
-        def raw(e: CycloNum) -> tuple[tuple[int, ...], int] | None:
-            if not e:
-                return None
-            return one_raw if e.den == 1 and e.num == one.num else (e.num, e.den)
-
-        a = [raw(e) for e in self.entries]
-        b = [raw(e) for e in other.entries]
+        size = 2 * _field_data(d)[0] - 1
+        a = [e if e else None for e in self.entries]
+        b = [e if e else None for e in other.entries]
         n, m, p = self.rows, self.cols, other.cols
         out: list[CycloNum] = []
         zero = CycloNum.zero(d)
         for i in range(n):
             arow = a[i * m : (i + 1) * m]
             for j in range(p):
-                acc: tuple[tuple[int, ...], int] | None = None
-                for l in range(m):
-                    x = arow[l]
+                conv, den = None, 1
+                for l, x in enumerate(arow):
                     if x is None:
                         continue
                     y = b[l * p + j]
                     if y is None:
                         continue
-                    if x is one_raw:
-                        term = y
-                    elif y is one_raw:
-                        term = x
-                    else:
-                        term = _raw_mul(d, x, y)
-                    acc = term if acc is None else _raw_add(acc, term)
-                if acc is None or not any(acc[0]):
+                    tden = x.den * y.den
+                    if conv is None:
+                        conv, den = [0] * size, tden
+                    if den % tden:
+                        lcm = math.lcm(den, tden)
+                        conv = [c * (lcm // den) for c in conv]
+                        den = lcm
+                    _convolve(conv, x.num, y.num, den // tden)
+                if conv is None:
                     out.append(zero)
-                else:
-                    out.append(CycloNum(d, acc[0], acc[1]))
+                    continue
+                num, den = _raw_normalize(_raw_reduce(d, conv), den)
+                out.append(CycloNum(d, num, den) if any(num) else zero)
         return CycloMatrix(d, n, p, tuple(out))
 
     def apply(self, v: Vector) -> Vector:

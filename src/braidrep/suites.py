@@ -143,14 +143,15 @@ def suite_forms(seed: int, size: int = 1) -> SuiteReport:
         g_inv = g.inverse() if ctx.eps0 == 0 else None
         ident = CycloMatrix.identity(ctx.d, ctx.n - 1)
         for kind, idx, m in all_generators(ctx):
+            mg = m.conj_transpose() @ g
             rep.check(
-                m.conj_transpose() @ g @ m == g,
+                mg @ m == g,
                 "generator preserves the form (M* G M = G)",
                 f"{tag} {kind}{idx}",
             )
             if g_inv is not None:
                 rep.check(
-                    m @ (g_inv @ m.conj_transpose() @ g) == ident,
+                    m @ (g_inv @ mg) == ident,
                     "inverse identity M^-1 = G^-1 M* G",
                     f"{tag} {kind}{idx}",
                 )
@@ -186,12 +187,12 @@ def suite_relations(seed: int, size: int = 1) -> SuiteReport:
                 f"{tag} A{(a, b)} A{(c, e)}",
             )
         for r in range(2, n):
+            m = prefix_twist(ctx, r)
             rep.check(
-                evaluate_word(ctx, block_twist_word(1, r)) == prefix_twist(ctx, r),
+                evaluate_word(ctx, block_twist_word(1, r)) == m,
                 "full twist on 1..r equals the prefix twist",
                 f"{tag} r={r}",
             )
-            m = prefix_twist(ctx, r)
             expected_trace = ctx.qpow(ctx.prefix_sums[r]) * (r - 1) + (n - r)
             rep.check(m.trace() == expected_trace, "prefix twist trace value", f"{tag} r={r}")
         for i, j in itertools.combinations(range(1, n + 1), 2):

@@ -75,8 +75,9 @@ def _schoolbook_matmul(a, b):
 
 
 def test_matmul_matches_schoolbook_reference():
-    """Products that skip factors equal to 1 equal the always-multiply
-    reference, on operands mixing 0, 1, -1, zeta^e and dense entries."""
+    """Products that sum each entry's terms over a common denominator and
+    reduce once equal the reference that reduces and normalizes every term,
+    on operands mixing 0, 1, -1, zeta^e and dense entries."""
     rng = random.Random(71)
     for d in (3, 5, 7, 12, 19):
         phi = euler_phi(d)
@@ -417,30 +418,74 @@ def _reference_row_action(fc, lam, c_inv, x):
     return tuple(out)
 
 
+def draw_entry(draw, d):
+    """0, 1, -1, zeta^e or a dense element whose coefficients have denominators."""
+    kind = draw(st.sampled_from("01-zd"))
+    if kind == "0":
+        return CycloNum.zero(d)
+    if kind == "1":
+        return CycloNum.one(d)
+    if kind == "-":
+        return -CycloNum.one(d)
+    if kind == "z":
+        return zeta(d, draw(st.integers(0, d - 1)))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    return from_coeffs(d, [draw(coeff) for _ in range(euler_phi(d))])
+
+
 @st.composite
 def kernel_operands(draw):
     """(m, x, y, lam): a rows x cols matrix, vectors of length cols and rows,
     and a scalar, with entries mixing 0, 1, -1, zeta^e and dense elements
     whose coefficients have denominators."""
     d = draw(st.sampled_from((3, 5, 7, 12, 19)))
-    phi = euler_phi(d)
-    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
-
-    def entry():
-        kind = draw(st.sampled_from("01-zd"))
-        if kind == "0":
-            return CycloNum.zero(d)
-        if kind == "1":
-            return CycloNum.one(d)
-        if kind == "-":
-            return -CycloNum.one(d)
-        if kind == "z":
-            return zeta(d, draw(st.integers(0, d - 1)))
-        return from_coeffs(d, [draw(coeff) for _ in range(phi)])
-
+    entry = functools.partial(draw_entry, draw, d)
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     m = CycloMatrix.from_rows(d, [[entry() for _ in range(cols)] for _ in range(rows)])
     return m, tuple(entry() for _ in range(cols)), tuple(entry() for _ in range(rows)), entry()
+
+
+@st.composite
+def planted_products(draw):
+    """(a, b) whose product plants three kinds of entry.  Column 0 of b
+    starts with three copies of an integral element e of content g in
+    (2, 3, 6).  Row 0 of a starts with rationals over the denominators 2, 3
+    and 6 in a drawn order, so entry (0, 0) sums terms over distinct
+    denominators, which both rescale the running sum (a later lcm) and
+    scale a term (an earlier one), and its content shares g with the
+    denominator 6.  Row 1 starts with c_l * w, c_2 = -c_0 - c_1, then
+    zeros, so entry (1, 0) sums terms over distinct denominators to 0.
+    Every other entry mixes 0, 1, -1, zeta^e and dense elements."""
+    d = draw(st.sampled_from((3, 5, 7, 12, 19)))
+    entry = functools.partial(draw_entry, draw, d)
+    nonzero = st.integers(-6, 6).filter(bool)
+
+    def integral():
+        return from_coeffs(d, [draw(st.integers(-9, 9)) for _ in range(euler_phi(d) - 1)] + [draw(nonzero)])
+
+    rows, inner, cols = draw(st.integers(2, 4)), draw(st.integers(3, 5)), draw(st.integers(1, 4))
+    a = [[entry() for _ in range(inner)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(inner)]
+    dens = draw(st.permutations((2, 3, 6)))
+    e = integral() * draw(st.sampled_from((2, 3, 6)))
+    for l, den in enumerate(dens):
+        b[l][0] = e
+        a[0][l] = from_rational(d, Fraction(draw(st.sampled_from((-5, -1, 1, 5, 7))), den))
+    c0, c1 = Fraction(draw(nonzero), dens[0]), Fraction(draw(nonzero), dens[1])
+    w = integral()
+    a[1] = [w * c0, w * c1, w * (-c0 - c1)] + [CycloNum.zero(d)] * (inner - 3)
+    return CycloMatrix.from_rows(d, a), CycloMatrix.from_rows(d, b)
+
+
+@PROPERTY
+@given(planted_products())
+def test_matmul_matches_schoolbook_on_planted_entries(operands):
+    a, b = operands
+    product = a @ b
+    assert product == _schoolbook_matmul(a, b)
+    # the planted entries: one sums to 0, one over terms of distinct denominators
+    assert product.entry(1, 0) == 0
+    assert sorted(a.entry(0, l).den for l in range(3)) == [2, 3, 6]
 
 
 @PROPERTY

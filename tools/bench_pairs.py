@@ -16,7 +16,11 @@ run's seconds, exit code, the sha256 of its stdout and its own peak RSS
 (``ru_maxrss`` from ``os.wait4``).  Linux carries the peak RSS of the
 process that starts a child across ``exec`` into the child's
 ``ru_maxrss``, so each run also records this driver's own peak at the
-start, the floor below which no reading can go.  Runs go one at a time.
+start, the floor below which no reading can go.  Each ``--pytest N:ARGS``
+runs ``python -m pytest -q -p no:cacheprovider ARGS`` in N pairs of fresh
+processes in each side's checkout, which also holds ``tests/`` and
+``pyproject.toml``, the sides alternating, and records each run's seconds,
+exit code and number of passed tests.  Runs go one at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
+import re
 import resource
 import shlex
 import shutil
@@ -37,7 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARTS = ("src", "perfbench", "BENCHMARK.json")
+PARTS = ("src", "perfbench", "BENCHMARK.json", "tests", "pyproject.toml")
 E2E = ("setup_s", "wall_s", "cmd_p50_ms", "peak_rss_mb")
 
 
@@ -102,16 +108,47 @@ def run_cli(side: Path, args: list[str]) -> dict:
             "rss_mb": round(usage.ru_maxrss / 1024, 1), "driver_rss_mb": round(floor, 1)}
 
 
-def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
-    runs, _, command = text.partition(":")
-    args, pairs = shlex.split(command), []
-    for i in range(int(runs)):
+def run_pytest(side: Path, args: list[str]) -> dict:
+    """One fresh pytest process in the side's checkout, timed from start to
+    exit, with its exit code and the number of tests it passed."""
+    env = {**os.environ, "PYTHONPATH": str(side / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+                          cwd=side, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    passed = re.search(r"(\d+) passed", lines[-1]) if lines else None
+    return {"s": round(seconds, 4), "rc": proc.returncode, "passed": int(passed.group(1)) if passed else 0}
+
+
+def fresh_pairs(sides: dict[str, Path], label: str, runs: int, measure) -> list[dict]:
+    """runs pairs of measure(side), the sides alternating which runs first."""
+    pairs = []
+    for i in range(runs):
         first = ("parent", "change")[i % 2]
         rec = {"first": first}
         for name in (first, "change" if first == "parent" else "parent"):
-            rec[name] = run_cli(sides[name], args)
-            print("cli", i, name, json.dumps(rec[name]), file=sys.stderr, flush=True)
+            rec[name] = measure(sides[name])
+            print(label, i, name, json.dumps(rec[name]), file=sys.stderr, flush=True)
         pairs.append(rec)
+    return pairs
+
+
+def pytest_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
+    runs, _, command = text.partition(":")
+    args = shlex.split(command)
+    pairs = fresh_pairs(sides, "pytest", int(runs), lambda side: run_pytest(side, args))
+    return command, {"pairs": pairs, "summary": {
+        **compare(pairs, "s"),
+        "same_result": all(p["parent"]["rc"] == p["change"]["rc"] and p["parent"]["passed"] == p["change"]["passed"]
+                           for p in pairs),
+    }}
+
+
+def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
+    runs, _, command = text.partition(":")
+    args = shlex.split(command)
+    pairs = fresh_pairs(sides, "cli", int(runs), lambda side: run_cli(side, args))
     return command, {"pairs": pairs, "summary": {
         **compare(pairs, "s"),
         "rss_mb": {**compare(pairs, "rss_mb"),
@@ -134,21 +171,25 @@ def compare(pairs: list[dict], metric: str) -> dict:
     """One metric of both sides: medians and quartiles, per-pair ratios,
     their median over the pairs that ran the parent first and over those
     that ran the change first (the side that runs first tends to read
-    higher, so the two medians show that order effect), and the number of
-    pairs in which the change reads lower."""
+    higher, so the two medians show that order effect), the geometric mean
+    of those two medians, which cancels a first-side effect that scales
+    every reading by one factor, and the number of pairs in which the
+    change reads lower."""
     par = [p["parent"][metric] for p in pairs]
     chg = [p["change"][metric] for p in pairs]
     ratios = [c / p for p, c in zip(par, chg)]
     q = statistics.quantiles(par, n=4) if len(par) > 1 else [par[0]] * 3
     by_first = {first: [r for p, r in zip(pairs, ratios) if p["first"] == first] for first in ("parent", "change")}
+    medians = {first: statistics.median(rs) if rs else None for first, rs in by_first.items()}
     return {
         "parent_median": round(statistics.median(par), 4),
         "parent_quartiles": [round(q[0], 4), round(q[2], 4)],
         "change_median": round(statistics.median(chg), 4),
         "ratio_of_medians": round(statistics.median(chg) / statistics.median(par), 3),
         "pair_ratios": [round(r, 3) for r in ratios],
-        "pair_ratio_median_by_first": {first: round(statistics.median(rs), 3) if rs else None
-                                       for first, rs in by_first.items()},
+        "pair_ratio_median_by_first": {first: None if m is None else round(m, 3) for first, m in medians.items()},
+        "order_balanced_ratio": (round(math.sqrt(medians["parent"] * medians["change"]), 3)
+                                 if None not in medians.values() else None),
         "change_lower": sum(r < 1 for r in ratios),
     }
 
@@ -169,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="WORKLOAD:SEED, one traced pair per seed")
     parser.add_argument("--cli", action="append", default=[],
                         help="RUNS:ARGS, RUNS fresh-process pairs of python -m braidrep ARGS")
+    parser.add_argument("--pytest", action="append", default=[],
+                        help="RUNS:ARGS, RUNS fresh-process pairs of python -m pytest -q ARGS")
     parser.add_argument("--workdir", type=Path, help="where the two checkouts go (default: a temp dir)")
     args = parser.parse_args(argv)
 
@@ -184,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
         "traced": {},
         "cli": {},
+        "pytest": {},
     }
     flip = 0
     for workload, seeds in args.plan:
@@ -203,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     for text in args.cli:
         command, rec = cli_pairs(sides, text)
         doc["cli"][command] = rec
+    for text in args.pytest:
+        command, rec = pytest_pairs(sides, text)
+        doc["pytest"][command] = rec
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     if args.workdir is None:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -30,9 +30,12 @@ composite d = 12, 15 and 25 and at n = 9; ``rep --quotient`` of the 138-,
 (``QUOTIENT_CROSSING``), human and ``--json``: the 138-letter one stays in
 int64, the 144-letter one leaves it at the quotient's left factor and the
 200-letter one before its letter 157, counted from 0; ``verify --suite
-lantern --size 3`` for seeds 0..3; and ``verify --suite horo --size 3``,
+lantern --size 3`` for seeds 0..3; ``verify --suite horo --size 3``,
 human and ``--json``, for seeds 0..3,
 whose batteries run more conjugation trials and the additivity check;
+``verify --suite forms --size 3`` and ``verify --suite relations --size
+3``, human and ``--json``, for seeds 0..3, which check more eps0 = 0
+inverse identities and pair-twist orders;
 ``horo --json`` of the larger orbits in ``LARGE_HORO``: n = 8 at d = 23
 (kappa 1,1,21,1,1,1,1,19), whose lower and upper orbits reach full rank at
 word lengths 6 and 4; n = 6 (kappa 1,1,d-2,1,1,d-2) at d = 23, d = 47 and
@@ -65,12 +68,11 @@ import workloads  # noqa: E402
 SEEDS = range(16)
 PINNED_HORO = (("11", "1,1,9,1,1,1,1,1,6", "3"), ("5", "1,1,3,2,3", "3"), ("5", "2,3,1,1,1,2", "2"))
 N12_HORO = ["horo", "--d", "11", "--kappa", "1,1,9,1,1,1,1,1,1,1,1,3", "--m", "3"]  # the ROADMAP's n = 12 case
-LANTERN_SEEDS = range(4)
 LARGE_HORO = [["horo", "--d", d, "--kappa", kappa, "--m", "3", "--json"]
               for d, kappa in (("23", "1,1,21,1,1,1,1,19"), ("23", "1,1,21,1,1,21"), ("47", "1,1,45,1,1,45"),
                                ("101", "1,1,99,1,1,99"), ("47", "1,1,45,1,1,1,1,43"),
                                ("211", "1,1,209,1,1,209"))]
-HORO_SUITE_SEEDS = range(4)
+SUITE_SEEDS = range(4)  # of the --size 3 batteries
 LARGE_DENSITY = [["density", "--d", d, "--kappa", "1,1,1,1,1", "--json"] for d in ("10007", "10010")]
 # (d, kappa, k, quotient) at n = 7: prime and composite d, each with an eps0 = 0
 # kappa and an eps0 = 1 kappa whose words are pushed to the quotient
@@ -140,9 +142,9 @@ def commands() -> list[list[str]]:
     argvs += [N12_HORO, N12_HORO + ["--json"]]
     argvs += [["horo", "--d", d, "--kappa", k, "--m", m, *json] for d, k, m in FLAG_HORO for json in ([], ["--json"])]
     argvs += QUOTIENT_CROSSING
-    argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in LANTERN_SEEDS]
-    argvs += [["verify", "--suite", "horo", "--size", "3", "--seed", str(seed), *json]
-              for seed in HORO_SUITE_SEEDS for json in ([], ["--json"])]
+    argvs += [["verify", "--suite", "lantern", "--size", "3", "--seed", str(seed)] for seed in SUITE_SEEDS]
+    argvs += [["verify", "--suite", suite, "--size", "3", "--seed", str(seed), *json]
+              for suite in ("horo", "forms", "relations") for seed in SUITE_SEEDS for json in ([], ["--json"])]
     argvs += LARGE_HORO + [LARGE_HORO[-1][:-1]]  # and the d = 211 case without --json
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
