@@ -4,6 +4,7 @@ Elements are stored on the power basis zeta^0, ..., zeta^{phi(d)-1} reduced
 modulo the d-th cyclotomic polynomial, as an integer coefficient vector over
 a common positive denominator.  The representation is canonical (content and
 denominator share no factor), so equality is componentwise comparison.
+Other modules turn integers into elements only through :func:`from_poly`.
 
 The numeric embedding sends zeta to e^{-2*pi*i/d}; the sign of the exponent
 is observable through the signature formulas and is fixed once and for all
@@ -117,26 +118,24 @@ def _field_data(d: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 # -- low-level kernels on (numerator tuple, denominator) pairs -----------
 
 def _raw_normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num / den with den > 0 and no factor shared by den and num, by one
+    math.gcd; a zero numerator comes out over 1."""
+    g = math.gcd(den, *num)
     if den < 0:
-        num = [-c for c in num]
-        den = -den
-    g = den
-    for c in num:
-        if c:
-            g = math.gcd(g, c)
-            if g == 1:
-                return tuple(num), den
-    if g == den and all(c == 0 for c in num):
-        return tuple(num), 1
+        g = -g
+    if g == 1:
+        return tuple(num), den
     return tuple(c // g for c in num), den // g
 
 
 def _raw_reduce(d: int, conv: list[int]) -> list[int]:
+    """The phi(d) coefficients of conv, a list over Z[x]/(x^d - 1) of any
+    length, reduced modulo Phi_d."""
     phi, table = _field_data(d)
     if len(conv) > d:  # fold by zeta^d = 1 first: fewer table rows
         folded = conv[:d]
         for j in range(d, len(conv)):
-            folded[j - d] += conv[j]
+            folded[j % d] += conv[j]
         conv = folded
     out = conv[:phi] + [0] * (phi - len(conv))
     for j in range(phi, len(conv)):
@@ -254,9 +253,10 @@ class CycloNum:
     """An element of Q(zeta_d) in canonical reduced form.
 
     Construct through the factory helpers (:func:`zeta`, :func:`from_rational`,
-    :meth:`CycloNum.zero`, ...) or arithmetic; the raw constructor trusts its
-    arguments.  Equality is componentwise on the canonical representation and
-    coerces plain integers and fractions.
+    :func:`from_poly`, :meth:`CycloNum.zero`, ...) or arithmetic; the raw
+    constructor, used only in this module, trusts its arguments.  Equality
+    is componentwise on the canonical representation and coerces plain
+    integers and fractions.
     """
 
     d: int
@@ -279,7 +279,9 @@ class CycloNum:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    @functools.cache
     def zero(d: int) -> CycloNum:
+        """The zero of K_d, one object per d."""
         return CycloNum(d, (0,) * euler_phi(d), 1)
 
     @staticmethod
@@ -294,7 +296,7 @@ class CycloNum:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self
 
     def __bool__(self) -> bool:
         return any(self.num)
@@ -449,6 +451,18 @@ def from_rational(d: int, r: Fraction | int) -> CycloNum:
     phi = euler_phi(d)
     num = (r.numerator,) + (0,) * (phi - 1)
     return CycloNum(d, num, r.denominator)
+
+
+def from_poly(d: int, poly: list[int] | tuple[int, ...], den: int = 1) -> CycloNum:
+    """The canonical element poly(zeta) / den, for integer coefficients poly
+    over Z[x]/(x^d - 1) of any length (a list of exactly phi(d) is already
+    reduced modulo Phi_d and is not copied) and den != 0; every zero is the
+    one object CycloNum.zero(d)."""
+    if len(poly) != _field_data(d)[0]:
+        poly = _raw_reduce(d, list(poly))
+    if not any(poly):
+        return CycloNum.zero(d)
+    return CycloNum(d, *_raw_normalize(poly, den))
 
 
 def from_coeffs(d: int, coeffs: list[Fraction] | tuple[Fraction, ...]) -> CycloNum:

@@ -6,12 +6,15 @@ one reduction modulo Phi_d per entry, except that :func:`word_product`,
 the fold of a braid word's sparse letters, rolls an array over
 Z[x]/(x^d - 1), in int64 under a checked overflow bound and
 in Python ints from the first step that could overflow, and
-:func:`factored_product`, which multiplies such an array by fixed right
-and left factors, checks that the radical is fixed, and reduces modulo
-Phi_d once.  Letters and both factors are :class:`SparseLetter` terms,
+:func:`factored_product`, which folds a word the same way, multiplies the
+array by fixed right and left factors, checks that the radical is fixed,
+and reduces modulo Phi_d once.  The array and its bound never leave this
+module.  Letters and both factors are :class:`SparseLetter` terms,
 applied by the one routine :func:`_roll`, the left factor on the
-transposed array.  Every exact elimination over K_d runs through the one
-Gauss-Jordan routine :func:`_rref`.  Over Q (rank, span and solve of
+transposed array.  Every entry is made from its integer coefficients by
+cyclo.from_poly, and this module reads no table of cyclo.  Every exact
+elimination over K_d runs through the one Gauss-Jordan routine
+:func:`_rref`.  Over Q (rank, span and solve of
 realified vectors) rows are cleared of denominators and reduced
 fraction-free over the integers by the one routine :func:`_reduce` (cf.
 Bareiss, Math. Comp. 22, 1968).  All but :func:`inertia` is exact; inertia
@@ -29,15 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclo import (
-    CycloNum,
-    _convolve,
-    _field_data,
-    _raw_normalize,
-    _raw_reduce,
-    from_strings,
-    to_strings,
-)
+from .cyclo import CycloNum, _convolve, euler_phi, from_poly, from_strings, to_strings, zeta
 from .errors import (
     AmbiguousSign,
     ModulusMismatch,
@@ -148,14 +143,15 @@ class CycloMatrix:
         2 phi - 1 over a running common denominator: when a term's
         denominator does not divide it, the list is rescaled to their lcm,
         and each term is multiplied by the running denominator over its
-        own.  The sum is reduced modulo Phi_d once and normalized once
-        (the delayed reduction of FFLAS, Dumas-Gautier-Pernet, ISSAC 2002).
+        own.  The sum is reduced modulo Phi_d once and normalized once, by
+        cyclo.from_poly (the delayed reduction of FFLAS, Dumas-Gautier-
+        Pernet, ISSAC 2002).
         """
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         d = self.d
-        size = 2 * _field_data(d)[0] - 1
+        size = 2 * euler_phi(d) - 1
         a = [e if e else None for e in self.entries]
         b = [e if e else None for e in other.entries]
         n, m, p = self.rows, self.cols, other.cols
@@ -179,11 +175,7 @@ class CycloMatrix:
                         conv = [c * (lcm // den) for c in conv]
                         den = lcm
                     _convolve(conv, x.num, y.num, den // tden)
-                if conv is None:
-                    out.append(zero)
-                    continue
-                num, den = _raw_normalize(_raw_reduce(d, conv), den)
-                out.append(CycloNum(d, num, den) if any(num) else zero)
+                out.append(zero if conv is None else from_poly(d, conv, den))
         return CycloMatrix(d, n, p, tuple(out))
 
     def apply(self, v: Vector) -> Vector:
@@ -308,8 +300,8 @@ def sparse_matrix(d: int, size: int, terms: Iterable[Term]) -> CycloMatrix:
     """The size x size matrix that is the identity outside the target columns
     of terms and whose entry (source, target) there is the sum of coef *
     zeta^t over its terms (target, source, coef, t), 0 <= t < d: each entry
-    counts its powers of zeta, sums the rows of the table of x^t mod Phi_d
-    that they select, and is wrapped once, with den = 1."""
+    counts its powers of zeta in a list over Z[x]/(x^d - 1), which
+    cyclo.from_poly reduces modulo Phi_d once."""
     spreads: dict[tuple[int, int], list[int]] = {}
     for c, r, coef, t in terms:
         spreads.setdefault((r, c), [0] * d)[t] += coef
@@ -319,7 +311,7 @@ def sparse_matrix(d: int, size: int, terms: Iterable[Term]) -> CycloMatrix:
     for c in {c for _, c in spreads}:
         entries[c * size + c] = zero
     for (r, c), spread in spreads.items():
-        entries[r * size + c] = CycloNum(d, tuple(_raw_reduce(d, spread)), 1)
+        entries[r * size + c] = from_poly(d, spread)
     return CycloMatrix(d, size, size, tuple(entries))
 
 
@@ -358,11 +350,11 @@ def _max_abs(arr: np.ndarray) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _cyclic_reduction(d: int) -> tuple[np.ndarray, int]:
-    """Rows phi..d-1 of the table of x^j mod Phi_d as an int64 array (rows
-    0..phi-1 are the identity), and rho_d, the largest l1-norm of a column
-    of rows 0..d-1."""
-    phi, table = _field_data(d)
-    rows = table[phi:d]
+    """The numerators of zeta^j, phi <= j < d, that is x^j mod Phi_d, as
+    the rows of an int64 array (for j < phi they are the identity rows),
+    and rho_d, the largest l1-norm of a column of all d rows."""
+    phi = euler_phi(d)
+    rows = [zeta(d, j).num for j in range(phi, d)]
     return np.array(rows, dtype=np.int64), 1 + max(sum(abs(row[i]) for row in rows) for i in range(phi))
 
 
@@ -397,20 +389,7 @@ def _reduced(d: int, polys: np.ndarray, bound: int) -> np.ndarray:
     return polys[:, : high.shape[1]] + polys[:, high.shape[1]:] @ high
 
 
-def _entries(d: int, nums: np.ndarray) -> tuple[CycloNum, ...]:
-    """Canonical entries nums / d, row by row, each divided by its one
-    math.gcd with d, and every zero the one object CycloNum.zero(d)."""
-    zero, out = CycloNum.zero(d), []
-    for c in nums.tolist():
-        if not any(c):
-            out.append(zero)
-            continue
-        g = math.gcd(d, *c)
-        out.append(CycloNum(d, tuple(x // g for x in c) if g > 1 else tuple(c), d // g))
-    return tuple(out)
-
-
-def word_array(d: int, size: int, letters: Sequence[SparseLetter]) -> tuple[np.ndarray, int]:
+def _word_array(d: int, size: int, letters: Sequence[SparseLetter]) -> tuple[np.ndarray, int]:
     """The unreduced fold of :func:`word_product`: the (size, size * d)
     array of the product over Z[x]/(x^d - 1), and a bound on max|M|."""
     arr = np.zeros((size, size * d), dtype=np.int64)
@@ -436,24 +415,26 @@ def word_product(d: int, size: int, letters: Sequence[SparseLetter]) -> CycloMat
     first check that fails, M is converted to Python ints (object dtype)
     and the same gathers, sums and reduction run on it exactly.
     """
-    arr, bound = word_array(d, size, letters)
+    arr, bound = _word_array(d, size, letters)
     nums = _reduced(d, arr.reshape(-1, d), bound).tolist()
-    # reduced integer rows with den == 1 are canonical entries
-    return CycloMatrix(d, size, size, tuple(CycloNum(d, tuple(c), 1) for c in nums))
+    # the reduced rows have length phi, so from_poly only normalizes them
+    return CycloMatrix(d, size, size, tuple(from_poly(d, c) for c in nums))
 
 
-def factored_product(d: int, arr: np.ndarray, bound: int, right: SparseLetter,
+def factored_product(d: int, size: int, letters: Sequence[SparseLetter], right: SparseLetter,
                      left: SparseLetter, fixed: list[list[int]]) -> CycloMatrix:
-    """left * M * right / d, with M = arr the unreduced fold of a word and
-    left given times d, through the fold's own checked rolls on arr: the
-    right factor rolls like a letter; the last column of M * right must
-    reduce modulo Phi_d to the rows fixed (RadicalNotFixed otherwise) and is
-    dropped; then the left factor, whose target j is a row of the result,
-    rolls the transposed array, as L U = (U^T L^T)^T; and the result is
-    reduced modulo Phi_d once and normalized entry by entry.  fixed must be
-    a list of int lists, the numerators of the radical's entries (den 1):
-    the reduced column's .tolist() is compared with it by ==."""
-    arr, bound = _roll(arr, bound, right)
+    """left * M * right / d, with M the size x size product of letters and
+    left given times d.  M is folded as in :func:`word_product` but not
+    reduced, and the factors continue the fold's checked rolls on its
+    array: the right factor rolls like a letter; the last column of M *
+    right must reduce modulo Phi_d to the rows fixed (RadicalNotFixed
+    otherwise) and is dropped; then the left factor, whose target j is a
+    row of the result, rolls the transposed array, as L U = (U^T L^T)^T;
+    and the result is reduced modulo Phi_d once, each entry its row over
+    d by cyclo.from_poly.  fixed must be a list of int lists, the
+    numerators of the radical's entries (den 1): the reduced column's
+    .tolist() is compared with it by ==."""
+    arr, bound = _roll(*_word_array(d, size, letters), right)
     u = arr.reshape(arr.shape[0], -1, d)
     if _reduced(d, u[:, -1], bound).tolist() != fixed:
         raise RadicalNotFixed("operator moves the radical vector")
@@ -461,7 +442,7 @@ def factored_product(d: int, arr: np.ndarray, bound: int, right: SparseLetter,
     ut = np.ascontiguousarray(u[:, :-1].transpose(1, 0, 2)).reshape(cols, -1)
     ut, bound = _roll(ut, bound, left)
     nums = _reduced(d, ut.reshape(cols, -1, d)[:, :rows].transpose(1, 0, 2).reshape(-1, d), bound)
-    return CycloMatrix(d, rows, cols, _entries(d, nums))
+    return CycloMatrix(d, rows, cols, tuple(from_poly(d, c, d) for c in nums.tolist()))
 
 
 def sesquilinear(gram: CycloMatrix, x: Vector, y: Vector) -> CycloNum:

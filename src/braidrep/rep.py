@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclo import CycloNum, _raw_normalize, _raw_reduce, spread_inverse, zeta
+from .cyclo import CycloNum, from_poly, spread_inverse, zeta
 from .errors import (
     DegenerateBlock,
     DisconnectedCover,
@@ -42,7 +42,6 @@ from .linalg import (
     factored_product,
     sesquilinear,
     sparse_matrix,
-    word_array,
     word_product,
 )
 
@@ -190,7 +189,7 @@ class RepContext:
             for e in exponents:
                 spread = [x + y for x, y in zip(spread, spread_inverse(d, e))]
             mu_spread = [2 * spread[t] - spread[(t - k) % d] - spread[(t + k) % d] for t in range(d)]
-            return CycloNum(d, *_raw_normalize(_raw_reduce(d, mu_spread), d))
+            return from_poly(d, mu_spread, d)
 
         rows = [[zero] * size for _ in range(size)]
         for a in range(size):
@@ -223,8 +222,7 @@ class RepContext:
         """Quotient coordinates of the class of g_{n-1} via the radical
         relation: c w_a with c = -1 / w_{n-2} = -spread_inverse / d."""
         d = self.d
-        spread = [-x for x in spread_inverse(d, self._radical_exponents[-1])]
-        c = CycloNum(d, *_raw_normalize(_raw_reduce(d, spread), d))
+        c = from_poly(d, spread_inverse(d, self._radical_exponents[-1]), -d)
         return tuple(c * x for x in self._radical[:-1])
 
     @cached_property
@@ -440,14 +438,13 @@ def evaluate_word(ctx: RepContext, word: BraidWord) -> CycloMatrix:
 
 def _factored_word(ctx: RepContext, word: BraidWord, right: SparseLetter, left: SparseLetter) -> CycloMatrix:
     """left * rho(word) * right, with right's last column the radical,
-    checked fixed, straight from the unreduced array of the word's fold:
-    bad letters raise first, then NotDegenerate, and the array is reduced
-    modulo Phi_d once."""
+    checked fixed, by linalg.factored_product straight from the word's
+    letters: bad letters raise first, then NotDegenerate, and the fold is
+    reduced modulo Phi_d once."""
     letters = _sparse_letters(ctx, word)
     if ctx.eps0 != 1:
         raise NotDegenerate("quotient requires eps0 = 1")
-    arr, bound = word_array(ctx.d, ctx.n - 1, letters)
-    return factored_product(ctx.d, arr, bound, right, left, ctx._radical_rows)
+    return factored_product(ctx.d, ctx.n - 1, letters, right, left, ctx._radical_rows)
 
 
 def evaluate_quotient(ctx: RepContext, word: BraidWord) -> CycloMatrix:

@@ -1,5 +1,6 @@
-"""The summary of tools/bench_pairs.py: on synthetic pairs whose first side
-reads high by a known factor, the order-balanced ratio is the true ratio."""
+"""tools/bench_pairs.py: its pairs alternate the side that runs first, and
+on synthetic pairs whose first side reads high by a known factor, the
+order-balanced ratio of its summary is the true ratio."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +44,19 @@ def test_order_balanced_ratio_needs_both_orders():
     summary = _bench_pairs().compare(_pairs(0.9, 1.1, [1.0]), "s")
     assert summary["pair_ratio_median_by_first"] == {"parent": pytest.approx(0.818, abs=1e-3), "change": None}
     assert summary["order_balanced_ratio"] is None
+
+
+def test_pairs_alternate_from_the_parent_and_hold_both_sides():
+    """fresh_pairs runs one pair per run through pair: the parent first in
+    even pairs, the change first in odd ones, each record both sides."""
+    calls = []
+
+    def measure(side):
+        calls.append(side)
+        return {"s": len(calls)}
+
+    pairs = _bench_pairs().fresh_pairs({"parent": "P", "change": "C"}, "fake", 4, measure)
+    assert calls == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent", "change"]
+    assert pairs[1] == {"first": "change", "change": {"s": 3}, "parent": {"s": 4}}
+    assert all(set(p) == {"first", "parent", "change"} for p in pairs)

@@ -12,6 +12,7 @@ from braidrep.cyclo import (
     cyclotomic_poly,
     euler_phi,
     from_coeffs,
+    from_poly,
     from_rational,
     from_strings,
     order_of_power,
@@ -107,6 +108,51 @@ def test_cyclotomic_poly_matches_sympy(d):
     x = sympy.symbols("x")
     expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
     assert cyclotomic_poly(d) == tuple(int(c) for c in reversed(expected))
+
+
+POLY_DEGREES = (3, 5, 9, 12, 15, 25, 30)
+
+
+@st.composite
+def poly_cases(draw):
+    """(d, poly, den): poly an integer list of length 1, phi - 1, phi,
+    phi + 1, d or 2d + 3 with entries up to 2^80 in absolute value, and
+    den a signed small multiple of d, a sign, 2 or 2^65 + 1."""
+    d = draw(st.sampled_from(POLY_DEGREES))
+    phi = euler_phi(d)
+    length = draw(st.sampled_from((1, phi - 1, phi, phi + 1, d, 2 * d + 3)))
+    poly = draw(st.lists(st.integers(-2**80, 2**80), min_size=length, max_size=length))
+    den = draw(st.sampled_from((1, -1, 2, -2, d, -d, 6 * d, -6 * d, 2**65 + 1)))
+    return d, poly, den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(poly_cases())
+def test_from_poly_is_the_remainder_mod_phi_over_den(case):
+    """from_poly(d, poly, den) is poly(zeta) / den with poly reduced by
+    sympy modulo Phi_d, over a positive denominator that shares no factor
+    with the numerator, for lists shorter than, equal to and longer than
+    phi(d) (x^d = 1 modulo Phi_d, so the fold needs no separate oracle)."""
+    d, poly, den = case
+    x = sympy.symbols("x")
+    rem = sympy.Poly(list(reversed(poly)), x, domain="ZZ").rem(sympy.Poly(sympy.cyclotomic_poly(d, x), x))
+    coeffs = [int(c) for c in reversed(rem.all_coeffs())]
+    coeffs += [0] * (euler_phi(d) - len(coeffs))
+    z = from_poly(d, poly, den)
+    assert z == from_coeffs(d, [Fraction(c, den) for c in coeffs])
+    assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+
+
+@pytest.mark.parametrize("d", POLY_DEGREES)
+def test_from_poly_of_zeros_is_the_one_zero(d):
+    """An all-zero list of any length over any denominator is the one
+    object CycloNum.zero(d), over 1."""
+    phi = euler_phi(d)
+    for length in (1, phi - 1, phi, phi + 1, d, 2 * d + 3):
+        for den in (1, -1, 2, -d, 6 * d, 2**65 + 1):
+            z = from_poly(d, [0] * length, den)
+            assert z is CycloNum.zero(d)
+            assert z.den == 1 and z.is_zero() and not z
 
 
 def test_field_relations():

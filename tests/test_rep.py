@@ -12,10 +12,9 @@ from fractions import Fraction
 
 from braidrep.cyclo import (
     CycloNum,
-    _raw_normalize,
-    _raw_reduce,
     euler_phi,
     from_coeffs,
+    from_poly,
     order_of_power,
     spread_inverse,
     units,
@@ -156,12 +155,7 @@ def test_spread_inverse_is_d_over_zeta_power_minus_one():
     for d in (3, 4, 9, 12, 25, 30):
         for e in range(1, d):
             if e % d:
-                assert _poly(d, spread_inverse(d, e)) * (zeta(d, e) - 1) == d, (d, e)
-
-
-def _poly(d, coefs):
-    """The field element of a coefficient list over Z[x]/(x^d - 1)."""
-    return CycloNum(d, *_raw_normalize(_raw_reduce(d, list(coefs)), 1))
+                assert from_poly(d, spread_inverse(d, e)) * (zeta(d, e) - 1) == d, (d, e)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -183,7 +177,7 @@ def test_spread_terms_are_the_division_by_zeta_power_minus_one(case):
     assert all((c, r) == (2, 1) and coef for c, r, coef, _ in terms)
     assert len({t for *_, t in terms}) == len(terms)
     assert sum(abs(coef) for _, _, coef, _ in terms) <= d * (d - 1) // 2 * sum(abs(s) for s, _ in refs)
-    row = _poly(d, u)
+    row = from_poly(d, u)
     applied = sum((coef * zeta(d, t) * row for _, _, coef, t in terms), CycloNum.zero(d))
     poly = sum((s * zeta(d, t) for s, t in refs), CycloNum.zero(d))
     assert applied == d * poly * row * (zeta(d, e) - 1).inv()
@@ -573,9 +567,10 @@ def test_quotient():
         quotient_matrix(ctx, ident.scale(zeta(4)))
 
 
-def _raw_rotation_sum(d, base, terms):
+def _rotation_sum(d, base, terms):
     """base + sum of (zeta^e - 1) * x over terms (x, e), on the lcm of the
-    denominators (the former cyclo helper of the rotation-sum quotient)."""
+    denominators (the former cyclo helper of the rotation-sum quotient), as
+    a field element."""
     phi = euler_phi(d)
     den = base[1] if base else 1
     for (_, x_den), _ in terms:
@@ -587,7 +582,7 @@ def _raw_rotation_sum(d, base, terms):
         for i, c in enumerate(num):
             spread[i + e] += den // x_den * c
             spread[i] -= den // x_den * c
-    return _raw_normalize(_raw_reduce(d, spread), den)
+    return from_poly(d, spread, den)
 
 
 def _quotient_by_rotation_sums(ctx, m):
@@ -604,8 +599,7 @@ def _quotient_by_rotation_sums(ctx, m):
     exps = ctx._radical_exponents
     raw = [(x.num, x.den) if x else None for x in m.entries]
     if m.rows != cols or any(
-        _raw_rotation_sum(d, None, [(x, e) for x, e in zip(raw[a * cols : (a + 1) * cols], exps) if x and e])
-        != (w.num, w.den)
+        _rotation_sum(d, None, [(x, e) for x, e in zip(raw[a * cols : (a + 1) * cols], exps) if x and e]) != w
         for a, w in enumerate(radical_vector(ctx))
     ):
         raise RadicalNotFixed("operator moves the radical vector")
@@ -615,7 +609,7 @@ def _quotient_by_rotation_sums(ctx, m):
     for a in range(size):
         for b, t in enumerate(ts):
             x = m.entries[a * cols + b]
-            entries.append(CycloNum(d, *_raw_rotation_sum(d, raw[a * cols + b], [((t.num, t.den), exps[a])]))
+            entries.append(_rotation_sum(d, raw[a * cols + b], [((t.num, t.den), exps[a])])
                            if exps[a] and t else x)
     return CycloMatrix(d, size, size, tuple(entries))
 

@@ -121,17 +121,19 @@ def run_pytest(side: Path, args: list[str]) -> dict:
     return {"s": round(seconds, 4), "rc": proc.returncode, "passed": int(passed.group(1)) if passed else 0}
 
 
+def pair(sides: dict[str, Path], label: str, measure, first: str) -> dict:
+    """One record of measure(side) on both sides; the side named first runs
+    first."""
+    rec = {"first": first}
+    for name in (first, "change" if first == "parent" else "parent"):
+        rec[name] = measure(sides[name])
+        print(label, name, json.dumps(rec[name])[:200], file=sys.stderr, flush=True)
+    return rec
+
+
 def fresh_pairs(sides: dict[str, Path], label: str, runs: int, measure) -> list[dict]:
     """runs pairs of measure(side), the sides alternating which runs first."""
-    pairs = []
-    for i in range(runs):
-        first = ("parent", "change")[i % 2]
-        rec = {"first": first}
-        for name in (first, "change" if first == "parent" else "parent"):
-            rec[name] = measure(sides[name])
-            print(label, i, name, json.dumps(rec[name]), file=sys.stderr, flush=True)
-        pairs.append(rec)
-    return pairs
+    return [pair(sides, f"{label} {i}", measure, ("parent", "change")[i % 2]) for i in range(runs)]
 
 
 def pytest_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
@@ -156,15 +158,6 @@ def cli_pairs(sides: dict[str, Path], text: str) -> tuple[str, dict]:
         "same_output": all(p["parent"]["stdout_sha256"] == p["change"]["stdout_sha256"]
                            and p["parent"]["rc"] == p["change"]["rc"] for p in pairs),
     }}
-
-
-def pair(sides: dict[str, Path], workload: str, seed: int, first: str, trace: bool) -> dict:
-    order = [first, "change" if first == "parent" else "parent"]
-    rec = {"seed": seed, "first": first}
-    for name in order:
-        rec[name] = run(sides[name], workload, seed, trace)
-        print(workload, seed, name, json.dumps(rec[name])[:200], file=sys.stderr, flush=True)
-    return rec
 
 
 def compare(pairs: list[dict], metric: str) -> dict:
@@ -229,16 +222,20 @@ def main(argv: list[str] | None = None) -> int:
         "cli": {},
         "pytest": {},
     }
+
+    def seed_pair(workload: str, seed: int, first: str, trace: bool) -> dict:
+        return {"seed": seed, **pair(sides, f"{workload} {seed}", lambda side: run(side, workload, seed, trace), first)}
+
     flip = 0
     for workload, seeds in args.plan:
         pairs = []
         for seed in seeds:
-            pairs.append(pair(sides, workload, seed, ("parent", "change")[flip % 2], False))
+            pairs.append(seed_pair(workload, seed, ("parent", "change")[flip % 2], False))
             flip += 1
         doc["workloads"][workload] = {"pairs": pairs, "summary": {metric: compare(pairs, metric) for metric in E2E}}
     for workload, seeds in args.trace:
         for seed in seeds:
-            rec = pair(sides, workload, seed, "parent", True)
+            rec = seed_pair(workload, seed, "parent", True)
             doc["traced"][f"{workload}:{seed}"] = {
                 "correct": [rec["parent"]["correct"], rec["change"]["correct"]],
                 "layers": {k: {"parent": v, "change": rec["change"]["layers"][k]}
